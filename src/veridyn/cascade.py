@@ -3,10 +3,11 @@
 The cascade operator is the affine combination  C = Lambda*I + sum_i
 (1 - lambda_i) * theta_i  with Lambda the product of the damping factors
 and each theta_i a real matrix of finite multiplicative order.  This
-module builds C, extracts its fixed directions, computes its full
-spectrum with a self-contained Hessenberg/double-shift iteration, and
-evaluates the convex-hull containment of the spectrum as an empirical
-verdict (the containment fails on easy examples and is never asserted).
+module builds C, extracts its fixed directions, takes its full spectrum
+from LAPACK and re-verifies every eigenvalue by an inverse-iteration
+residual, and evaluates the convex-hull containment of the spectrum as
+an empirical verdict (the containment fails on easy examples and is
+never asserted).
 """
 
 from __future__ import annotations
@@ -231,133 +232,7 @@ def cascade_fixed_points(C: LinOp, tol: float = PIVOT_RTOL) -> list[np.ndarray]:
     return ortho
 
 
-# --- dense eigensolver: Hessenberg reduction + double-shift iteration ----
-
-
-def _hessenberg(a: np.ndarray) -> np.ndarray:
-    h = np.array(a, dtype=np.float64, copy=True)
-    n = h.shape[0]
-    for k in range(n - 2):
-        x = h[k + 1:, k].copy()
-        alpha = float(np.linalg.norm(x))
-        if alpha == 0.0:
-            continue
-        if x[0] < 0.0:
-            alpha = -alpha
-        v = x
-        v[0] += alpha
-        vnorm = float(np.linalg.norm(v))
-        if vnorm == 0.0:
-            continue
-        v /= vnorm
-        h[k + 1:, k:] -= 2.0 * np.outer(v, v @ h[k + 1:, k:])
-        h[:, k + 1:] -= 2.0 * np.outer(h[:, k + 1:] @ v, v)
-        h[k + 2:, k] = 0.0
-    return h
-
-
-def _eig2(a: float, b: float, c: float, d: float) -> tuple[complex, complex]:
-    """Eigenvalues of [[a, b], [c, d]]."""
-    p = 0.5 * (a + d)
-    disc = 0.25 * (a - d) ** 2 + b * c
-    if disc >= 0.0:
-        sq = math.sqrt(disc)
-        l1 = p + sq if p >= 0.0 else p - sq
-        det = a * d - b * c
-        l2 = det / l1 if l1 != 0.0 else 0.0
-        return complex(l1), complex(l2)
-    sq = math.sqrt(-disc)
-    return complex(p, sq), complex(p, -sq)
-
-
-def _double_shift_sweep(h: np.ndarray, lo: int, hi: int,
-                        trace: float, det: float) -> None:
-    """One implicit double-shift bulge chase on the window [lo, hi]."""
-    x = h[lo, lo] * h[lo, lo] + h[lo, lo + 1] * h[lo + 1, lo] \
-        - trace * h[lo, lo] + det
-    y = h[lo + 1, lo] * (h[lo, lo] + h[lo + 1, lo + 1] - trace)
-    z = h[lo + 2, lo + 1] * h[lo + 1, lo]
-    for k in range(lo, hi):
-        if k > lo:
-            x = h[k, k - 1]
-            y = h[k + 1, k - 1]
-            z = h[k + 2, k - 1] if k + 2 <= hi else 0.0
-        if k + 2 <= hi:
-            w = np.array([x, y, z])
-        else:
-            w = np.array([x, y])
-        scale = float(np.max(np.abs(w)))
-        if scale == 0.0:
-            continue
-        w = w / scale
-        s = float(np.linalg.norm(w))
-        if w[0] < 0.0:
-            s = -s
-        w[0] += s
-        wn2 = float(w @ w)
-        if wn2 == 0.0:
-            continue
-        tau = 2.0 / wn2
-        rows = slice(k, k + len(w))
-        c0 = k - 1 if k > lo else lo
-        h[rows, c0:hi + 1] -= np.outer(tau * w, w @ h[rows, c0:hi + 1])
-        r1 = min(k + 3, hi) + 1
-        h[lo:r1, rows] -= np.outer(h[lo:r1, rows] @ w, tau * w)
-        if k > lo:
-            h[k + 1, k - 1] = 0.0
-            if k + 2 <= hi:
-                h[k + 2, k - 1] = 0.0
-
-
-def _hessenberg_eigenvalues(h: np.ndarray, max_sweeps: int) -> list[complex]:
-    n = h.shape[0]
-    if n == 0:
-        return []
-    hnorm = float(np.max(np.abs(h)))
-    if hnorm == 0.0:
-        return [0j] * n
-    eigs: list[complex] = []
-    hi = n - 1
-    sweeps = 0
-    stall = 0
-    while hi >= 0:
-        if hi == 0:
-            eigs.append(complex(h[0, 0]))
-            break
-        lo = hi
-        while lo > 0:
-            s = abs(h[lo - 1, lo - 1]) + abs(h[lo, lo])
-            if s == 0.0:
-                s = hnorm
-            if abs(h[lo, lo - 1]) <= _EPS * s:
-                h[lo, lo - 1] = 0.0
-                break
-            lo -= 1
-        if lo == hi:
-            eigs.append(complex(h[hi, hi]))
-            hi -= 1
-            stall = 0
-        elif lo == hi - 1:
-            eigs.extend(_eig2(h[lo, lo], h[lo, hi], h[hi, lo], h[hi, hi]))
-            hi -= 2
-            stall = 0
-        else:
-            sweeps += 1
-            stall += 1
-            if sweeps > max_sweeps:
-                raise NoConvergenceError(
-                    f"eigenvalue iteration exceeded {max_sweeps} sweeps"
-                )
-            if stall % 10 == 0:
-                # exceptional shifts to break symmetric cycling
-                s = abs(h[hi, hi - 1]) + abs(h[hi - 1, hi - 2])
-                trace = 1.5 * s
-                det = 0.5625 * s * s
-            else:
-                trace = h[hi - 1, hi - 1] + h[hi, hi]
-                det = h[hi - 1, hi - 1] * h[hi, hi] - h[hi - 1, hi] * h[hi, hi - 1]
-            _double_shift_sweep(h, lo, hi, trace, det)
-    return eigs
+# --- spectrum: LAPACK eigenvalues, each one re-verified ------------------
 
 
 def _eigenvector_residual(a: np.ndarray, lam: complex) -> float:
@@ -402,8 +277,8 @@ class SpectrumReport:
         }
 
 
-def spectrum(C: LinOp, max_sweeps: int | None = None) -> SpectrumReport:
-    """Full spectrum of C via Hessenberg reduction and double-shift sweeps.
+def spectrum(C: LinOp) -> SpectrumReport:
+    """Full spectrum of C from LAPACK (numpy.linalg.eigvals, i.e. geev).
 
     Every eigenvalue is re-verified after the solve: an eigenvector is
     extracted by inverse iteration and must satisfy the relative residual
@@ -411,10 +286,10 @@ def spectrum(C: LinOp, max_sweeps: int | None = None) -> SpectrumReport:
     failure raises NoConvergenceError rather than returning silently.
     """
     n = C.dim
-    if max_sweeps is None:
-        max_sweeps = 500 * max(n, 1)
-    h = _hessenberg(C.entries)
-    eigs = _hessenberg_eigenvalues(h, max_sweeps)
+    try:
+        eigs = [complex(ev) for ev in np.linalg.eigvals(C.entries)]
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"LAPACK eigenvalue solve failed: {exc}") from exc
     eigs.sort(key=lambda ev: (ev.real, ev.imag))
     residuals = []
     scale = max(1.0, float(np.max(np.abs(C.entries))) if n else 1.0)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -42,6 +43,7 @@ __all__ = [
     "check_verification_square",
     "check_naturality",
     "automorphism_order",
+    "permutation_order",
     "equalizer",
     "canonical_bijection",
     "validate_functor",
@@ -80,36 +82,42 @@ class FinMor:
     src: FinObj
     dst: FinObj
     pairs: tuple[tuple[str, str], ...]
+    _table: Mapping[str, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pairs = tuple(sorted(self.pairs))
         object.__setattr__(self, "pairs", pairs)
-        keys = [x for x, _ in pairs]
-        if len(set(keys)) != len(keys):
+        table = dict(pairs)
+        if len(table) != len(pairs):
             raise ShapeMismatchError("morphism table has a repeated source element")
-        if set(keys) != set(self.src.elements):
+        if table.keys() != set(self.src.elements):
             raise ShapeMismatchError(
                 f"morphism table is not total on source {self.src.id!r}"
             )
-        for _, y in pairs:
-            if y not in self.dst:
+        dst_elements = set(self.dst.elements)
+        for y in table.values():
+            if y not in dst_elements:
                 raise ShapeMismatchError(
                     f"morphism image {y!r} is not an element of {self.dst.id!r}"
                 )
+        object.__setattr__(self, "_table", MappingProxyType(table))
 
     @classmethod
     def from_mapping(cls, src: FinObj, dst: FinObj, mapping: Mapping[str, str]) -> "FinMor":
         return cls(src, dst, tuple(mapping.items()))
 
     @property
-    def mapping(self) -> dict[str, str]:
-        return dict(self.pairs)
+    def mapping(self) -> Mapping[str, str]:
+        """Read-only source-to-image table, in sorted source order."""
+        return self._table
 
     def apply(self, x: str) -> str:
-        for a, b in self.pairs:
-            if a == x:
-                return b
-        raise ShapeMismatchError(f"{x!r} is not an element of {self.src.id!r}")
+        try:
+            return self._table[x]
+        except KeyError:
+            raise ShapeMismatchError(
+                f"{x!r} is not an element of {self.src.id!r}"
+            ) from None
 
     def __call__(self, x: str) -> str:
         return self.apply(x)
@@ -125,7 +133,7 @@ class FinMor:
         return {
             "src": self.src.id,
             "dst": self.dst.id,
-            "mapping": {a: b for a, b in self.pairs},
+            "mapping": dict(self._table),
         }
 
 
@@ -281,16 +289,11 @@ def check_naturality(functor: FunctorRep, trans: NatTransRep,
     return out
 
 
-def automorphism_order(theta: FinMor) -> int:
-    """Least k >= 1 with theta^k = id, via lcm of cycle lengths."""
-    if theta.src != theta.dst or not theta.is_bijection():
-        raise NotAutomorphismError(
-            f"map on {theta.src.id!r} is not a bijective endomap"
-        )
-    table = theta.mapping
-    seen: set[str] = set()
+def permutation_order(table: Mapping) -> int:
+    """Least k >= 1 with table^k = id for a bijective table, via lcm of cycle lengths."""
+    seen = set()
     order = 1
-    for start in theta.src.elements:
+    for start in table:
         if start in seen:
             continue
         length = 0
@@ -303,6 +306,15 @@ def automorphism_order(theta: FinMor) -> int:
                 break
         order = math.lcm(order, length)
     return order
+
+
+def automorphism_order(theta: FinMor) -> int:
+    """Least k >= 1 with theta^k = id, via lcm of cycle lengths."""
+    if theta.src != theta.dst or not theta.is_bijection():
+        raise NotAutomorphismError(
+            f"map on {theta.src.id!r} is not a bijective endomap"
+        )
+    return permutation_order(theta.mapping)
 
 
 def iterate_morphism(theta: FinMor, k: int) -> FinMor:

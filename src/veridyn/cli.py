@@ -338,6 +338,17 @@ def cmd_entropy(doc: dict, out: Path) -> tuple[int, list[str]]:
 
 # --- dispatch ---------------------------------------------------------------
 
+# Handlers are looked up by name at call time, so wrapping a cmd_* function
+# on the module also wraps its command.
+COMMANDS = {
+    "check-axioms": lambda doc, out, seed, threads: cmd_check_axioms(doc, out),
+    "theta": lambda doc, out, seed, threads: cmd_theta(doc, out),
+    "simulate": lambda doc, out, seed, threads: cmd_simulate(doc, out, seed),
+    "sweep": lambda doc, out, seed, threads: cmd_sweep(doc, out, seed, threads),
+    "cascade": lambda doc, out, seed, threads: cmd_cascade(doc, out),
+    "entropy": lambda doc, out, seed, threads: cmd_entropy(doc, out),
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -345,9 +356,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Scenario-driven checks and simulations for "
                     "observer-coupled fixed-point dynamics.",
     )
-    parser.add_argument("command",
-                        choices=["check-axioms", "theta", "simulate",
-                                 "sweep", "cascade", "entropy"])
+    parser.add_argument("command", choices=list(COMMANDS))
     parser.add_argument("--scenario", required=True, help="scenario JSON path")
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--seed", type=int, default=None,
@@ -367,18 +376,8 @@ def main(argv: list[str] | None = None) -> int:
         seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        if args.command == "check-axioms":
-            code, outputs = cmd_check_axioms(doc, out)
-        elif args.command == "theta":
-            code, outputs = cmd_theta(doc, out)
-        elif args.command == "simulate":
-            code, outputs = cmd_simulate(doc, out, seed)
-        elif args.command == "sweep":
-            code, outputs = cmd_sweep(doc, out, seed, max(1, args.threads))
-        elif args.command == "cascade":
-            code, outputs = cmd_cascade(doc, out)
-        else:
-            code, outputs = cmd_entropy(doc, out)
+        code, outputs = COMMANDS[args.command](doc, out, seed,
+                                               max(1, args.threads))
         write_json(out / "run_manifest.json", {
             "scenario_hash": scenario_hash(doc),
             "tool_version": __version__,

@@ -27,7 +27,7 @@ import numpy as np
 
 from ._formats import content_hash
 from .cascade import CascadeSpec, CascadeStage, LinOp
-from .category import Universe
+from .category import Universe, permutation_order
 from .dynamics import (
     AffineMap,
     MapSpec,
@@ -131,32 +131,12 @@ def parse_theta_operator(desc: Mapping) -> tuple[LinOp, int]:
         if kind == "permutation":
             perm = [int(i) for i in desc["perm"]]
             op = LinOp.permutation(perm)
-            period = _perm_order(perm)
-            return op, period
+            return op, permutation_order(dict(enumerate(perm)))
         if kind == "matrix":
             return LinOp(np.asarray(desc["entries"], dtype=float)), int(desc["period"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioParseError(f"malformed operator descriptor: {exc!r}") from exc
     raise ScenarioParseError(f"unknown operator kind {desc.get('kind')!r}")
-
-
-def _perm_order(perm: list[int]) -> int:
-    import math
-    order = 1
-    seen = set()
-    for start in range(len(perm)):
-        if start in seen:
-            continue
-        length = 0
-        i = start
-        while True:
-            seen.add(i)
-            i = perm[i]
-            length += 1
-            if i == start:
-                break
-        order = math.lcm(order, length)
-    return order
 
 
 def parse_cascade_spec(doc: Mapping) -> CascadeSpec:

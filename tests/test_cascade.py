@@ -178,13 +178,84 @@ def test_spectrum_nilpotent():
     assert rep.eigenvalues == (0j, 0j)
 
 
-def test_spectrum_matches_numpy_oracle():
+# Closed-form oracles: each builder returns a matrix and its exact spectrum,
+# computed without an eigensolver.
+
+
+def _unit(turns):
+    return complex(np.cos(2 * np.pi * turns), np.sin(2 * np.pi * turns))
+
+
+def _damped_permutation(rng, n):
+    """lam I + (1 - lam) P: a cycle of length L gives lam + (1 - lam) w, w^L = 1."""
+    order = [int(i) for i in rng.permutation(n)]
+    perm = [0] * n
+    lam = float(rng.uniform(0.1, 0.9))
+    eigs = []
+    i = 0
+    while i < n:
+        length = int(rng.integers(1, n - i + 1))
+        cycle = order[i:i + length]
+        for j, v in enumerate(cycle):
+            perm[v] = cycle[(j + 1) % length]
+        eigs += [lam + (1 - lam) * _unit(k / length) for k in range(length)]
+        i += length
+    return lam * np.eye(n) + (1 - lam) * LinOp.permutation(perm).entries, eigs
+
+
+def _plane_rotations(rng, n):
+    """Rotations by p/q turns in disjoint seeded planes: exp(+-2 pi i p/q), else 1."""
+    order = [int(i) for i in rng.permutation(n)]
+    a = np.eye(n)
+    eigs = [1.0 + 0j] * n
+    for k in range(int(rng.integers(0, n // 2 + 1))):
+        q = int(rng.integers(2, 13))
+        p = int(rng.integers(1, q))
+        plane = (order[2 * k], order[2 * k + 1])
+        a = a @ LinOp.rotation(RationalPhase(p, q), dim=n, plane=plane).entries
+        eigs[2 * k:2 * k + 2] = [_unit(p / q), _unit(-p / q)]
+    return a, eigs
+
+
+def _triangular(rng, n):
+    """Upper or lower triangular: the spectrum is the (distinct) diagonal."""
+    diag = 0.5 * rng.permutation(np.arange(-n, n + 1))[:n]
+    a = rng.uniform(-1.0, 1.0, (n, n))
+    a = np.triu(a, 1) if rng.integers(2) else np.tril(a, -1)
+    return a + np.diag(diag), [complex(d) for d in diag]
+
+
+REAL_ROOTS = (-2, -1, 0, 1, 2)
+PAIR_ROOTS = (1j, 2j, 1 + 1j, -1 + 1j, 1 + 2j, -1 + 2j, 2 + 1j, -2 + 1j)
+
+
+def _companion(rng, n):
+    """Companion matrix of a polynomial with distinct Gaussian-integer roots.
+
+    The roots are closed under conjugation and small, so the coefficients
+    are integers held exactly in floating point.
+    """
+    min_pairs = max(0, -(-(n - len(REAL_ROOTS)) // 2))
+    pairs = int(rng.integers(min_pairs, n // 2 + 1))
+    upper = [complex(z) for z in rng.choice(PAIR_ROOTS, pairs, replace=False)]
+    roots = [complex(r) for r in rng.choice(REAL_ROOTS, n - 2 * pairs, replace=False)]
+    roots += upper + [z.conjugate() for z in upper]
+    coeffs = np.real(np.poly(roots))
+    a = np.zeros((n, n))
+    a[0] = -coeffs[1:]
+    a[np.arange(1, n), np.arange(n - 1)] = 1.0
+    return a, roots
+
+
+def test_spectrum_matches_closed_form_oracle():
     rng = np.random.default_rng(21)
-    for _ in range(40):
+    builders = (_damped_permutation, _plane_rotations, _triangular, _companion)
+    for case in range(40):
         n = int(rng.integers(1, 11))
-        a = rng.standard_normal((n, n))
+        a, want = builders[case % len(builders)](rng, n)
+        assert len(want) == n
         rep = spectrum(LinOp(a))
-        assert _match_sets(rep.eigenvalues, np.linalg.eigvals(a), 1e-8)
+        assert _match_sets(rep.eigenvalues, want, 1e-8)
 
 
 def test_spectral_mapping_single_stage():

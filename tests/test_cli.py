@@ -1,7 +1,10 @@
+import cmath
 import json
 
+import numpy as np
 import pytest
 
+from veridyn.cascade import RESIDUAL_TOL
 from veridyn.cli import main
 
 GOOD_UNIVERSE = {
@@ -228,6 +231,37 @@ def test_cascade_identity_scenario(tmp_path):
     assert report["operator"] == [[1.0, 0.0], [0.0, 1.0]]
     assert len(report["fixed_point_basis"]) == 2
     assert report["unit_modulus_gap_with_undamped_stage"] == 0.0
+
+
+def test_cascade_short_cycle_permutation_dim64(tmp_path):
+    # many cycles of length 1-4 give highly repeated eigenvalues on the
+    # circle 0.5 + 0.5 w; each must be found and re-verified
+    rng = np.random.default_rng(0)
+    n = 64
+    order = [int(i) for i in rng.permutation(n)]
+    perm = [0] * n
+    want = []
+    i = 0
+    while i < n:
+        length = min(int(rng.integers(1, 5)), n - i)
+        cycle = order[i:i + length]
+        for j, v in enumerate(cycle):
+            perm[v] = cycle[(j + 1) % length]
+        want += [0.5 + 0.5 * cmath.exp(2j * cmath.pi * k / length)
+                 for k in range(length)]
+        i += length
+    scen = _write(tmp_path, {"cascade": {"stages": [
+        {"lambda": 0.5, "theta": {"kind": "permutation", "perm": perm}},
+    ]}})
+    out = tmp_path / "casc64"
+    assert _run("cascade", scen, out) == 0
+    report = json.loads((out / "cascade_report.json").read_text())["spectrum"]
+    got = [complex(ev["re"], ev["im"]) for ev in report["eigenvalues"]]
+    assert len(got) == n
+    for ev in got:
+        j = int(np.argmin([abs(ev - w) for w in want]))
+        assert abs(ev - want.pop(j)) <= 1e-8
+    assert max(report["residuals"]) <= RESIDUAL_TOL
 
 
 def test_entropy_command(tmp_path):
