@@ -68,7 +68,8 @@ from .scenario import (
     load_scenario,
     parse_cascade_spec,
     parse_entropy_params,
-    parse_map_spec,
+    parse_simulate_settings,
+    parse_sweep_settings,
     parse_universe,
     require_section,
     scenario_hash,
@@ -186,30 +187,19 @@ def cmd_theta(doc: dict, out: Path) -> tuple[int, list[str]]:
 
 
 def cmd_simulate(doc: dict, out: Path, seed: int) -> tuple[int, list[str]]:
-    update = parse_map_spec(require_section(doc, "phi"))
-    observer = parse_map_spec(require_section(doc, "observer"))
-    x0 = require_section(doc, "x0")
-    steps = int(require_section(doc, "steps"))
-    r = float(doc.get("r", 0.0))
-    schedule = int(doc.get("schedule", 1))
-    traj = simulate_coupled(update, observer, x0, steps, r=r,
-                            schedule=schedule, seed=seed)
-    ledger = doc.get("ledger", {})
-    bins = int(ledger.get("bins", 16))
-    lo = float(ledger.get("lo", -2.0))
-    hi = float(ledger.get("hi", 2.0))
-    if bins < 1 or not hi > lo:
-        raise ScenarioParseError("ledger binning needs bins >= 1 and hi > lo")
+    sim = parse_simulate_settings(doc)
     alpha = 1.0
     if "entropy" in doc:
         alpha = parse_entropy_params(doc).alpha
-    px = _state_histogram([s.x for s in traj.states], bins, lo, hi)
-    po = _state_histogram([s.o for s in traj.states], bins, lo, hi)
+    traj = simulate_coupled(sim.update, sim.observer, sim.x0, sim.steps, r=sim.r,
+                            schedule=sim.schedule, seed=seed)
+    px = _state_histogram([s.x for s in traj.states], sim.bins, sim.lo, sim.hi)
+    po = _state_histogram([s.o for s in traj.states], sim.bins, sim.lo, sim.hi)
     report = lyapunov_trace(traj, list(zip(px, po)), alpha)
     write_text(out / "trajectory.csv", trajectory_to_csv(traj, report))
     write_json(out / "lyapunov.json", {
         "alpha": alpha,
-        "schedule": schedule,
+        "schedule": sim.schedule,
         "monotone": report.monotone,
         "violations": list(report.violations),
     })
@@ -217,22 +207,17 @@ def cmd_simulate(doc: dict, out: Path, seed: int) -> tuple[int, list[str]]:
 
 
 def cmd_sweep(doc: dict, out: Path, seed: int, threads: int) -> tuple[int, list[str]]:
-    update = parse_map_spec(require_section(doc, "phi"))
-    observer = parse_map_spec(require_section(doc, "observer"))
-    grid_spec = require_section(doc, "r_grid")
-    lo, hi = float(grid_spec["lo"]), float(grid_spec["hi"])
-    steps = int(grid_spec["steps"])
-    transient = int(doc.get("transient", 500))
-    sample = int(doc.get("sample", 64))
-    x0 = doc.get("x0")
-    r_grid = np.linspace(lo, hi, steps)
-    diagram = sweep_bifurcation(update, observer, r_grid, transient=transient,
-                                sample=sample, x0=x0, seed=seed, threads=threads,
-                                period_tol=float(doc.get("period_tol", 1e-6)),
-                                max_period=int(doc.get("max_period", 16)),
-                                divergence=float(doc.get("divergence", 1e12)))
-    write_text(out / "diagram.csv", diagram_to_csv(diagram, update.dim))
-    critical = find_critical_r(update, observer, lo, hi, steps, x0=x0)
+    sw = parse_sweep_settings(doc)
+    r_grid = np.linspace(sw.lo, sw.hi, sw.steps)
+    diagram = sweep_bifurcation(sw.update, sw.observer, r_grid,
+                                transient=sw.transient, sample=sw.sample,
+                                x0=sw.x0, seed=seed, threads=threads,
+                                period_tol=sw.period_tol,
+                                max_period=sw.max_period,
+                                divergence=sw.divergence)
+    critical = find_critical_r(sw.update, sw.observer, sw.lo, sw.hi, sw.steps,
+                               x0=sw.x0)
+    write_text(out / "diagram.csv", diagram_to_csv(diagram, sw.update.dim))
     write_json(out / "critical_report.json", critical.to_dict())
     return EXIT_OK, ["diagram.csv", "critical_report.json"]
 
@@ -362,7 +347,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None,
                         help="override the scenario seed (unsigned 64-bit)")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for sweep rows")
+                        help="accepted for compatibility; has no effect "
+                             "(sweep rows advance together in one batch)")
     return parser
 
 

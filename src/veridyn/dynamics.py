@@ -68,12 +68,31 @@ LYAPUNOV_TOL = 1e-9
 REPRESENTATIVE_SLOTS = 4
 
 
+_math_pow = np.frompyfunc(math.pow, 2, 1)
+
+
+def _libm_pow(col: np.ndarray, p: int) -> np.ndarray:
+    """col ** p through libm pow, which the scalar np.float64 ** int calls.
+
+    numpy's array power takes SIMD paths (x * x for p = 2) that round
+    differently, so batched rows would drift from the scalar ones.
+    """
+    try:
+        return _math_pow(col, p).astype(np.float64)
+    except OverflowError:  # math.pow raises where the scalar power gives inf
+        return np.array([v ** p for v in col])
+
+
 class MapSpec:
     """Interface for the state-update maps: evaluate and differentiate."""
 
     dim: int
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def batch(self, xs: np.ndarray) -> np.ndarray:
+        """Evaluate every row of a (B, dim) array; row i is self(xs[i]) bit for bit."""
         raise NotImplementedError
 
     def jacobian_analytic(self, x: np.ndarray) -> np.ndarray | None:
@@ -106,6 +125,11 @@ class AffineMap(MapSpec):
 
     def __call__(self, x):
         return self.a @ np.asarray(x, dtype=np.float64) + self.b
+
+    def batch(self, xs):
+        # one A @ x product per row: a single (B, dim) @ A.T product sums
+        # in another order and differs in the last bits for dim > 1
+        return np.matmul(self.a, xs[:, :, None])[:, :, 0] + self.b
 
     def jacobian_analytic(self, x):
         return np.array(self.a, copy=True)
@@ -154,6 +178,19 @@ class PolynomialMap(MapSpec):
             out[i] = acc
         return out
 
+    def batch(self, xs):
+        out = np.zeros(xs.shape)
+        for i, terms in enumerate(self.coords):
+            acc = 0.0
+            for coeff, powers in terms:
+                term = coeff
+                for j, p in enumerate(powers):
+                    if p:
+                        term = term * _libm_pow(xs[:, j], p)
+                acc = acc + term
+            out[:, i] = acc
+        return out
+
     def jacobian_analytic(self, x):
         x = np.asarray(x, dtype=np.float64)
         jac = np.zeros((self.dim, self.dim))
@@ -194,6 +231,12 @@ class PipelineMap(MapSpec):
             out = p(out)
         return out
 
+    def batch(self, xs):
+        out = xs
+        for p in self.parts:
+            out = p.batch(out)
+        return out
+
     def jacobian_analytic(self, x):
         return None
 
@@ -221,6 +264,14 @@ class WeightedSumMap(MapSpec):
         out = np.zeros(self.dim)
         for w, p in zip(self.weights, self.parts):
             out = out + w * p(x)
+        return out
+
+    def batch(self, xs, weights=None):
+        """Rows of the sum; `weights` may replace self.weights, each entry a
+        scalar or one value per row."""
+        out = np.zeros(xs.shape)
+        for w, p in zip(self.weights if weights is None else weights, self.parts):
+            out = out + np.reshape(w, (-1, 1)) * p.batch(xs)
         return out
 
     def jacobian_analytic(self, x):
@@ -441,7 +492,8 @@ def find_critical_r(update: MapSpec, observer: MapSpec, r_lo: float, r_hi: float
     tabulated.  Sign changes are bisected to |det| <= det_tol; interior
     local minima of |det| that reach zero without a sign change are
     reported with the even-multiplicity flag.  Grid cells where the
-    fixed-point branch is lost are reported, not raised.
+    fixed-point branch is lost, in the scan or while refining a root
+    between two grid points, are reported, not raised.
     """
     if not r_lo < r_hi:
         raise DomainError("need r_lo < r_hi")
@@ -468,6 +520,12 @@ def find_critical_r(update: MapSpec, observer: MapSpec, r_lo: float, r_hi: float
             d_plus.append(None)
             xstars.append(None)
     branch = [(float(rs[i]), xs) for i, xs in enumerate(xstars) if xs is not None]
+
+    def branch_lost(ra: float, rb: float) -> None:
+        # a root refinement lost the branch inside [ra, rb]
+        if not any(a <= ra and rb <= b for a, b in failures):
+            failures.append((ra, rb))
+
     roots: list[BifRoot] = []
     for kind, dvals in (("fold", d_minus), ("flip", d_plus)):
         valid = [(float(rs[i]), d) for i, d in enumerate(dvals) if d is not None]
@@ -497,7 +555,11 @@ def find_critical_r(update: MapSpec, observer: MapSpec, r_lo: float, r_hi: float
                 found.append((ra, abs(da), _grid_root_is_even(i)))
                 continue
             if (da < 0.0) != (db < 0.0):
-                root, resid = _bisect_root(eval_det, ra, rb, da, db, det_tol)
+                try:
+                    root, resid = _bisect_root(eval_det, ra, rb, da, db, det_tol)
+                except NoConvergenceError:
+                    branch_lost(ra, rb)
+                    continue
                 found.append((root, resid, False))
         if abs(valid[-1][1]) <= det_tol:
             found.append((valid[-1][0], abs(valid[-1][1]),
@@ -510,7 +572,11 @@ def find_critical_r(update: MapSpec, observer: MapSpec, r_lo: float, r_hi: float
             rb, db = valid[j + 1]
             if abs(dm_) < abs(da) and abs(dm_) < abs(db) and abs(dm_) > det_tol \
                     and (da < 0.0) == (dm_ < 0.0) == (db < 0.0):
-                refined = _refine_touch_root(eval_det, ra, rb, det_tol)
+                try:
+                    refined = _refine_touch_root(eval_det, ra, rb, det_tol)
+                except NoConvergenceError:
+                    branch_lost(ra, rb)
+                    continue
                 if refined is not None:
                     found.append((refined[0], refined[1], True))
         found.sort()
@@ -535,7 +601,7 @@ def find_critical_r(update: MapSpec, observer: MapSpec, r_lo: float, r_hi: float
                                                   for d in valid_minus),
         flip_degenerate=bool(valid_plus) and all(abs(d) <= det_tol
                                                  for d in valid_plus),
-        branch_failures=tuple(failures),
+        branch_failures=tuple(sorted(failures)),
         grid=tuple(float(r) for r in rs),
         d_minus=tuple(d_minus),
         d_plus=tuple(d_plus),
@@ -584,32 +650,16 @@ def _classify(samples: list[np.ndarray], period_tol: float,
     return "aperiodic", None
 
 
-def _sweep_row(update: MapSpec, observer: MapSpec, r: float,
-               transient: int, sample: int, x0: np.ndarray,
-               period_tol: float, max_period: int,
-               divergence: float) -> DiagramRow:
-    fr = perturbed_map(update, observer, r)
-    x = x0.copy()
-    divergent = False
-    for _ in range(transient):
-        x = fr(x)
-        if not np.all(np.isfinite(x)) or _ninf(x) > divergence:
-            divergent = True
-            break
-    samples: list[np.ndarray] = []
-    if not divergent:
-        for _ in range(sample):
-            x = fr(x)
-            if not np.all(np.isfinite(x)) or _ninf(x) > divergence:
-                divergent = True
-                break
-            samples.append(x.copy())
-    if divergent:
-        attractor, period = "divergent", None
-        samples = []
-    else:
+def _diagram_row(update: MapSpec, observer: MapSpec, r: float,
+                 samples: list[np.ndarray], x0: np.ndarray, period_tol: float,
+                 max_period: int) -> DiagramRow:
+    """Classify one row from its samples (empty when divergent)."""
+    if samples:
         attractor, period = _classify(samples, period_tol, max_period)
+    else:
+        attractor, period = "divergent", None
     reps = samples[-min(len(samples), period or REPRESENTATIVE_SLOTS):]
+    fr = perturbed_map(update, observer, r)
     lead = None
     try:
         xstar = find_fixed_point(fr, samples[-1] if samples else x0,
@@ -618,7 +668,7 @@ def _sweep_row(update: MapSpec, observer: MapSpec, r: float,
         lead = max(eigs, key=abs) if eigs else None
     except (NoConvergenceError, NonFiniteError):
         lead = None
-    return DiagramRow(float(r), attractor, period,
+    return DiagramRow(r, attractor, period,
                       tuple(tuple(float(v) for v in p) for p in reps), lead)
 
 
@@ -634,28 +684,41 @@ def sweep_bifurcation(update: MapSpec, observer: MapSpec,
                       divergence: float = DIVERGENCE_THRESHOLD) -> BifurcationDiagram:
     """Classify the attractor of F_r on a grid of coupling values.
 
-    Each r is independent, so rows may be evaluated on a thread pool; the
-    result order always follows the grid, keeping output deterministic.
-    The seed is recorded for provenance only: deterministic families make
-    no random choices.
+    Every r advances at once: each step is one batched evaluation of F_r
+    with one weight per row, and each row gets the same bits as iterating
+    its own F_r.  A row leaves the batch at its first non-finite step or
+    its first step beyond `divergence`, and is classified divergent.  The
+    remaining rows are classified from their last `sample` states, and a
+    fixed point near the last one gives the leading eigenvalue.  `threads`
+    is accepted but has no effect.  The seed is recorded for provenance
+    only: deterministic families make no random choices.
     """
     if transient < 1:
         raise DomainError("transient must be >= 1")
     if sample < 2:
         raise DomainError("sample must be >= 2")
     start = np.zeros(update.dim) if x0 is None else np.asarray(x0, dtype=np.float64)
-    rs = [float(r) for r in r_grid]
-
-    def row(r: float) -> DiagramRow:
-        return _sweep_row(update, observer, r, transient, sample, start,
-                          period_tol, max_period, divergence)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(row, rs))
-    else:
-        rows = [row(r) for r in rs]
+    rs = np.array([float(r) for r in r_grid])
+    family = perturbed_map(update, observer, 0.0)
+    samples = np.empty((rs.size, sample, update.dim))
+    divergent = np.zeros(rs.size, dtype=bool)
+    live = np.arange(rs.size)
+    x = np.tile(start, (rs.size, 1))
+    for step in range(transient + sample):
+        if not live.size:
+            break
+        x = family.batch(x, (1.0, rs[live]))
+        bad = ~np.all(np.isfinite(x), axis=1) \
+            | (np.max(np.abs(x), axis=1, initial=0.0) > divergence)
+        if step >= transient:
+            samples[live, step - transient] = x
+        if bad.any():
+            divergent[live[bad]] = True
+            live, x = live[~bad], x[~bad]
+    rows = [_diagram_row(update, observer, float(r),
+                         [] if divergent[i] else list(samples[i]), start,
+                         period_tol, max_period)
+            for i, r in enumerate(rs)]
     return BifurcationDiagram(tuple(rows))
 
 

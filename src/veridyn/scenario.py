@@ -21,6 +21,8 @@ Top-level keys (all optional; each command names the sections it needs):
 from __future__ import annotations
 
 import json
+import math
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -29,6 +31,11 @@ from ._formats import content_hash
 from .cascade import CascadeSpec, CascadeStage, LinOp
 from .category import Universe, permutation_order
 from .dynamics import (
+    DEFAULT_SAMPLE,
+    DEFAULT_TRANSIENT,
+    DIVERGENCE_THRESHOLD,
+    MAX_PERIOD,
+    PERIOD_TOL,
     AffineMap,
     MapSpec,
     PipelineMap,
@@ -48,6 +55,10 @@ __all__ = [
     "parse_map_spec",
     "parse_cascade_spec",
     "parse_theta_operator",
+    "SimulateSettings",
+    "SweepSettings",
+    "parse_simulate_settings",
+    "parse_sweep_settings",
 ]
 
 
@@ -150,3 +161,117 @@ def parse_cascade_spec(doc: Mapping) -> CascadeSpec:
         return CascadeSpec(tuple(stages))
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioParseError(f"malformed cascade section: {exc!r}") from exc
+
+
+# --- dynamical layer: simulate and sweep -------------------------------------
+
+
+def _real(value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioParseError(f"{what} must be a number, got {value!r}")
+    try:
+        out = float(value)
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise ScenarioParseError(f"{what} must be finite, got {value!r}")
+    return out
+
+
+def _integer(value, what: str, minimum: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioParseError(f"{what} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ScenarioParseError(f"{what} must be >= {minimum}, got {value}")
+    return value
+
+
+def _mapping(value, what: str) -> Mapping:
+    if not isinstance(value, dict):
+        raise ScenarioParseError(f"{what} must be a JSON object")
+    return value
+
+
+def _coupled_maps(doc: Mapping) -> tuple[MapSpec, MapSpec]:
+    update = parse_map_spec(require_section(doc, "phi"))
+    observer = parse_map_spec(require_section(doc, "observer"))
+    if observer.dim != update.dim:
+        raise ScenarioParseError(
+            f"observer dim {observer.dim} differs from phi dim {update.dim}")
+    return update, observer
+
+
+def _state(value, dim: int) -> tuple[float, ...]:
+    if not isinstance(value, list) or len(value) != dim:
+        raise ScenarioParseError(f"x0 must be a list of {dim} numbers, got {value!r}")
+    return tuple(_real(v, "x0 entry") for v in value)
+
+
+@dataclass(frozen=True)
+class SimulateSettings:
+    update: MapSpec
+    observer: MapSpec
+    x0: tuple[float, ...]
+    steps: int
+    r: float
+    schedule: int
+    bins: int
+    lo: float
+    hi: float
+
+
+@dataclass(frozen=True)
+class SweepSettings:
+    update: MapSpec
+    observer: MapSpec
+    x0: tuple[float, ...] | None
+    lo: float
+    hi: float
+    steps: int
+    transient: int
+    sample: int
+    period_tol: float
+    max_period: int
+    divergence: float
+
+
+def parse_simulate_settings(doc: Mapping) -> SimulateSettings:
+    """The simulate command's sections, checked before anything runs."""
+    update, observer = _coupled_maps(doc)
+    ledger = _mapping(doc.get("ledger", {}), "ledger")
+    lo = _real(ledger.get("lo", -2.0), "ledger lo")
+    hi = _real(ledger.get("hi", 2.0), "ledger hi")
+    if not hi > lo:
+        raise ScenarioParseError("ledger binning needs hi > lo")
+    return SimulateSettings(
+        update, observer,
+        x0=_state(require_section(doc, "x0"), update.dim),
+        steps=_integer(require_section(doc, "steps"), "steps", 0),
+        r=_real(doc.get("r", 0.0), "r"),
+        schedule=_integer(doc.get("schedule", 1), "schedule", 1),
+        bins=_integer(ledger.get("bins", 16), "ledger bins", 1),
+        lo=lo, hi=hi)
+
+
+def parse_sweep_settings(doc: Mapping) -> SweepSettings:
+    """The sweep command's sections, checked before anything runs."""
+    update, observer = _coupled_maps(doc)
+    grid = _mapping(require_section(doc, "r_grid"), "r_grid")
+    try:
+        lo, hi, steps = grid["lo"], grid["hi"], grid["steps"]
+    except KeyError as exc:
+        raise ScenarioParseError(f"r_grid needs lo, hi and steps: {exc!r}") from exc
+    lo, hi = _real(lo, "r_grid lo"), _real(hi, "r_grid hi")
+    if not lo < hi:
+        raise ScenarioParseError(f"r_grid needs lo < hi, got {lo} and {hi}")
+    x0 = doc.get("x0")
+    return SweepSettings(
+        update, observer,
+        x0=None if x0 is None else _state(x0, update.dim),
+        lo=lo, hi=hi,
+        steps=_integer(steps, "r_grid steps", 2),
+        transient=_integer(doc.get("transient", DEFAULT_TRANSIENT), "transient", 1),
+        sample=_integer(doc.get("sample", DEFAULT_SAMPLE), "sample", 2),
+        period_tol=_real(doc.get("period_tol", PERIOD_TOL), "period_tol"),
+        max_period=_integer(doc.get("max_period", MAX_PERIOD), "max_period", 0),
+        divergence=_real(doc.get("divergence", DIVERGENCE_THRESHOLD), "divergence"))

@@ -202,6 +202,70 @@ def test_sweep_threads_flag_keeps_bytes(tmp_path):
     assert (out1 / "diagram.csv").read_bytes() == (out2 / "diagram.csv").read_bytes()
 
 
+def test_sweep_flip_at_observer_scale_098(tmp_path):
+    # c = 0.98 moves the flip to 3/c = 3.0612...; the grid point r = 3.06
+    # loses the fixed-point branch and is also the first bisection midpoint
+    doc = json.loads(json.dumps(LOGISTIC))
+    doc["r_grid"] = {"lo": 2.5, "hi": 3.4, "steps": 91}
+    for term in doc["observer"]["coords"][0]:
+        term["coeff"] *= 0.98
+    out = tmp_path / "c098"
+    assert _run("sweep", _write(tmp_path, doc), out) == 0
+    critical = json.loads((out / "critical_report.json").read_text())
+    flip = 3.0 / 0.98
+    assert any(lo <= flip <= hi for lo, hi in critical["branch_failures"]) or \
+        any(abs(root["r"] - flip) <= 1e-6 for root in critical["roots"]
+            if root["kind"] == "flip")
+
+
+def test_sweep_failure_leaves_no_diagram(tmp_path, monkeypatch):
+    import veridyn.cli as cli
+    from veridyn.errors import NoConvergenceError
+
+    def stalled(*args, **kwargs):
+        raise NoConvergenceError("stalled")
+
+    monkeypatch.setattr(cli, "find_critical_r", stalled)
+    out = tmp_path / "stalled"
+    assert _run("sweep", _write(tmp_path, LOGISTIC), out) == 3
+    assert not (out / "diagram.csv").exists()
+
+
+BAD_DYNAMICS = {
+    "x0 longer than phi": {"x0": [0.5, 0.5]},
+    "x0 not numbers": {"x0": ["a"]},
+    "x0 not finite": {"x0": [float("nan")]},
+    "observer dim differs": {"observer": {"kind": "affine", "A": [[1.0, 0.0], [0.0, 1.0]],
+                                          "b": [0.0, 0.0]}},
+}
+BAD_SWEEP = {
+    "one-point grid": {"r_grid": {"lo": 2.8, "hi": 3.2, "steps": 1}},
+    "empty grid range": {"r_grid": {"lo": 3.2, "hi": 2.8, "steps": 9}},
+    "fractional grid steps": {"r_grid": {"lo": 2.8, "hi": 3.2, "steps": 8.5}},
+    "grid without hi": {"r_grid": {"lo": 2.8, "steps": 9}},
+    "zero transient": {"transient": 0},
+    "one sample": {"sample": 1},
+}
+BAD_SIMULATE = {
+    "negative steps": {"steps": -3},
+    "string steps": {"steps": "40"},
+    "ledger hi below lo": {"ledger": {"bins": 4, "lo": 1.0, "hi": -1.0}},
+}
+
+
+@pytest.mark.parametrize("cmd, patch", [
+    *[("sweep", p) for p in (*BAD_DYNAMICS.values(), *BAD_SWEEP.values())],
+    *[("simulate", p) for p in (*BAD_DYNAMICS.values(), *BAD_SIMULATE.values())],
+], ids=[*[f"sweep-{k}" for k in (*BAD_DYNAMICS, *BAD_SWEEP)],
+        *[f"simulate-{k}" for k in (*BAD_DYNAMICS, *BAD_SIMULATE)]])
+def test_bad_dynamics_input_is_rejected_before_compute(tmp_path, capsys, cmd, patch):
+    out = tmp_path / "out"
+    assert _run(cmd, _write(tmp_path, {**LOGISTIC, **patch}), out) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_cascade_outputs(tmp_path):
     scen = _write(tmp_path, {
         "cascade": {"stages": [

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from veridyn.cascade import LinOp
+from veridyn.cascade import LinOp, spectrum
 from veridyn.category import FinObj
 from veridyn.dynamics import (
     AffineMap,
+    REPRESENTATIVE_SLOTS,
     CoupledState,
+    DiagramRow,
     PipelineMap,
     PolynomialMap,
     Trajectory,
@@ -17,6 +21,7 @@ from veridyn.dynamics import (
     jacobian,
     jacobian_fd,
     lyapunov_trace,
+    _classify,
     perturbed_map,
     scale_map,
     simulate_coupled,
@@ -102,6 +107,62 @@ def test_perturbed_map_examples():
     assert fq(np.array([2.0]))[0] == pytest.approx(0.5)
     cancel = perturbed_map(phi, WeightedSumMap((phi,), (-1.0,)), 1.0)
     assert cancel(np.array([5.0]))[0] == 0.0
+
+
+# --- batched evaluation ------------------------------------------------------
+
+
+def _random_spec(rng, dim, depth):
+    kind = int(rng.integers(0, 4 if depth else 2))
+    if kind == 0:
+        return AffineMap(rng.uniform(-1, 1, (dim, dim)), rng.uniform(-1, 1, dim))
+    if kind == 1:
+        # every coordinate also gets a cube, the power whose SIMD path
+        # rounds differently from the scalar one most often
+        j = int(rng.integers(0, dim))
+        cube = tuple(3 if k == j else 0 for k in range(dim))
+        poly = _random_polynomial(rng, dim)
+        return PolynomialMap(dim, tuple(terms + ((float(rng.uniform(-1, 1)), cube),)
+                                        for terms in poly.coords))
+    parts = tuple(_random_spec(rng, dim, depth - 1)
+                  for _ in range(int(rng.integers(1, 4))))
+    if kind == 2:
+        return PipelineMap(parts)
+    return WeightedSumMap(parts, tuple(float(w) for w in rng.uniform(-2, 2, len(parts))))
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@given(st.integers(1, 4), st.integers(1, 9), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_batch_rows_match_scalar_bitwise(dim, rows, seed):
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(-2, 2, (rows, dim))
+    spec = _random_spec(rng, dim, depth=2)
+    got = spec.batch(xs)
+    assert got.shape == (rows, dim)
+    for i in range(rows):
+        assert _same_bits(got[i], spec(xs[i]))
+    # per-row weights, as the sweep runs F_r for every r at once
+    family = WeightedSumMap((spec, _random_spec(rng, dim, depth=1)), (1.0, 1.0))
+    weights = (1.0, rng.uniform(-2, 2, rows))
+    got = family.batch(xs, weights)
+    for i in range(rows):
+        row_map = WeightedSumMap(family.parts, (1.0, float(weights[1][i])))
+        assert _same_bits(got[i], row_map(xs[i]))
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_batch_power_overflow_matches_scalar():
+    cube = PolynomialMap(1, (((1.0, (3,)), (0.5, (1,))),))
+    xs = np.array([[1e200], [-1e200], [2.0]])
+    got = cube.batch(xs)
+    for i in range(3):
+        assert _same_bits(got[i], cube(xs[i]))
+    assert got[0, 0] == np.inf and got[1, 0] == -np.inf
 
 
 # --- jacobians --------------------------------------------------------------
@@ -258,6 +319,57 @@ def test_sweep_threaded_matches_serial():
     threaded = sweep_bifurcation(phi, obs, grid, transient=800, sample=32,
                                  x0=[0.5], threads=3)
     assert diagram_to_csv(serial, 1) == diagram_to_csv(threaded, 1)
+
+
+def _scalar_sweep_row(update, observer, r, transient, sample, x0):
+    """One row iterated on its own, as the sweep did before batching."""
+    fr = perturbed_map(update, observer, r)
+    x = np.asarray(x0, dtype=np.float64).copy()
+    samples = []
+    for n in range(transient + sample):
+        x = fr(x)
+        if not np.all(np.isfinite(x)) or float(np.max(np.abs(x))) > 1e12:
+            samples = None
+            break
+        if n >= transient:
+            samples.append(x.copy())
+    if samples is None:
+        attractor, period, samples = "divergent", None, []
+    else:
+        attractor, period = _classify(samples, 1e-6, 16)
+    reps = samples[-min(len(samples), period or REPRESENTATIVE_SLOTS):]
+    try:
+        xstar = find_fixed_point(fr, samples[-1] if samples else x0,
+                                 max_iter=2000, tol=1e-9)
+        eigs = spectrum(jacobian(fr, xstar)).eigenvalues
+        lead = max(eigs, key=abs) if eigs else None
+    except (NoConvergenceError, NonFiniteError):
+        lead = None
+    return DiagramRow(float(r), attractor, period,
+                      tuple(tuple(float(v) for v in p) for p in reps), lead)
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.parametrize("family", ["logistic", "pipeline2"])
+def test_sweep_rows_match_scalar_reference(family):
+    if family == "logistic":
+        phi, obs, x0 = zero_map(1), logistic_observer(), [0.5]
+        grid = np.linspace(2.5, 4.3, 37)   # fixed point, cycles, chaos, escape
+    else:
+        rot = AffineMap(np.array([[0.6, -0.3], [0.2, 0.5]]), np.array([0.1, -0.05]))
+        square = PolynomialMap(2, (((1.0, (1, 0)), (0.4, (0, 2))),
+                                   ((1.0, (0, 1)), (-0.3, (2, 1)))))
+        phi = PipelineMap((rot, square))
+        obs = PolynomialMap(2, (((0.5, (1, 1)), (1.0, (3, 0))),
+                                ((-1.0, (0, 1)), (0.2, (0, 0)))))
+        x0 = [0.3, -0.2]
+        grid = np.linspace(-2.0, 3.0, 26)
+    diag = sweep_bifurcation(phi, obs, grid, transient=300, sample=32, x0=x0)
+    want = [_scalar_sweep_row(phi, obs, float(r), 300, 32, np.asarray(x0))
+            for r in grid]
+    assert [repr(row) for row in diag.rows] == [repr(row) for row in want]
+    classes = {row.attractor for row in want}
+    assert "divergent" in classes and len(classes) > 1
 
 
 def test_sweep_validates_settings():
