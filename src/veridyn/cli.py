@@ -26,7 +26,6 @@ from .cascade import (
     spectrum_to_csv,
 )
 from .category import (
-    FinObj,
     check_observer_square,
     check_verification_square,
     equalizer,
@@ -42,8 +41,8 @@ from .dynamics import (
     trajectory_to_csv,
 )
 from .entropy import (
-    ProbState,
     build_trace,
+    prefix_entropies,
     pushforward,
     shannon_entropy,
     trace_to_csv,
@@ -68,10 +67,11 @@ from .scenario import (
     load_scenario,
     parse_cascade_spec,
     parse_entropy_params,
+    parse_entropy_trace,
     parse_simulate_settings,
     parse_sweep_settings,
+    parse_theta_settings,
     parse_universe,
-    require_section,
     scenario_hash,
 )
 
@@ -79,38 +79,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_NO_CONVERGENCE = 3
-
-
-def _state_histogram(states, bins: int, lo: float, hi: float) -> list[ProbState]:
-    """Prefix-empirical distributions of visited state bins.
-
-    Memory-flavoured discretization: the distribution at step n is the
-    histogram of all states seen up to n over a fixed per-coordinate grid.
-    """
-    dim = len(states[0])
-    labels = []
-    width = len(str(bins - 1))
-    if dim == 1:
-        labels = [f"b{i:0{width}d}" for i in range(bins)]
-    else:
-        from itertools import product
-        labels = ["b" + "_".join(f"{i:0{width}d}" for i in idx)
-                  for idx in product(range(bins), repeat=dim)]
-    carrier = FinObj("bins", tuple(labels))
-    index_of = {lab: i for i, lab in enumerate(carrier.elements)}
-    span = hi - lo
-    counts = np.zeros(carrier.size)
-    out = []
-    for n, vec in enumerate(states):
-        idx = tuple(min(bins - 1, max(0, int((v - lo) / span * bins)))
-                    for v in vec)
-        if dim == 1:
-            lab = f"b{idx[0]:0{width}d}"
-        else:
-            lab = "b" + "_".join(f"{i:0{width}d}" for i in idx)
-        counts[index_of[lab]] += 1.0
-        out.append(ProbState(carrier, tuple(counts / (n + 1))))
-    return out
 
 
 # --- commands -------------------------------------------------------------
@@ -164,20 +132,15 @@ def cmd_check_axioms(doc: dict, out: Path) -> tuple[int, list[str]]:
 
 
 def cmd_theta(doc: dict, out: Path) -> tuple[int, list[str]]:
-    uni = parse_universe(doc)
-    section = require_section(doc, "theta_limit")
-    verification = uni.functor(section["verification"])
-    update = uni.functor(section["update"])
-    start = uni.object(section["start"])
-    max_iter = int(section.get("max_iter", 64))
-    result = iterate_to_theta(verification, update, start, max_iter)
+    th = parse_theta_settings(doc)
+    result = iterate_to_theta(th.verification, th.update, th.start, th.max_iter)
     outputs = ["theta_result.json", "theta_chain.csv"]
-    chain = build_chain(verification, update, start,
-                        result.iterations if result.converged else max_iter)
+    chain = build_chain(th.verification, th.update, th.start,
+                        result.iterations if result.converged else th.max_iter)
     write_text(out / "theta_chain.csv", chain_to_csv(chain))
     doc_out = result.to_dict()
     if result.converged:
-        verdict = verify_theta(verification, update, result)
+        verdict = verify_theta(th.verification, th.update, result)
         doc_out["verified"] = verdict.to_dict()
         write_json(out / "theta_result.json", doc_out)
         return (EXIT_OK if verdict.holds else EXIT_CHECK_FAILED), outputs
@@ -193,9 +156,9 @@ def cmd_simulate(doc: dict, out: Path, seed: int) -> tuple[int, list[str]]:
         alpha = parse_entropy_params(doc).alpha
     traj = simulate_coupled(sim.update, sim.observer, sim.x0, sim.steps, r=sim.r,
                             schedule=sim.schedule, seed=seed)
-    px = _state_histogram([s.x for s in traj.states], sim.bins, sim.lo, sim.hi)
-    po = _state_histogram([s.o for s in traj.states], sim.bins, sim.lo, sim.hi)
-    report = lyapunov_trace(traj, list(zip(px, po)), alpha)
+    h_state = prefix_entropies([s.x for s in traj.states], sim.bins, sim.lo, sim.hi)
+    h_obs = prefix_entropies([s.o for s in traj.states], sim.bins, sim.lo, sim.hi)
+    report = lyapunov_trace(traj, h_state, h_obs, alpha)
     write_text(out / "trajectory.csv", trajectory_to_csv(traj, report))
     write_json(out / "lyapunov.json", {
         "alpha": alpha,
@@ -206,12 +169,12 @@ def cmd_simulate(doc: dict, out: Path, seed: int) -> tuple[int, list[str]]:
     return EXIT_OK, ["trajectory.csv", "lyapunov.json"]
 
 
-def cmd_sweep(doc: dict, out: Path, seed: int, threads: int) -> tuple[int, list[str]]:
+def cmd_sweep(doc: dict, out: Path, seed: int) -> tuple[int, list[str]]:
     sw = parse_sweep_settings(doc)
     r_grid = np.linspace(sw.lo, sw.hi, sw.steps)
     diagram = sweep_bifurcation(sw.update, sw.observer, r_grid,
                                 transient=sw.transient, sample=sw.sample,
-                                x0=sw.x0, seed=seed, threads=threads,
+                                x0=sw.x0, seed=seed,
                                 period_tol=sw.period_tol,
                                 max_period=sw.max_period,
                                 divergence=sw.divergence)
@@ -264,28 +227,18 @@ def cmd_entropy(doc: dict, out: Path) -> tuple[int, list[str]]:
     outputs = []
     wrote_something = False
     if "entropy_trace" in doc:
-        uni = parse_universe(doc)
-        section = doc["entropy_trace"]
-        start = uni.object(section["start"])
-        transition = uni.morphism(section["transition"])
-        observer = uni.morphism(section["observer"])
-        steps = int(section.get("steps", 16))
-        if transition.src != transition.dst:
-            raise ScenarioParseError("entropy_trace transition must be an endomap")
-        probs = section.get("initial_probs")
-        state = (ProbState(start, tuple(float(p) for p in probs))
-                 if probs else ProbState.uniform(start))
+        tr = parse_entropy_trace(doc)
+        state = tr.initial
         H = []
         H_O = []
-        k_schedule = doc.get("entropy", {}).get("k_schedule")
-        for _ in range(steps + 1):
+        for _ in range(tr.steps + 1):
             H.append(shannon_entropy(state))
-            H_O.append(shannon_entropy(pushforward(state, observer)))
-            state = pushforward(state, transition)
-        trace = build_trace(H, H_O, params, k_schedule=k_schedule)
+            H_O.append(shannon_entropy(pushforward(state, tr.observer)))
+            state = pushforward(state, tr.transition)
+        trace = build_trace(H, H_O, params, k_schedule=tr.k_schedule)
         write_text(out / "entropy_trace.csv", trace_to_csv(trace, params))
         write_json(out / "entropy_report.json", {
-            "steps": steps,
+            "steps": tr.steps,
             "step_violations": [s.n for s in trace.steps if not s.step_bound_ok],
             "obs_violations": [s.n for s in trace.steps if not s.obs_bound_ok],
         })
@@ -326,12 +279,12 @@ def cmd_entropy(doc: dict, out: Path) -> tuple[int, list[str]]:
 # Handlers are looked up by name at call time, so wrapping a cmd_* function
 # on the module also wraps its command.
 COMMANDS = {
-    "check-axioms": lambda doc, out, seed, threads: cmd_check_axioms(doc, out),
-    "theta": lambda doc, out, seed, threads: cmd_theta(doc, out),
-    "simulate": lambda doc, out, seed, threads: cmd_simulate(doc, out, seed),
-    "sweep": lambda doc, out, seed, threads: cmd_sweep(doc, out, seed, threads),
-    "cascade": lambda doc, out, seed, threads: cmd_cascade(doc, out),
-    "entropy": lambda doc, out, seed, threads: cmd_entropy(doc, out),
+    "check-axioms": lambda doc, out, seed: cmd_check_axioms(doc, out),
+    "theta": lambda doc, out, seed: cmd_theta(doc, out),
+    "simulate": lambda doc, out, seed: cmd_simulate(doc, out, seed),
+    "sweep": lambda doc, out, seed: cmd_sweep(doc, out, seed),
+    "cascade": lambda doc, out, seed: cmd_cascade(doc, out),
+    "entropy": lambda doc, out, seed: cmd_entropy(doc, out),
 }
 
 
@@ -362,8 +315,7 @@ def main(argv: list[str] | None = None) -> int:
         seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        code, outputs = COMMANDS[args.command](doc, out, seed,
-                                               max(1, args.threads))
+        code, outputs = COMMANDS[args.command](doc, out, seed)
         write_json(out / "run_manifest.json", {
             "scenario_hash": scenario_hash(doc),
             "tool_version": __version__,

@@ -18,7 +18,6 @@ import numpy as np
 
 from ._formats import fmt_real
 from .cascade import LinOp, spectrum
-from .entropy import ProbState, shannon_entropy
 from .errors import (
     DimMismatchError,
     DomainError,
@@ -443,10 +442,22 @@ def _dets_at(update: MapSpec, observer: MapSpec, r: float,
 
 def _bisect_root(eval_det: Callable[[float], float], r_a: float, r_b: float,
                  d_a: float, d_b: float, det_tol: float) -> tuple[float, float]:
-    """Bisect a sign change of the determinant down to |det| <= det_tol."""
+    """Bisect a sign change of the determinant down to |det| <= det_tol.
+
+    When the fixed-point solve stalls at the midpoint, the points at 3/8
+    and then 5/8 of the bracket stand in for it; NoConvergenceError is
+    raised only when all three stall.
+    """
     for _ in range(200):
-        mid = 0.5 * (r_a + r_b)
-        d_mid = eval_det(mid)
+        for mid in (0.5 * (r_a + r_b), r_a + 0.375 * (r_b - r_a),
+                    r_a + 0.625 * (r_b - r_a)):
+            try:
+                d_mid = eval_det(mid)
+                break
+            except NoConvergenceError as exc:
+                stalled = exc
+        else:
+            raise stalled
         if abs(d_mid) <= det_tol or (r_b - r_a) < 1e-15:
             return mid, abs(d_mid)
         if (d_a < 0.0) != (d_mid < 0.0):
@@ -722,6 +733,8 @@ def sweep_bifurcation(update: MapSpec, observer: MapSpec,
     return BifurcationDiagram(tuple(rows))
 
 
+# overflow shows up as a non-finite value, which the rollout checks and raises
+@np.errstate(over="ignore", invalid="ignore")
 def simulate_coupled(update: MapSpec, observer: MapSpec, x0: Sequence[float],
                      steps: int, r: float = 0.0, schedule: int = 1,
                      seed: int = 0) -> Trajectory:
@@ -729,20 +742,28 @@ def simulate_coupled(update: MapSpec, observer: MapSpec, x0: Sequence[float],
 
     The state advances under F_r = update + r * observer back-action; the
     observer coordinate refreshes only on scheduled steps and holds its
-    last reading in between.
+    last reading in between.  A non-finite state or observer reading
+    raises NonFiniteError.
     """
     if schedule < 1:
         raise DomainError("schedule must be >= 1")
+
+    def observe(x: np.ndarray, n: int) -> np.ndarray:
+        o = observer(x)
+        if not np.all(np.isfinite(o)):
+            raise NonFiniteError(f"observer reading left the finite range at step {n}")
+        return o
+
     fr = perturbed_map(update, observer, r) if r != 0.0 else update
     x = np.asarray(x0, dtype=np.float64)
-    o = observer(x)
+    o = observe(x, 0)
     states = [CoupledState(x, o)]
     for n in range(1, steps + 1):
         x = fr(x)
         if not np.all(np.isfinite(x)):
             raise NonFiniteError(f"trajectory left the finite range at step {n}")
         if n % schedule == 0:
-            o = observer(x)
+            o = observe(x, n)
         states.append(CoupledState(x, o))
     return Trajectory(tuple(states), r=float(r), seed=seed, transient=0)
 
@@ -761,20 +782,20 @@ class LyapunovReport:
         }
 
 
-def lyapunov_trace(traj: Trajectory,
-                   ledger_states: Sequence[tuple[ProbState, ProbState]],
-                   alpha: float) -> LyapunovReport:
+def lyapunov_trace(traj: Trajectory, h_state: Sequence[float],
+                   h_obs: Sequence[float], alpha: float) -> LyapunovReport:
     """Entropy functional H(state) + alpha H(observer) along a trajectory.
 
+    `h_state` and `h_obs` hold the two entropies at each state of `traj`.
     The verdict is non-increase up to tolerance at every step; violating
     step indices are listed so a spreading observation can be located.
     """
-    if len(ledger_states) != len(traj.states):
+    if not len(h_state) == len(h_obs) == len(traj.states):
         raise LengthMismatchError(
-            f"{len(ledger_states)} ledger entries for {len(traj.states)} states"
+            f"{len(h_state)} state and {len(h_obs)} observer entropies "
+            f"for {len(traj.states)} states"
         )
-    values = [shannon_entropy(px) + alpha * shannon_entropy(po)
-              for px, po in ledger_states]
+    values = [hx + alpha * ho for hx, ho in zip(h_state, h_obs)]
     violations = [n for n in range(len(values) - 1)
                   if values[n + 1] > values[n] + LYAPUNOV_TOL]
     return LyapunovReport(tuple(values), not violations, tuple(violations))

@@ -10,6 +10,7 @@ ledger reports violations in either direction instead of enforcing one.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -30,6 +31,7 @@ __all__ = [
     "EntropyTrace",
     "Filtration",
     "shannon_entropy",
+    "prefix_entropies",
     "pushforward",
     "check_step_bound",
     "check_observation_bound",
@@ -93,9 +95,39 @@ class EntropyParams:
             raise DomainError("alpha must be positive")
 
 
+def _entropy_bits(probs: Sequence[float]) -> float:
+    return -sum(q * math.log2(q) for q in probs if q > 0.0) + 0.0
+
+
 def shannon_entropy(p: ProbState) -> float:
     """Base-2 Shannon entropy, with 0 log 0 = 0."""
-    return -sum(q * math.log2(q) for q in p.probs if q > 0.0) + 0.0
+    return _entropy_bits(p.probs)
+
+
+def prefix_entropies(points: Sequence[Sequence[float]], bins: int, lo: float,
+                     hi: float) -> list[float]:
+    """Entropy of the histogram of the points seen so far, after each point.
+
+    Each coordinate is cut into `bins` equal cells on [lo, hi], the end
+    cells taking what lies outside.  Only visited cells are stored; summed
+    in sorted cell order they give `shannon_entropy` of the ProbState over
+    all bins**dim cells bit for bit.
+    """
+    span = hi - lo
+    counts: dict[tuple[int, ...], int] = {}
+    cells: list[tuple[int, ...]] = []
+    out = []
+    for n, vec in enumerate(points, start=1):
+        cell = tuple(min(bins - 1, max(0, int((v - lo) / span * bins)))
+                     for v in vec)
+        if cell not in counts:
+            insort(cells, cell)
+        counts[cell] = counts.get(cell, 0) + 1
+        probs = [counts[c] / n for c in cells]
+        if abs(sum(probs) - 1.0) > NORMALIZATION_TOL:
+            raise InvalidDistributionError(f"probabilities sum to {sum(probs)!r}, not 1")
+        out.append(_entropy_bits(probs))
+    return out
 
 
 def pushforward(p: ProbState, f: FinMor) -> ProbState:

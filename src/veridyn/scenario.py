@@ -4,7 +4,7 @@ Top-level keys (all optional; each command names the sections it needs):
 
   seed          unsigned 64-bit integer, recorded in outputs
   universe      categorical layer: objects, morphisms, functors, transformations
-  entropy       {"C": .., "K": .., "alpha": ..} bound constants
+  entropy       {"C": .., "K": .., "alpha": .., "k_schedule": [..]} bound constants
   entropy_trace {"start": obj, "initial_probs": [..], "transition": mor,
                  "observer": mor, "steps": n}
   phases        {"carrier": obj, "assignments": {elem: "p/q"},
@@ -29,7 +29,8 @@ import numpy as np
 
 from ._formats import content_hash
 from .cascade import CascadeSpec, CascadeStage, LinOp
-from .category import Universe, permutation_order
+from .category import FinMor, FinObj, FunctorRep, Universe, permutation_order
+from .coalgebra import DEFAULT_MAX_ITER
 from .dynamics import (
     DEFAULT_SAMPLE,
     DEFAULT_TRANSIENT,
@@ -42,7 +43,7 @@ from .dynamics import (
     PolynomialMap,
     WeightedSumMap,
 )
-from .entropy import EntropyParams
+from .entropy import EntropyParams, ProbState
 from .errors import MissingSectionError, ScenarioParseError
 from .phase import RationalPhase
 
@@ -57,8 +58,12 @@ __all__ = [
     "parse_theta_operator",
     "SimulateSettings",
     "SweepSettings",
+    "ThetaSettings",
+    "EntropyTraceSettings",
     "parse_simulate_settings",
     "parse_sweep_settings",
+    "parse_theta_settings",
+    "parse_entropy_trace",
 ]
 
 
@@ -97,7 +102,7 @@ def parse_universe(doc: Mapping) -> Universe:
 
 
 def parse_entropy_params(doc: Mapping) -> EntropyParams:
-    section = require_section(doc, "entropy")
+    section = _mapping(require_section(doc, "entropy"), "entropy")
     try:
         return EntropyParams(C=float(section.get("C", 0.0)),
                              K=float(section.get("K", 0.0)),
@@ -201,10 +206,18 @@ def _coupled_maps(doc: Mapping) -> tuple[MapSpec, MapSpec]:
     return update, observer
 
 
-def _state(value, dim: int) -> tuple[float, ...]:
-    if not isinstance(value, list) or len(value) != dim:
-        raise ScenarioParseError(f"x0 must be a list of {dim} numbers, got {value!r}")
-    return tuple(_real(v, "x0 entry") for v in value)
+def _vector(value, size: int, what: str) -> tuple[float, ...]:
+    if not isinstance(value, list) or len(value) != size:
+        raise ScenarioParseError(
+            f"{what} must be a list of {size} numbers, got {value!r}")
+    return tuple(_real(v, f"{what} entry") for v in value)
+
+
+def _name(section: Mapping, key: str, what: str) -> str:
+    value = section.get(key)
+    if not isinstance(value, str):
+        raise ScenarioParseError(f"{what} {key} must be a name, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -245,7 +258,7 @@ def parse_simulate_settings(doc: Mapping) -> SimulateSettings:
         raise ScenarioParseError("ledger binning needs hi > lo")
     return SimulateSettings(
         update, observer,
-        x0=_state(require_section(doc, "x0"), update.dim),
+        x0=_vector(require_section(doc, "x0"), update.dim, "x0"),
         steps=_integer(require_section(doc, "steps"), "steps", 0),
         r=_real(doc.get("r", 0.0), "r"),
         schedule=_integer(doc.get("schedule", 1), "schedule", 1),
@@ -267,7 +280,7 @@ def parse_sweep_settings(doc: Mapping) -> SweepSettings:
     x0 = doc.get("x0")
     return SweepSettings(
         update, observer,
-        x0=None if x0 is None else _state(x0, update.dim),
+        x0=None if x0 is None else _vector(x0, update.dim, "x0"),
         lo=lo, hi=hi,
         steps=_integer(steps, "r_grid steps", 2),
         transient=_integer(doc.get("transient", DEFAULT_TRANSIENT), "transient", 1),
@@ -275,3 +288,60 @@ def parse_sweep_settings(doc: Mapping) -> SweepSettings:
         period_tol=_real(doc.get("period_tol", PERIOD_TOL), "period_tol"),
         max_period=_integer(doc.get("max_period", MAX_PERIOD), "max_period", 0),
         divergence=_real(doc.get("divergence", DIVERGENCE_THRESHOLD), "divergence"))
+
+
+# --- finite-set layer: theta and entropy traces ------------------------------
+
+
+@dataclass(frozen=True)
+class ThetaSettings:
+    verification: FunctorRep
+    update: FunctorRep
+    start: FinObj
+    max_iter: int
+
+
+@dataclass(frozen=True)
+class EntropyTraceSettings:
+    initial: ProbState
+    transition: FinMor
+    observer: FinMor
+    steps: int
+    k_schedule: tuple[float, ...] | None
+
+
+def parse_theta_settings(doc: Mapping) -> ThetaSettings:
+    """The theta command's sections, checked before anything runs."""
+    uni = parse_universe(doc)
+    section = _mapping(require_section(doc, "theta_limit"), "theta_limit")
+    return ThetaSettings(
+        verification=uni.functor(_name(section, "verification", "theta_limit")),
+        update=uni.functor(_name(section, "update", "theta_limit")),
+        start=uni.object(_name(section, "start", "theta_limit")),
+        max_iter=_integer(section.get("max_iter", DEFAULT_MAX_ITER),
+                          "theta_limit max_iter", 1))
+
+
+def parse_entropy_trace(doc: Mapping) -> EntropyTraceSettings:
+    """The entropy_trace section and its k_schedule, checked before anything runs."""
+    uni = parse_universe(doc)
+    section = _mapping(require_section(doc, "entropy_trace"), "entropy_trace")
+    start = uni.object(_name(section, "start", "entropy_trace"))
+    transition = uni.morphism(_name(section, "transition", "entropy_trace"))
+    observer = uni.morphism(_name(section, "observer", "entropy_trace"))
+    if transition.src != transition.dst:
+        raise ScenarioParseError("entropy_trace transition must be an endomap")
+    steps = _integer(section.get("steps", 16), "entropy_trace steps", 0)
+    probs = section.get("initial_probs")
+    k_schedule = _mapping(doc.get("entropy", {}), "entropy").get("k_schedule")
+    if k_schedule is not None:
+        if not isinstance(k_schedule, list) or len(k_schedule) < steps:
+            raise ScenarioParseError(
+                f"entropy k_schedule must list at least {steps} numbers")
+        k_schedule = tuple(_real(k, "entropy k_schedule entry") for k in k_schedule)
+    return EntropyTraceSettings(
+        initial=(ProbState(start, _vector(probs, start.size,
+                                          "entropy_trace initial_probs"))
+                 if probs else ProbState.uniform(start)),
+        transition=transition, observer=observer, steps=steps,
+        k_schedule=k_schedule)

@@ -1,5 +1,7 @@
 import cmath
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -179,6 +181,42 @@ def test_simulate_outputs(tmp_path):
     assert "monotone" in lyap and lyap["schedule"] == 1
 
 
+def _sparse_prefix_entropies(points, bins, lo, hi):
+    counts = {}
+    out = []
+    for n, vec in enumerate(points, start=1):
+        cell = tuple(min(bins - 1, max(0, int((v - lo) / (hi - lo) * bins)))
+                     for v in vec)
+        counts[cell] = counts.get(cell, 0) + 1
+        qs = [counts[c] / n for c in sorted(counts)]
+        out.append(-sum(q * math.log2(q) for q in qs) + 0.0)
+    return out
+
+
+def test_simulate_ledger_without_dense_grid(tmp_path):
+    # dim 3 with 1000 bins: a dense ledger would hold 10**9 cells per step
+    def logistic(i):
+        return [{"coeff": 3.9, "powers": [int(j == i) for j in range(3)]},
+                {"coeff": -3.9, "powers": [2 * int(j == i) for j in range(3)]}]
+
+    doc = {"phi": {"kind": "polynomial", "dim": 3,
+                   "coords": [logistic(i) for i in range(3)]},
+           "observer": {"kind": "affine", "A": np.diag([2.0, 1.0, 0.5]).tolist(),
+                        "b": [-0.5, 0.0, 0.25]},
+           "x0": [0.1, 0.2, 0.3], "steps": 300, "schedule": 2,
+           "ledger": {"bins": 1000, "lo": 0.0, "hi": 1.0}, "entropy": {"alpha": 0.5}}
+    out = tmp_path / "ledger"
+    assert _run("simulate", _write(tmp_path, doc), out) == 0
+    rows = [line.split(",") for line in
+            (out / "trajectory.csv").read_text().splitlines()[1:]]
+    xs = [[float(v) for v in row[1:4]] for row in rows]
+    os_ = [[float(v) for v in row[4:7]] for row in rows]
+    h_x = _sparse_prefix_entropies(xs, 1000, 0.0, 1.0)
+    h_o = _sparse_prefix_entropies(os_, 1000, 0.0, 1.0)
+    assert [float(row[7]) for row in rows] == \
+        [hx + 0.5 * ho for hx, ho in zip(h_x, h_o)]
+
+
 def test_sweep_deterministic_and_transition(tmp_path):
     scen = _write(tmp_path, LOGISTIC)
     out1, out2 = tmp_path / "s1", tmp_path / "s2"
@@ -246,10 +284,17 @@ BAD_SWEEP = {
     "zero transient": {"transient": 0},
     "one sample": {"sample": 1},
 }
+OVERFLOWING_OBSERVER = {  # phi = identity, observer x^3 overflows at every step
+    "phi": {"kind": "affine", "A": [[1.0]], "b": [0.0]},
+    "observer": {"kind": "polynomial", "dim": 1,
+                 "coords": [[{"coeff": 1.0, "powers": [3]}]]},
+    "x0": [1e120], "r": 0.0}
 BAD_SIMULATE = {
     "negative steps": {"steps": -3},
     "string steps": {"steps": "40"},
     "ledger hi below lo": {"ledger": {"bins": 4, "lo": 1.0, "hi": -1.0}},
+    "observer reading overflows": OVERFLOWING_OBSERVER,
+    "first observer reading overflows": {**OVERFLOWING_OBSERVER, "steps": 0},
 }
 
 
@@ -258,12 +303,51 @@ BAD_SIMULATE = {
     *[("simulate", p) for p in (*BAD_DYNAMICS.values(), *BAD_SIMULATE.values())],
 ], ids=[*[f"sweep-{k}" for k in (*BAD_DYNAMICS, *BAD_SWEEP)],
         *[f"simulate-{k}" for k in (*BAD_DYNAMICS, *BAD_SIMULATE)]])
+@pytest.mark.filterwarnings("error")
 def test_bad_dynamics_input_is_rejected_before_compute(tmp_path, capsys, cmd, patch):
     out = tmp_path / "out"
     assert _run(cmd, _write(tmp_path, {**LOGISTIC, **patch}), out) == 2
+    _assert_rejected(capsys, out)
+
+
+def _assert_rejected(capsys, out):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert not out.exists() or not any(out.iterdir())
+
+
+UNIVERSE_SCENARIO = Path(__file__).parents[1] / "scenarios" / "observer_universe.json"
+# (command, section, key, value) patches; a value of None deletes the key,
+# a key of None replaces the whole section
+BAD_FINITE_SET = {
+    "theta_limit not an object": ("theta", "theta_limit", None, 3),
+    "theta without verification": ("theta", "theta_limit", "verification", None),
+    "theta max_iter not a number": ("theta", "theta_limit", "max_iter", "x"),
+    "theta max_iter zero": ("theta", "theta_limit", "max_iter", 0),
+    "theta functor not a name": ("theta", "theta_limit", "update", ["V"]),
+    "entropy_trace without start": ("entropy", "entropy_trace", "start", None),
+    "entropy_trace steps not a number": ("entropy", "entropy_trace", "steps", "x"),
+    "entropy_trace probs not numbers": ("entropy", "entropy_trace", "initial_probs",
+                                        ["x", 1]),
+    "k_schedule shorter than steps": ("entropy", "entropy", "k_schedule", [1.0]),
+    "entropy not an object": ("entropy", "entropy", None, [1.0]),
+}
+
+
+@pytest.mark.parametrize("cmd, section, key, value", BAD_FINITE_SET.values(),
+                         ids=list(BAD_FINITE_SET))
+def test_bad_finite_set_input_is_rejected_before_compute(tmp_path, capsys, cmd,
+                                                         section, key, value):
+    doc = json.loads(UNIVERSE_SCENARIO.read_text())
+    if key is None:
+        doc[section] = value
+    elif value is None:
+        del doc[section][key]
+    else:
+        doc[section][key] = value
+    out = tmp_path / "out"
+    assert _run(cmd, _write(tmp_path, doc), out) == 2
+    _assert_rejected(capsys, out)
 
 
 def test_cascade_outputs(tmp_path):

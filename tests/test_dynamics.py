@@ -30,7 +30,7 @@ from veridyn.dynamics import (
     trajectory_to_csv,
     zero_map,
 )
-from veridyn.entropy import ProbState
+from veridyn.entropy import ProbState, shannon_entropy
 from veridyn.errors import (
     DomainError,
     LengthMismatchError,
@@ -285,6 +285,15 @@ def test_logistic_flip_matches_sweep_transition():
     assert first_p2 >= rep.r_c_flip - cell - 1e-9
 
 
+@pytest.mark.parametrize("c", [0.955, 0.965, 0.98, 1.02, 1.035])
+def test_flip_recovered_when_bisection_midpoint_stalls(c):
+    # the damped solve stalls at the first bisection midpoint of the flip
+    # bracket for these observer scales; a point beside it carries on
+    obs = PolynomialMap(1, (((c, (1,)), (-c, (2,))),))
+    rep = find_critical_r(zero_map(1), obs, 2.5, 3.4, 91, x0=[0.5])
+    assert abs(rep.r_c_flip - 3.0 / c) <= 1e-6
+
+
 # --- sweeps ---------------------------------------------------------------------
 
 
@@ -400,8 +409,8 @@ def _traj(n):
 
 def test_lyapunov_constant_is_monotone():
     carrier = FinObj("C", ("u", "v"))
-    pair = (ProbState.uniform(carrier), ProbState.uniform(carrier))
-    report = lyapunov_trace(_traj(4), [pair] * 4, alpha=0.5)
+    h = [shannon_entropy(ProbState.uniform(carrier))] * 4
+    report = lyapunov_trace(_traj(4), h, h, alpha=0.5)
     assert report.monotone
     assert report.values == (1.5,) * 4
 
@@ -411,8 +420,8 @@ def test_lyapunov_sharpening_decreases():
     seq = [ProbState.uniform(carrier),
            ProbState(carrier, (0.5, 0.5, 0.0, 0.0)),
            ProbState.point_mass(carrier, "u")]
-    pairs = [(p, p) for p in seq]
-    report = lyapunov_trace(_traj(3), pairs, alpha=1.0)
+    h = [shannon_entropy(p) for p in seq]
+    report = lyapunov_trace(_traj(3), h, h, alpha=1.0)
     assert report.monotone
     assert report.values[0] > report.values[1] > report.values[2]
 
@@ -421,16 +430,18 @@ def test_lyapunov_spreading_observer_flagged():
     carrier = FinObj("C", ("u", "v"))
     sharp = ProbState.point_mass(carrier, "u")
     wide = ProbState.uniform(carrier)
-    pairs = [(sharp, sharp), (sharp, wide), (sharp, wide)]
-    report = lyapunov_trace(_traj(3), pairs, alpha=2.0)
+    h_state = [shannon_entropy(p) for p in (sharp, sharp, sharp)]
+    h_obs = [shannon_entropy(p) for p in (sharp, wide, wide)]
+    report = lyapunov_trace(_traj(3), h_state, h_obs, alpha=2.0)
     assert not report.monotone
     assert report.violations == (0,)
 
 
 def test_lyapunov_length_mismatch():
     carrier = FinObj("C", ("u",))
+    h = [shannon_entropy(ProbState.uniform(carrier))]
     with pytest.raises(LengthMismatchError):
-        lyapunov_trace(_traj(3), [(ProbState.uniform(carrier),) * 2], alpha=1.0)
+        lyapunov_trace(_traj(3), h, h, alpha=1.0)
 
 
 # --- stability -------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from veridyn.entropy import (
     check_step_bound,
     entropy_direction_report,
     memory_sequence,
+    prefix_entropies,
     pushforward,
     shannon_entropy,
     total_entropy_bound,
@@ -170,6 +172,53 @@ def test_k_schedule_overrides_constant():
     assert all(s.obs_bound_ok for s in loose.steps)
     tight = build_trace(H, H_O, EntropyParams(K=5.0), k_schedule=[0.1, 0.1, 0.1])
     assert not tight.steps[0].obs_bound_ok
+
+
+# --- prefix-histogram ledger -----------------------------------------------
+
+
+def _dense_prefix_entropies(points, bins, lo, hi):
+    """The dense ledger: a ProbState over all bins**dim zero-padded cell labels."""
+    width = len(str(bins - 1))
+
+    def label(idx):
+        return "b" + "_".join(f"{i:0{width}d}" for i in idx)
+
+    cells = itertools.product(range(bins), repeat=len(points[0]))
+    carrier = FinObj("bins", tuple(label(idx) for idx in cells))
+    index_of = {lab: i for i, lab in enumerate(carrier.elements)}
+    counts = np.zeros(carrier.size)
+    out = []
+    for n, vec in enumerate(points):
+        idx = tuple(min(bins - 1, max(0, int((v - lo) / (hi - lo) * bins)))
+                    for v in vec)
+        counts[index_of[label(idx)]] += 1.0
+        out.append(shannon_entropy(ProbState(carrier, tuple(counts / (n + 1)))))
+    return out
+
+
+@pytest.mark.parametrize("bins", [1, 10, 11, 16])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_prefix_entropies_match_dense_ledger_bitwise(dim, bins):
+    lo, hi = -0.75, 1.25
+    cell = (hi - lo) / bins
+    rng = np.random.default_rng(100 * dim + bins)
+    points = list(rng.uniform(lo - 0.5, hi + 0.5, size=(60, dim)))
+    # below lo, above hi, just inside lo, just below lo (truncates toward
+    # zero into cell 0), on hi, and repeats
+    edges = [lo - 3.0, hi + 3.0, lo + 1e-12, lo - 0.3 * cell, hi, lo]
+    points += [np.array([edges[(k + j) % len(edges)] for j in range(dim)])
+               for k in range(len(edges))]
+    points += points[:20] + [points[3]] * 5
+    got = prefix_entropies(points, bins, lo, hi)
+    assert got == _dense_prefix_entropies(points, bins, lo, hi)
+
+
+def test_prefix_entropies_known_values():
+    assert prefix_entropies([], 4, 0.0, 1.0) == []
+    third = -(1 / 3 * math.log2(1 / 3) + 2 / 3 * math.log2(2 / 3))
+    got = prefix_entropies([[0.1], [0.9], [0.6], [0.95]], 2, 0.0, 1.0)
+    assert got == [0.0, 1.0, third, 0.8112781244591328]
 
 
 # --- filtration and memory --------------------------------------------------
