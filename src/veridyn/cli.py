@@ -55,19 +55,13 @@ from .errors import (
     UnresolvedReferenceError,
     VeridynError,
 )
-from .phase import (
-    RationalPhase,
-    PhasedMorphism,
-    cycle_net_phase,
-    interference_pairing,
-    parse_phase_table,
-    phase_lock_space,
-)
+from .phase import cycle_net_phase, interference_pairing, phase_lock_space
 from .scenario import (
     load_scenario,
     parse_cascade_spec,
     parse_entropy_params,
     parse_entropy_trace,
+    parse_phase_settings,
     parse_simulate_settings,
     parse_sweep_settings,
     parse_theta_settings,
@@ -224,10 +218,15 @@ def cmd_cascade(doc: dict, out: Path) -> tuple[int, list[str]]:
 
 def cmd_entropy(doc: dict, out: Path) -> tuple[int, list[str]]:
     params = parse_entropy_params(doc)
-    outputs = []
-    wrote_something = False
-    if "entropy_trace" in doc:
-        tr = parse_entropy_trace(doc)
+    if "entropy_trace" not in doc and "phases" not in doc:
+        raise MissingSectionError("entropy_trace")
+    uni = parse_universe(doc)
+    tr = parse_entropy_trace(doc, uni) if "entropy_trace" in doc else None
+    ph = parse_phase_settings(doc, uni) if "phases" in doc else None
+    # both parts are computed before either is written, so a part rejected
+    # in compute leaves no artifacts
+    trace = phase_doc = None
+    if tr is not None:
         state = tr.initial
         H = []
         H_O = []
@@ -236,6 +235,20 @@ def cmd_entropy(doc: dict, out: Path) -> tuple[int, list[str]]:
             H_O.append(shannon_entropy(pushforward(state, tr.observer)))
             state = pushforward(state, tr.transition)
         trace = build_trace(H, H_O, params, k_schedule=tr.k_schedule)
+    if ph is not None:
+        phase_doc = {}
+        if ph.pairing is not None:
+            phase_doc["pairing"] = list(interference_pairing(*ph.pairing).elements)
+        if ph.lock is not None:
+            theta, k = ph.lock
+            phase_doc["lock_space"] = list(phase_lock_space(theta, k).elements)
+            phase_doc["period"] = k
+        if ph.cycle is not None:
+            net = cycle_net_phase(ph.cycle)
+            phase_doc["cycle_net_phase"] = str(net)
+            phase_doc["cycle_zero_net"] = net.is_zero()
+    outputs = []
+    if trace is not None:
         write_text(out / "entropy_trace.csv", trace_to_csv(trace, params))
         write_json(out / "entropy_report.json", {
             "steps": tr.steps,
@@ -243,34 +256,9 @@ def cmd_entropy(doc: dict, out: Path) -> tuple[int, list[str]]:
             "obs_violations": [s.n for s in trace.steps if not s.obs_bound_ok],
         })
         outputs += ["entropy_trace.csv", "entropy_report.json"]
-        wrote_something = True
-    if "phases" in doc:
-        uni = parse_universe(doc)
-        section = doc["phases"]
-        phase_doc = {}
-        if "carrier" in section and "assignments" in section:
-            carrier = uni.object(section["carrier"])
-            table = parse_phase_table(section["assignments"])
-            pairing = interference_pairing(carrier, table)
-            phase_doc["pairing"] = list(pairing.elements)
-        if "theta" in section:
-            theta = uni.morphism(section["theta"])
-            from .category import automorphism_order
-            k = int(section.get("period", automorphism_order(theta)))
-            locked = phase_lock_space(theta, k)
-            phase_doc["lock_space"] = list(locked.elements)
-            phase_doc["period"] = k
-        if "cycle" in section:
-            loop = [PhasedMorphism(uni.morphism(mid), RationalPhase.parse(ph))
-                    for mid, ph in section["cycle"]]
-            net = cycle_net_phase(loop)
-            phase_doc["cycle_net_phase"] = str(net)
-            phase_doc["cycle_zero_net"] = net.is_zero()
+    if phase_doc is not None:
         write_json(out / "phase_report.json", phase_doc)
         outputs.append("phase_report.json")
-        wrote_something = True
-    if not wrote_something:
-        raise MissingSectionError("entropy_trace")
     return EXIT_OK, outputs
 
 

@@ -260,7 +260,7 @@ class WeightedSumMap(MapSpec):
 
     def __call__(self, x):
         x = np.asarray(x, dtype=np.float64)
-        out = np.zeros(self.dim)
+        out = 0.0
         for w, p in zip(self.weights, self.parts):
             out = out + w * p(x)
         return out
@@ -349,7 +349,7 @@ def jacobian(F: MapSpec, x: np.ndarray) -> LinOp:
 
 
 def _ninf(v: np.ndarray) -> float:
-    return float(np.max(np.abs(v))) if v.size else 0.0
+    return float(np.abs(v).max(initial=0.0))
 
 
 def find_fixed_point(F: MapSpec, x0: Sequence[float], max_iter: int = 10_000,
@@ -362,21 +362,23 @@ def find_fixed_point(F: MapSpec, x0: Sequence[float], max_iter: int = 10_000,
     restores contraction near flip-neutral points.  beta never grows back.
     """
     x = np.asarray(x0, dtype=np.float64).copy()
-    fx = F(x)
-    res = _ninf(fx - x)
+    d = F(x) - x
+    res = _ninf(d)
     if res <= tol:
         return x
     beta = 1.0
     for _ in range(max_iter):
-        cand = x + beta * (fx - x)
+        cand = x + beta * d
         fc = F(cand)
-        if np.all(np.isfinite(fc)):
-            cres = _ninf(fc - cand)
-            if cres <= tol:
-                return cand
-            if cres <= res * (1.0 - 1e-3):
-                x, fx, res = cand, fc, cres
-                continue
+        dc = fc - cand
+        cres = _ninf(dc)
+        if cres <= tol:
+            return cand
+        # a finite cres implies a finite F(cand); an infinite one passes
+        # against an infinite res, so there F(cand) must be checked
+        if cres <= res * (1.0 - 1e-3) and (cres < math.inf or np.isfinite(fc).all()):
+            x, d, res = cand, dc, cres
+            continue
         beta *= 0.5
         if beta < 1e-16:
             break
@@ -650,11 +652,9 @@ class BifurcationDiagram:
 
 def _classify(samples: list[np.ndarray], period_tol: float,
               max_period: int) -> tuple[str, int | None]:
-    for p in range(1, max_period + 1):
-        if len(samples) <= p:
-            break
-        if all(_ninf(samples[i + p] - samples[i]) <= period_tol
-               for i in range(len(samples) - p)):
+    s = np.asarray(samples)
+    for p in range(1, min(max_period, len(s) - 1) + 1):
+        if (np.abs(s[p:] - s[:-p]).max(axis=1, initial=0.0) <= period_tol).all():
             if p == 1:
                 return "fixed-point", 1
             return f"period-{p}", p

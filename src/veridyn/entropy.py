@@ -118,7 +118,9 @@ def prefix_entropies(points: Sequence[Sequence[float]], bins: int, lo: float,
     cells: list[tuple[int, ...]] = []
     out = []
     for n, vec in enumerate(points, start=1):
-        cell = tuple(min(bins - 1, max(0, int((v - lo) / span * bins)))
+        # in Python floats, which overflow to inf without a warning; clamped
+        # before int(), so an overflowing quotient lands in the end cell
+        cell = tuple(int(min(bins - 1, max(0.0, (float(v) - lo) / span * bins)))
                      for v in vec)
         if cell not in counts:
             insort(cells, cell)

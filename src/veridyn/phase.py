@@ -221,8 +221,3 @@ def lift_phi_phase(update: FinMor,
             )
         out.append(PhasedElement(table[s.element], s.phase))
     return out
-
-
-def parse_phase_table(raw: Mapping[str, str]) -> dict[str, RationalPhase]:
-    """Parse a JSON-style {element: "p/q"} assignment table."""
-    return {k: RationalPhase.parse(v) for k, v in raw.items()}

@@ -8,7 +8,7 @@ Top-level keys (all optional; each command names the sections it needs):
   entropy_trace {"start": obj, "initial_probs": [..], "transition": mor,
                  "observer": mor, "steps": n}
   phases        {"carrier": obj, "assignments": {elem: "p/q"},
-                 "theta": mor, "cycle": [[mor, "p/q"], ...]}
+                 "theta": mor, "period": k, "cycle": [[mor, "p/q"], ...]}
   cascade       {"stages": [{"lambda": .., "theta": {...}}, ...]}
   phi, observer MapSpec descriptors for the dynamical layer
   x0, steps, r, schedule        simulate settings
@@ -29,7 +29,14 @@ import numpy as np
 
 from ._formats import content_hash
 from .cascade import CascadeSpec, CascadeStage, LinOp
-from .category import FinMor, FinObj, FunctorRep, Universe, permutation_order
+from .category import (
+    FinMor,
+    FinObj,
+    FunctorRep,
+    Universe,
+    automorphism_order,
+    permutation_order,
+)
 from .coalgebra import DEFAULT_MAX_ITER
 from .dynamics import (
     DEFAULT_SAMPLE,
@@ -45,7 +52,7 @@ from .dynamics import (
 )
 from .entropy import EntropyParams, ProbState
 from .errors import MissingSectionError, ScenarioParseError
-from .phase import RationalPhase
+from .phase import PhasedMorphism, RationalPhase
 
 __all__ = [
     "load_scenario",
@@ -60,10 +67,12 @@ __all__ = [
     "SweepSettings",
     "ThetaSettings",
     "EntropyTraceSettings",
+    "PhaseSettings",
     "parse_simulate_settings",
     "parse_sweep_settings",
     "parse_theta_settings",
     "parse_entropy_trace",
+    "parse_phase_settings",
 ]
 
 
@@ -254,16 +263,20 @@ def parse_simulate_settings(doc: Mapping) -> SimulateSettings:
     ledger = _mapping(doc.get("ledger", {}), "ledger")
     lo = _real(ledger.get("lo", -2.0), "ledger lo")
     hi = _real(ledger.get("hi", 2.0), "ledger hi")
-    if not hi > lo:
-        raise ScenarioParseError("ledger binning needs hi > lo")
+    if not (hi > lo and math.isfinite(hi - lo)):
+        raise ScenarioParseError("ledger binning needs hi > lo and a finite hi - lo")
+    bins = _integer(ledger.get("bins", 16), "ledger bins", 1)
+    try:
+        float(bins)  # the ledger scales by bins in floating point
+    except OverflowError:
+        raise ScenarioParseError(f"ledger bins {bins} exceeds the float range") from None
     return SimulateSettings(
         update, observer,
         x0=_vector(require_section(doc, "x0"), update.dim, "x0"),
         steps=_integer(require_section(doc, "steps"), "steps", 0),
         r=_real(doc.get("r", 0.0), "r"),
         schedule=_integer(doc.get("schedule", 1), "schedule", 1),
-        bins=_integer(ledger.get("bins", 16), "ledger bins", 1),
-        lo=lo, hi=hi)
+        bins=bins, lo=lo, hi=hi)
 
 
 def parse_sweep_settings(doc: Mapping) -> SweepSettings:
@@ -290,7 +303,7 @@ def parse_sweep_settings(doc: Mapping) -> SweepSettings:
         divergence=_real(doc.get("divergence", DIVERGENCE_THRESHOLD), "divergence"))
 
 
-# --- finite-set layer: theta and entropy traces ------------------------------
+# --- finite-set layer: theta, entropy traces and phases ----------------------
 
 
 @dataclass(frozen=True)
@@ -310,6 +323,15 @@ class EntropyTraceSettings:
     k_schedule: tuple[float, ...] | None
 
 
+@dataclass(frozen=True)
+class PhaseSettings:
+    """The parts of the phases section that are present, each resolved."""
+
+    pairing: tuple[FinObj, dict[str, RationalPhase]] | None
+    lock: tuple[FinMor, int] | None
+    cycle: tuple[PhasedMorphism, ...] | None
+
+
 def parse_theta_settings(doc: Mapping) -> ThetaSettings:
     """The theta command's sections, checked before anything runs."""
     uni = parse_universe(doc)
@@ -322,9 +344,8 @@ def parse_theta_settings(doc: Mapping) -> ThetaSettings:
                           "theta_limit max_iter", 1))
 
 
-def parse_entropy_trace(doc: Mapping) -> EntropyTraceSettings:
+def parse_entropy_trace(doc: Mapping, uni: Universe) -> EntropyTraceSettings:
     """The entropy_trace section and its k_schedule, checked before anything runs."""
-    uni = parse_universe(doc)
     section = _mapping(require_section(doc, "entropy_trace"), "entropy_trace")
     start = uni.object(_name(section, "start", "entropy_trace"))
     transition = uni.morphism(_name(section, "transition", "entropy_trace"))
@@ -345,3 +366,37 @@ def parse_entropy_trace(doc: Mapping) -> EntropyTraceSettings:
                  if probs else ProbState.uniform(start)),
         transition=transition, observer=observer, steps=steps,
         k_schedule=k_schedule)
+
+
+def _phase(value, what: str) -> RationalPhase:
+    if not isinstance(value, str):
+        raise ScenarioParseError(f'{what} must be a "p/q" string, got {value!r}')
+    try:
+        return RationalPhase.parse(value)
+    except ValueError as exc:
+        raise ScenarioParseError(f"{what}: {exc}") from None
+
+
+def parse_phase_settings(doc: Mapping, uni: Universe) -> PhaseSettings:
+    """The phases section, checked before anything runs."""
+    section = _mapping(require_section(doc, "phases"), "phases")
+    pairing = lock = cycle = None
+    if "carrier" in section and "assignments" in section:
+        table = _mapping(section["assignments"], "phases assignments")
+        pairing = (uni.object(_name(section, "carrier", "phases")),
+                   {k: _phase(v, f"phase of {k!r}") for k, v in table.items()})
+    if "theta" in section:
+        theta = uni.morphism(_name(section, "theta", "phases"))
+        period = (_integer(section["period"], "phases period", 1) if "period" in section
+                  else automorphism_order(theta))
+        lock = (theta, period)
+    if "cycle" in section:
+        entries = section["cycle"]
+        if not isinstance(entries, list) or not all(
+                isinstance(e, list) and len(e) == 2 and isinstance(e[0], str)
+                for e in entries):
+            raise ScenarioParseError(
+                f'phases cycle must list [morphism, "p/q"] pairs, got {entries!r}')
+        cycle = tuple(PhasedMorphism(uni.morphism(mid), _phase(ph, "cycle phase"))
+                      for mid, ph in entries)
+    return PhaseSettings(pairing, lock, cycle)

@@ -217,6 +217,18 @@ def test_simulate_ledger_without_dense_grid(tmp_path):
         [hx + 0.5 * ho for hx, ho in zip(h_x, h_o)]
 
 
+def test_simulate_ledger_bins_state_near_float_max(tmp_path):
+    # (x - lo) / (hi - lo) * bins overflows to inf: the state takes the top cell
+    doc = {"phi": {"kind": "affine", "A": [[1.0]], "b": [0.0]},
+           "observer": {"kind": "affine", "A": [[0.0]], "b": [0.0]},
+           "x0": [1.7e308], "steps": 3}
+    out = tmp_path / "huge"
+    assert _run("simulate", _write(tmp_path, doc), out) == 0
+    rows = (out / "trajectory.csv").read_text().splitlines()[1:]
+    assert [[float(v) for v in row.split(",")[1:]] for row in rows] == \
+        [[1.7e308, 0.0, 0.0]] * 4
+
+
 def test_sweep_deterministic_and_transition(tmp_path):
     scen = _write(tmp_path, LOGISTIC)
     out1, out2 = tmp_path / "s1", tmp_path / "s2"
@@ -293,6 +305,8 @@ BAD_SIMULATE = {
     "negative steps": {"steps": -3},
     "string steps": {"steps": "40"},
     "ledger hi below lo": {"ledger": {"bins": 4, "lo": 1.0, "hi": -1.0}},
+    "ledger bins beyond float range": {"ledger": {"bins": 10 ** 400}},
+    "ledger width overflows": {"ledger": {"bins": 4, "lo": -1e308, "hi": 1e308}},
     "observer reading overflows": OVERFLOWING_OBSERVER,
     "first observer reading overflows": {**OVERFLOWING_OBSERVER, "steps": 0},
 }
@@ -331,6 +345,22 @@ BAD_FINITE_SET = {
                                         ["x", 1]),
     "k_schedule shorter than steps": ("entropy", "entropy", "k_schedule", [1.0]),
     "entropy not an object": ("entropy", "entropy", None, [1.0]),
+    "phases not an object": ("entropy", "phases", None, []),
+    "phases period not a number": ("entropy", "phases", "period", "x"),
+    "phases period fractional": ("entropy", "phases", "period", 2.5),
+    "phases period not a multiple of the order": ("entropy", "phases", "period", 3),
+    "phases unknown carrier": ("entropy", "phases", "carrier", "nope"),
+    "phases zero denominator": ("entropy", "phases", "assignments",
+                                {"a": "1/0", "b": "1/4", "m": "0"}),
+    "phases phase not a string": ("entropy", "phases", "assignments",
+                                  {"a": 0.25, "b": "1/4", "m": "0"}),
+    "phases phase not a fraction": ("entropy", "phases", "assignments",
+                                    {"a": "1/4/2", "b": "1/4", "m": "0"}),
+    "phases cycle entry without phase": ("entropy", "phases", "cycle", [["inv"]]),
+    "phases cycle morphism not a name": ("entropy", "phases", "cycle",
+                                         [[["swap"], "1/3"], ["swap", "2/3"]]),
+    "phases cycle does not close": ("entropy", "phases", "cycle",
+                                    [["embed", "1/3"]]),
 }
 
 

@@ -7,6 +7,7 @@ from veridyn.cascade import LinOp, spectrum
 from veridyn.category import FinObj
 from veridyn.dynamics import (
     AffineMap,
+    PERIOD_TOL,
     REPRESENTATIVE_SLOTS,
     CoupledState,
     DiagramRow,
@@ -163,6 +164,148 @@ def test_batch_power_overflow_matches_scalar():
     for i in range(3):
         assert _same_bits(got[i], cube(xs[i]))
     assert got[0, 0] == np.inf and got[1, 0] == -np.inf
+
+
+# --- pinned references: damped fixed-point solve and period test -------------
+#
+# find_fixed_point and _classify as they stood before the solver kept its
+# residual vector between steps and the period test was vectorised.  The
+# current code must evaluate F at the same points and return the same bits.
+
+
+def _ref_ninf(v: np.ndarray) -> float:
+    return float(np.max(np.abs(v))) if v.size else 0.0
+
+
+def _ref_find_fixed_point(F, x0, max_iter: int = 10_000,
+                          tol: float = 1e-10) -> np.ndarray:
+    """Damped iteration x <- x + beta (F(x) - x), beta halving on stalled residual.
+
+    A step is accepted only when it shrinks the residual by a relative
+    margin; merely-not-worse progress (the signature of a neutral
+    multiplier) triggers the same halving as an outright increase, which
+    restores contraction near flip-neutral points.  beta never grows back.
+    """
+    x = np.asarray(x0, dtype=np.float64).copy()
+    fx = F(x)
+    res = _ref_ninf(fx - x)
+    if res <= tol:
+        return x
+    beta = 1.0
+    for _ in range(max_iter):
+        cand = x + beta * (fx - x)
+        fc = F(cand)
+        if np.all(np.isfinite(fc)):
+            cres = _ref_ninf(fc - cand)
+            if cres <= tol:
+                return cand
+            if cres <= res * (1.0 - 1e-3):
+                x, fx, res = cand, fc, cres
+                continue
+        beta *= 0.5
+        if beta < 1e-16:
+            break
+    raise NoConvergenceError(
+        f"fixed-point iteration stalled at residual {res:.3e} (tol {tol:.1e})"
+    )
+
+
+def _ref_classify(samples, period_tol: float, max_period: int):
+    for p in range(1, max_period + 1):
+        if len(samples) <= p:
+            break
+        if all(_ref_ninf(samples[i + p] - samples[i]) <= period_tol
+               for i in range(len(samples) - p)):
+            if p == 1:
+                return "fixed-point", 1
+            return f"period-{p}", p
+    return "aperiodic", None
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64).tolist()
+
+
+def _traced_solve(solver, F, x0, **kwargs):
+    """(outcome, bit patterns of every point F was evaluated at)."""
+    calls = []
+
+    def recorded(x):
+        calls.append(_bits(x))
+        return F(x)
+
+    try:
+        outcome = ("converged", _bits(solver(recorded, x0, **kwargs)))
+    except NoConvergenceError as exc:
+        outcome = ("stalled", str(exc))
+    return outcome, calls
+
+
+SWAP_SQUARES = PolynomialMap(2, (((1.0, (0, 2)),), ((1.0, (2, 0)),)))
+SQUARE_AND_CONSTANT = PolynomialMap(2, (((1.0, (0, 2)),), ((1.0, (0, 0)),)))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("spec, x0", [
+    # F(x0) overflows to (0, inf); the candidates keep an infinite coordinate,
+    # so F(cand) is non-finite and beta halves, although cres <= res holds
+    (SWAP_SQUARES, [1e200, 0.0]),
+    # F(x0) overflows, but F of the infinite candidate is finite: the step
+    # with an infinite residual against an infinite one is accepted
+    (SQUARE_AND_CONSTANT, [0.0, 1e200]),
+    (SWAP_SQUARES, [np.nan, 0.5]),
+    (scale_map(2, 2.0), [1.0, -1.0]),
+])
+def test_fixed_point_overflow_paths_match_reference(spec, x0):
+    got = _traced_solve(find_fixed_point, spec, x0, max_iter=300)
+    assert got == _traced_solve(_ref_find_fixed_point, spec, x0, max_iter=300)
+    assert got[0][0] == "stalled"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_fixed_point_overflow_candidates_pinned():
+    _, calls = _traced_solve(find_fixed_point, SWAP_SQUARES, [1e200, 0.0], max_iter=3)
+    inf = float("inf")
+    assert calls == [_bits(x) for x in ([1e200, 0.0], [0.0, inf], [5e199, inf],
+                                        [7.5e199, inf])]
+
+
+@given(st.integers(1, 4), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([0.5, 1e3, 1e160]), st.sampled_from([1e-10, 1e-9]))
+@settings(max_examples=150, deadline=None)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_fixed_point_matches_reference_bitwise(dim, seed, scale, tol):
+    rng = np.random.default_rng(seed)
+    spec = _random_spec(rng, dim, depth=2)
+    x0 = rng.uniform(-scale, scale, dim)
+    got = _traced_solve(find_fixed_point, spec, x0, max_iter=200, tol=tol)
+    assert got == _traced_solve(_ref_find_fixed_point, spec, x0, max_iter=200, tol=tol)
+
+
+@given(st.integers(1, 3), st.integers(1, 20), st.integers(1, 6), st.integers(0, 17),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_classify_matches_reference(dim, length, cycle, max_period, seed):
+    rng = np.random.default_rng(seed)
+    tol = PERIOD_TOL
+    # near-periodic samples whose differences sit on, just inside and just
+    # beyond period_tol, and sometimes are nan
+    base = rng.integers(0, 2, (cycle, dim)).astype(np.float64)
+    jitter = np.array([0.0, tol, -tol, np.nextafter(tol, 0.0), np.nextafter(tol, 1.0),
+                       np.nan])
+    weights = [0.6, 0.12, 0.1, 0.08, 0.08, 0.02]
+    samples = [base[i % cycle] + rng.choice(jitter, dim, p=weights)
+               for i in range(length)]
+    assert _classify(samples, tol, max_period) == _ref_classify(samples, tol, max_period)
+
+
+def test_classify_tolerance_is_inclusive():
+    tol = PERIOD_TOL
+    on = [np.array([0.0]), np.array([tol]), np.array([0.0])]
+    beyond = [np.array([0.0]), np.array([np.nextafter(tol, 1.0)]), np.array([0.0])]
+    for samples, want in ((on, ("fixed-point", 1)), (beyond, ("period-2", 2))):
+        assert _classify(samples, tol, 16) == _ref_classify(samples, tol, 16) == want
+    assert _classify(on, tol, 0) == _ref_classify(on, tol, 0) == ("aperiodic", None)
 
 
 # --- jacobians --------------------------------------------------------------
@@ -345,11 +488,11 @@ def _scalar_sweep_row(update, observer, r, transient, sample, x0):
     if samples is None:
         attractor, period, samples = "divergent", None, []
     else:
-        attractor, period = _classify(samples, 1e-6, 16)
+        attractor, period = _ref_classify(samples, 1e-6, 16)
     reps = samples[-min(len(samples), period or REPRESENTATIVE_SLOTS):]
     try:
-        xstar = find_fixed_point(fr, samples[-1] if samples else x0,
-                                 max_iter=2000, tol=1e-9)
+        xstar = _ref_find_fixed_point(fr, samples[-1] if samples else x0,
+                                      max_iter=2000, tol=1e-9)
         eigs = spectrum(jacobian(fr, xstar)).eigenvalues
         lead = max(eigs, key=abs) if eigs else None
     except (NoConvergenceError, NonFiniteError):

@@ -219,6 +219,9 @@ def test_prefix_entropies_known_values():
     third = -(1 / 3 * math.log2(1 / 3) + 2 / 3 * math.log2(2 / 3))
     got = prefix_entropies([[0.1], [0.9], [0.6], [0.95]], 2, 0.0, 1.0)
     assert got == [0.0, 1.0, third, 0.8112781244591328]
+    # the cell quotient overflows to +-inf: the point takes the end cell
+    huge = prefix_entropies([[1.7e308], [1.9], [-1.7e308], [-1.9]], 16, -2.0, 2.0)
+    assert huge == [0.0, 0.0, third, 1.0]
 
 
 # --- filtration and memory --------------------------------------------------
