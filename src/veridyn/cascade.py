@@ -118,15 +118,26 @@ class LinOp:
         return LinOp(self.entries @ other.entries)
 
     def power(self, k: int) -> "LinOp":
+        """self^k (k >= 0) by repeated squaring, in O(log k) products."""
         out = np.eye(self.dim)
-        for _ in range(k):
-            out = out @ self.entries
+        square = self.entries
+        while k:
+            if k & 1:
+                out = out @ square
+            k >>= 1
+            if k:
+                square = square @ square
         return LinOp(out)
 
 
 def matrix_order_defect(theta: LinOp, period: int) -> float:
-    """Entrywise distance of theta^period from the identity."""
-    return float(np.max(np.abs(theta.power(period).entries - np.eye(theta.dim))))
+    """Entrywise distance of theta^period from the identity (inf on overflow)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            power = theta.power(period)
+        except NonFiniteError:
+            return math.inf
+    return float(np.max(np.abs(power.entries - np.eye(theta.dim))))
 
 
 @dataclass(frozen=True)

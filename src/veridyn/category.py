@@ -57,19 +57,23 @@ class FinObj:
 
     id: str
     elements: tuple[str, ...]
+    # read-only position of each label in `elements`
+    index: Mapping[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         elems = tuple(sorted(self.elements))
-        if len(set(elems)) != len(elems):
+        index = dict(zip(elems, range(len(elems))))
+        if len(index) != len(elems):
             raise ShapeMismatchError(f"object {self.id!r} has duplicate elements")
         object.__setattr__(self, "elements", elems)
+        object.__setattr__(self, "index", MappingProxyType(index))
 
     @property
     def size(self) -> int:
         return len(self.elements)
 
     def __contains__(self, label: str) -> bool:
-        return label in self.elements
+        return label in self.index
 
     def to_dict(self) -> dict:
         return {"id": self.id, "elements": list(self.elements)}
@@ -90,13 +94,13 @@ class FinMor:
         table = dict(pairs)
         if len(table) != len(pairs):
             raise ShapeMismatchError("morphism table has a repeated source element")
-        if table.keys() != set(self.src.elements):
+        if table.keys() != self.src.index.keys():
             raise ShapeMismatchError(
                 f"morphism table is not total on source {self.src.id!r}"
             )
-        dst_elements = set(self.dst.elements)
+        dst_index = self.dst.index
         for y in table.values():
-            if y not in dst_elements:
+            if y not in dst_index:
                 raise ShapeMismatchError(
                     f"morphism image {y!r} is not an element of {self.dst.id!r}"
                 )
@@ -462,6 +466,8 @@ class Universe:
             uni.morphisms[md["id"]] = mor
         for fd in doc.get("functors", []):
             name = fd["name"]
+            if name in uni.functors:
+                raise ScenarioParseError(f"duplicate functor name {name!r}")
             if fd.get("identity"):
                 uni.functors[name] = identity_functor(
                     uni.objects.values(), uni.morphisms.values(), name=name)
@@ -472,6 +478,8 @@ class Universe:
                        for a, b in fd.get("mor_map", {}).items()}
             uni.functors[name] = FunctorRep(name, obj_map, mor_map)
         for td in doc.get("transformations", []):
+            if td["name"] in uni.transformations:
+                raise ScenarioParseError(f"duplicate transformation name {td['name']!r}")
             comps = {uni.object(a): uni.morphism(b)
                      for a, b in td.get("components", {}).items()}
             uni.transformations[td["name"]] = NatTransRep(

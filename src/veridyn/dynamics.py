@@ -352,6 +352,8 @@ def _ninf(v: np.ndarray) -> float:
     return float(np.abs(v).max(initial=0.0))
 
 
+# the residual and step checks decide on non-finite values themselves
+@np.errstate(over="ignore", invalid="ignore")
 def find_fixed_point(F: MapSpec, x0: Sequence[float], max_iter: int = 10_000,
                      tol: float = 1e-10) -> np.ndarray:
     """Damped iteration x <- x + beta (F(x) - x), beta halving on stalled residual.
@@ -683,6 +685,8 @@ def _diagram_row(update: MapSpec, observer: MapSpec, r: float,
                       tuple(tuple(float(v) for v in p) for p in reps), lead)
 
 
+# a row whose samples leave the finite range is classified as divergent
+@np.errstate(over="ignore", invalid="ignore")
 def sweep_bifurcation(update: MapSpec, observer: MapSpec,
                       r_grid: Sequence[float],
                       transient: int = DEFAULT_TRANSIENT,

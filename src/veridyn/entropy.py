@@ -55,7 +55,7 @@ class ProbState:
     probs: tuple[float, ...]
 
     def __post_init__(self):
-        probs = tuple(float(p) for p in self.probs)
+        probs = tuple(map(float, self.probs))
         object.__setattr__(self, "probs", probs)
         if len(probs) != self.carrier.size:
             raise InvalidDistributionError(
@@ -133,21 +133,21 @@ def prefix_entropies(points: Sequence[Sequence[float]], bins: int, lo: float,
 
 
 def pushforward(p: ProbState, f: FinMor) -> ProbState:
-    """Image distribution q(y) = sum of p over the fiber of y."""
+    """Image distribution q(y) = sum of p over the fiber of y.
+
+    f's table and p's probabilities both run in the sorted order of the
+    common source, so they pair up positionally; each fiber is summed in
+    that order into the slot the target's index gives its image.
+    """
     if f.src != p.carrier:
         raise ShapeMismatchError(
             f"distribution lives on {p.carrier.id!r}, map starts at {f.src.id!r}"
         )
-    mass = {y: 0.0 for y in f.dst.elements}
-    for (x, y), q in zip(f.pairs, _aligned(p, f)):
-        mass[y] += q
-    return ProbState(f.dst, tuple(mass[y] for y in f.dst.elements))
-
-
-def _aligned(p: ProbState, f: FinMor) -> Sequence[float]:
-    # FinMor pairs are sorted by source label, matching the carrier order.
-    by_label = dict(zip(p.carrier.elements, p.probs))
-    return [by_label[x] for x, _ in f.pairs]
+    index = f.dst.index
+    mass = [0.0] * f.dst.size
+    for y, q in zip(f.mapping.values(), p.probs):
+        mass[index[y]] += q
+    return ProbState(f.dst, tuple(mass))
 
 
 @dataclass(frozen=True)

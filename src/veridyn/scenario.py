@@ -103,7 +103,27 @@ def require_section(doc: Mapping, key: str):
 
 
 def parse_universe(doc: Mapping) -> Universe:
-    section = require_section(doc, "universe")
+    """The universe section, its entry shapes checked before anything is built."""
+    section = _mapping(require_section(doc, "universe"), "universe")
+    for od in _entries(section, "objects"):
+        _name(od, "id", "universe object")
+        _names(od.get("elements"), "universe object elements")
+    for md in _entries(section, "morphisms"):
+        for key in ("id", "src", "dst"):
+            _name(md, key, "universe morphism")
+        _mapping(md.get("mapping"), "universe morphism mapping")
+    for fd in _entries(section, "functors"):
+        _name(fd, "name", "universe functor")
+        if not fd.get("identity"):
+            _mapping(fd.get("obj_map", {}), "universe functor obj_map")
+            _mapping(fd.get("mor_map", {}), "universe functor mor_map")
+    for td in _entries(section, "transformations"):
+        _name(td, "name", "universe transformation")
+        for key in ("source", "target"):
+            if key in td:
+                _name(td, key, "universe transformation")
+        _mapping(td.get("components", {}),
+                 "universe transformation components")
     try:
         return Universe.from_dict(section)
     except (KeyError, TypeError) as exc:
@@ -203,6 +223,20 @@ def _integer(value, what: str, minimum: int) -> int:
 def _mapping(value, what: str) -> Mapping:
     if not isinstance(value, dict):
         raise ScenarioParseError(f"{what} must be a JSON object")
+    return value
+
+
+def _entries(section: Mapping, key: str) -> list:
+    value = section.get(key, [])
+    if not isinstance(value, list) or not all(isinstance(e, dict) for e in value):
+        raise ScenarioParseError(f"universe {key} must be a list of objects")
+    return value
+
+
+def _names(value, what: str) -> list:
+    # one C-level pass over the element types keeps large carriers cheap
+    if not isinstance(value, list) or not set(map(type, value)) <= {str}:
+        raise ScenarioParseError(f"{what} must be a list of names")
     return value
 
 
@@ -380,8 +414,15 @@ def _phase(value, what: str) -> RationalPhase:
 def parse_phase_settings(doc: Mapping, uni: Universe) -> PhaseSettings:
     """The phases section, checked before anything runs."""
     section = _mapping(require_section(doc, "phases"), "phases")
+    if ("carrier" in section) != ("assignments" in section):
+        raise ScenarioParseError("phases carrier and assignments go together")
+    if "period" in section and "theta" not in section:
+        raise ScenarioParseError("phases period needs theta")
+    if not section.keys() & {"carrier", "theta", "cycle"}:
+        raise ScenarioParseError(
+            "phases must name a part: carrier and assignments, theta, or cycle")
     pairing = lock = cycle = None
-    if "carrier" in section and "assignments" in section:
+    if "carrier" in section:
         table = _mapping(section["assignments"], "phases assignments")
         pairing = (uni.object(_name(section, "carrier", "phases")),
                    {k: _phase(v, f"phase of {k!r}") for k, v in table.items()})

@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -324,6 +325,22 @@ def test_bad_dynamics_input_is_rejected_before_compute(tmp_path, capsys, cmd, pa
     _assert_rejected(capsys, out)
 
 
+@pytest.mark.parametrize("observer", [
+    {"kind": "affine", "A": [[0.0, 0.0], [0.0, 0.0]], "b": [0.0, 0.0]},
+    {"kind": "polynomial", "dim": 2, "coords": [[], []]},
+], ids=["affine", "polynomial"])
+@pytest.mark.filterwarnings("error")
+def test_overflowing_sweep_exits_0_with_empty_stderr(tmp_path, capsys, observer):
+    # phi = (x1^2, x0^2) from x0 = (1e200, 0) overflows on its second step;
+    # the sweep and the fixed-point solve judge non-finite values themselves
+    scen = _write(tmp_path, {**LOGISTIC, "observer": observer, "x0": [1e200, 0.0],
+                             "phi": {"kind": "polynomial", "dim": 2, "coords": [
+                                 [{"coeff": 1.0, "powers": [0, 2]}],
+                                 [{"coeff": 1.0, "powers": [2, 0]}]]}})
+    assert _run("sweep", scen, tmp_path / "out") == 0
+    assert capsys.readouterr().err == ""
+
+
 def _assert_rejected(capsys, out):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
@@ -361,6 +378,12 @@ BAD_FINITE_SET = {
                                          [[["swap"], "1/3"], ["swap", "2/3"]]),
     "phases cycle does not close": ("entropy", "phases", "cycle",
                                     [["embed", "1/3"]]),
+    "phases empty": ("entropy", "phases", None, {}),
+    "phases carrier without assignments": ("entropy", "phases", None,
+                                           {"carrier": "VX"}),
+    "phases assignments without carrier": ("entropy", "phases", "carrier", None),
+    "phases period without theta": ("entropy", "phases", None,
+                                    {"cycle": [["swap", "1/2"]] * 2, "period": 2}),
 }
 
 
@@ -377,6 +400,104 @@ def test_bad_finite_set_input_is_rejected_before_compute(tmp_path, capsys, cmd,
         doc[section][key] = value
     out = tmp_path / "out"
     assert _run(cmd, _write(tmp_path, doc), out) == 2
+    _assert_rejected(capsys, out)
+
+
+def _set_first(key, field, value):
+    def patch(uni):
+        uni[key][0][field] = value
+    return patch
+
+
+def _duplicate_first(key):
+    def patch(uni):
+        uni[key].append(dict(uni[key][0]))
+    return patch
+
+
+# patches of the bundled universe section, applied in place
+BAD_UNIVERSE = {
+    "objects not a list": lambda uni: uni.update(objects={"X": ["a"]}),
+    "object entry not an object": lambda uni: uni["objects"].append("X"),
+    "object id not a name": _set_first("objects", "id", 3),
+    "object elements not a list": _set_first("objects", "elements", "ab"),
+    "object element not a name": _set_first("objects", "elements", ["a", 1]),
+    "morphism entry not an object": lambda uni: uni["morphisms"].append(["swap"]),
+    "morphism src not a name": _set_first("morphisms", "src", ["X"]),
+    "morphism mapping a list": _set_first("morphisms", "mapping", [["a", "b"]]),
+    "morphism image not a name": _set_first("morphisms", "mapping",
+                                            {"a": ["b"], "b": "a"}),
+    "functors not a list": lambda uni: uni.update(functors={"V": {}}),
+    "functor obj_map a list": _set_first("functors", "obj_map", [["X", "VX"]]),
+    "functor mor_map a list": _set_first("functors", "mor_map", ["swap"]),
+    "functor object image not a name": _set_first("functors", "obj_map",
+                                                  {"X": ["VX"]}),
+    "functor name not a name": _set_first("functors", "name", None),
+    "duplicate functor name": _duplicate_first("functors"),
+    "transformation components a list": _set_first("transformations", "components",
+                                                   [["X", "embed"]]),
+    "transformation target not a name": _set_first("transformations", "target",
+                                                   ["V"]),
+    "duplicate transformation name": _duplicate_first("transformations"),
+}
+
+
+@pytest.mark.parametrize("cmd", ["check-axioms", "theta", "entropy"])
+@pytest.mark.parametrize("patch", BAD_UNIVERSE.values(), ids=list(BAD_UNIVERSE))
+def test_bad_universe_entry_is_rejected_before_compute(tmp_path, capsys, cmd, patch):
+    doc = json.loads(UNIVERSE_SCENARIO.read_text())
+    patch(doc["universe"])
+    out = tmp_path / "out"
+    assert _run(cmd, _write(tmp_path, doc), out) == 2
+    _assert_rejected(capsys, out)
+
+
+def test_universe_not_an_object_is_rejected(tmp_path, capsys):
+    doc = json.loads(UNIVERSE_SCENARIO.read_text())
+    doc["universe"] = [doc["universe"]]
+    out = tmp_path / "out"
+    assert _run("check-axioms", _write(tmp_path, doc), out) == 2
+    _assert_rejected(capsys, out)
+
+
+@pytest.mark.parametrize("period, code", [(10 ** 12, 0), (10 ** 12 + 1, 2)])
+def test_entropy_huge_declared_period_is_checked_not_iterated(tmp_path, capsys,
+                                                             period, code):
+    # the bundled phase symmetry v_swap has order 2
+    doc = json.loads(UNIVERSE_SCENARIO.read_text())
+    doc["phases"]["period"] = period
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert _run("entropy", _write(tmp_path, doc), out) == code
+    assert time.perf_counter() - start < 1.0
+    if code == 0:
+        assert json.loads((out / "phase_report.json").read_text())["period"] == period
+    else:
+        _assert_rejected(capsys, out)
+
+
+@pytest.mark.parametrize("theta", [
+    {"kind": "permutation", "perm": [1, 2, 3, 0, 5, 4]},  # order 4
+    {"kind": "rotation", "turns": "1/4", "dim": 3, "plane": [0, 2]},  # order 4
+], ids=["permutation", "quarter-turn"])
+@pytest.mark.parametrize("period, code", [(10 ** 12, 0), (10 ** 12 + 1, 2)])
+def test_cascade_huge_declared_period_is_checked_in_log_time(tmp_path, theta,
+                                                            period, code):
+    scen = _write(tmp_path, {"cascade": {"stages": [
+        {"lambda": 0.5, "theta": theta, "period": period}]}})
+    start = time.perf_counter()
+    assert _run("cascade", scen, tmp_path / "out") == code
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_cascade_overflowing_period_power_is_rejected(tmp_path, capsys):
+    # 2^(10^12) overflows within a few squarings: a period mismatch, not a warning
+    scen = _write(tmp_path, {"cascade": {"stages": [
+        {"lambda": 0.5, "theta": {"kind": "matrix", "entries": [[2.0, 0.0], [0.0, 1.0]],
+                                  "period": 10 ** 12}}]}})
+    out = tmp_path / "out"
+    assert _run("cascade", scen, out) == 2
     _assert_rejected(capsys, out)
 
 

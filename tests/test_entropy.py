@@ -74,6 +74,27 @@ def test_pushforward_merge_example():
     assert shannon_entropy(q) == pytest.approx(0.9182958340544896, abs=1e-12)
 
 
+def _pushforward_reference(p, f):
+    """Label-keyed fiber sums: the mass of each image, summed in source order."""
+    by_label = dict(zip(p.carrier.elements, p.probs))
+    mass = {y: 0.0 for y in f.dst.elements}
+    for x, y in f.pairs:
+        mass[y] += by_label[x]
+    return ProbState(f.dst, tuple(mass[y] for y in f.dst.elements))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 9), st.integers(1, 5))
+def test_pushforward_matches_label_reference_bitwise(seed, n_src, n_dst):
+    rng = np.random.default_rng(seed)
+    # labels of mixed lengths, so sorted string order differs from numeric order
+    src = FinObj("S", tuple(f"s{int(i)}" for i in rng.choice(100, n_src, replace=False)))
+    dst = FinObj("D", tuple(f"d{int(i)}" for i in rng.choice(100, n_dst, replace=False)))
+    f = random_mor(rng, src, dst)
+    p = _random_dist(rng, src)
+    assert pushforward(p, f).probs == _pushforward_reference(p, f).probs
+
+
 def test_pushforward_shape_mismatch():
     p = ProbState.uniform(THREE)
     f = FinMor.from_mapping(TWO, TWO, {"m": "m", "n": "n"})

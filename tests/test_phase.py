@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_permutation_mor
-from veridyn.category import FinMor, FinObj, identity_morphism
+from veridyn.category import FinMor, FinObj, compose, identity_morphism
 from veridyn.errors import (
     DenominatorOverflowError,
     NonComposableError,
@@ -214,7 +214,75 @@ def test_lock_space_equals_fixed_set_on_random_permutations():
             assert locked.elements == fixed
 
 
+def _lock_space_reference(theta, k):
+    """The k-fold construction: intersect the fixed sets of theta^0 .. theta^(k-1)."""
+    locked = set(theta.src.elements)
+    power = identity_morphism(theta.src)
+    for _ in range(k):
+        locked &= {x for x, y in power.pairs if x == y}
+        power = compose(power, theta)
+    return tuple(sorted(locked))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda n: st.permutations(range(n))),
+       st.integers(1, 3))
+def test_lock_space_matches_k_fold_reference(perm, multiple):
+    from veridyn.category import automorphism_order
+    obj = FinObj("P", tuple(f"e{i}" for i in range(len(perm))))
+    theta = FinMor(obj, obj, tuple((f"e{i}", f"e{j}") for i, j in enumerate(perm)))
+    k = automorphism_order(theta) * multiple
+    assert phase_lock_space(theta, k).elements == _lock_space_reference(theta, k)
+
+
+def test_lock_space_huge_period_is_checked_not_iterated():
+    four = FinObj("C4", ("a", "b", "c", "d"))
+    cyc = FinMor.from_mapping(four, four, {"a": "b", "b": "a", "c": "d", "d": "c"})
+    assert phase_lock_space(cyc, 10 ** 12).elements == ()
+    with pytest.raises(NotAutomorphismError):
+        phase_lock_space(cyc, 10 ** 12 + 1)
+
+
 # --- pairing and lifting --------------------------------------------------------
+
+
+def _pairing_reference(carrier, phases):
+    """The all-pairs construction: compare every ordered pair of phases."""
+    pairs = [f"({x},{y})" for x in carrier.elements for y in carrier.elements
+             if phases[x] == phases[y]]
+    return FinObj(f"PhasePairs({carrier.id})", tuple(pairs))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args).elements
+    except ShapeMismatchError:
+        return ShapeMismatchError
+
+
+# labels of mixed lengths, so string order differs from tuple order, and with
+# commas, so that two different pairs can print as the same label
+labels = st.text(alphabet="ab,", min_size=1, max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(labels, min_size=1, max_size=8, unique=True), st.data())
+def test_pairing_matches_all_pairs_reference(elements, data):
+    carrier = FinObj("L", tuple(elements))
+    phases = {x: data.draw(st.sampled_from([ZERO_PHASE, RationalPhase(1, 3),
+                                            RationalPhase(1, 2)]))
+              for x in elements}
+    assert _outcome(interference_pairing, carrier, phases) == \
+        _outcome(_pairing_reference, carrier, phases)
+
+
+def test_pairing_comma_collision_raises_like_reference():
+    # ("a,b", "c") and ("a", "b,c") both print as "(a,b,c)"
+    carrier = FinObj("L", ("a", "a,b", "b,c", "c"))
+    phases = {x: ZERO_PHASE for x in carrier.elements}
+    for fn in (interference_pairing, _pairing_reference):
+        with pytest.raises(ShapeMismatchError):
+            fn(carrier, phases)
 
 
 def test_pairing_all_equal_and_all_distinct():
