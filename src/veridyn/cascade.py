@@ -50,6 +50,11 @@ RESIDUAL_TOL = 1e-6
 _EPS = float(np.finfo(np.float64).eps)
 
 
+def _check_dim(n: int) -> None:
+    if n > DIM_CAP:
+        raise DimensionCapError(f"dimension {n} exceeds cap {DIM_CAP}")
+
+
 @dataclass(frozen=True)
 class LinOp:
     """A dense square real operator with immutable entries."""
@@ -60,8 +65,7 @@ class LinOp:
         arr = np.array(self.entries, dtype=np.float64, copy=True)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DimMismatchError(f"operator must be square, got shape {arr.shape}")
-        if arr.shape[0] > DIM_CAP:
-            raise DimensionCapError(f"dimension {arr.shape[0]} exceeds cap {DIM_CAP}")
+        _check_dim(arr.shape[0])
         if not np.all(np.isfinite(arr)):
             raise NonFiniteError("operator entries must be finite")
         arr.setflags(write=False)
@@ -90,6 +94,7 @@ class LinOp:
             angle = 2.0 * math.pi * turns.numerator / turns.denominator
             cos_a, sin_a = math.cos(angle), math.sin(angle)
         i, j = plane
+        _check_dim(dim)  # before the dim x dim allocation
         m = np.eye(dim)
         m[i, i] = cos_a
         m[i, j] = -sin_a
@@ -101,16 +106,13 @@ class LinOp:
     def permutation(cls, perm: Sequence[int]) -> "LinOp":
         """Matrix sending basis vector j to basis vector perm[j]."""
         n = len(perm)
+        _check_dim(n)  # before the n x n allocation
         if sorted(perm) != list(range(n)):
             raise DimMismatchError(f"{list(perm)} is not a permutation of 0..{n - 1}")
         m = np.zeros((n, n))
         for j, i in enumerate(perm):
             m[i, j] = 1.0
         return cls(m)
-
-    def inf_norm(self) -> float:
-        """Entrywise max-abs norm (used for all matrix comparisons here)."""
-        return float(np.max(np.abs(self.entries))) if self.dim else 0.0
 
     def __matmul__(self, other: "LinOp") -> "LinOp":
         if self.dim != other.dim:

@@ -12,7 +12,6 @@ independent checks may run concurrently without coordination.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -22,7 +21,6 @@ from .errors import (
     MissingComponentError,
     NonComposableError,
     NotAutomorphismError,
-    ScenarioParseError,
     ShapeMismatchError,
     UniverseEscapeError,
     UnresolvedReferenceError,
@@ -41,7 +39,6 @@ __all__ = [
     "identity_morphism",
     "check_observer_square",
     "check_verification_square",
-    "check_naturality",
     "automorphism_order",
     "permutation_order",
     "equalizer",
@@ -283,16 +280,6 @@ def check_verification_square(verification: FunctorRep, eta: NatTransRep,
     return _check_square(verification, eta, f)
 
 
-def check_naturality(functor: FunctorRep, trans: NatTransRep,
-                     morphisms: Iterable[FinMor]) -> dict[str, SquareReport]:
-    """Square-by-square naturality over a declared morphism collection."""
-    out = {}
-    for f in morphisms:
-        key = f"{f.src.id}->{f.dst.id}"
-        out[key] = _check_square(functor, trans, f)
-    return out
-
-
 def permutation_order(table: Mapping) -> int:
     """Least k >= 1 with table^k = id for a bijective table, via lcm of cycle lengths."""
     seen = set()
@@ -413,12 +400,15 @@ def validate_functor(functor: FunctorRep) -> list[FunctorDefect]:
     return defects
 
 
-# --- universe description files -----------------------------------------
+# --- declared universes -------------------------------------------------
 
 
 @dataclass
 class Universe:
-    """A declared finite universe: objects, morphisms, functors, transformations."""
+    """A declared finite universe: objects, morphisms, functors, transformations.
+
+    `scenario.parse_universe` builds one from a scenario's universe section.
+    """
 
     objects: dict[str, FinObj] = field(default_factory=dict)
     morphisms: dict[str, FinMor] = field(default_factory=dict)
@@ -448,56 +438,6 @@ class Universe:
             return self.transformations[name]
         except KeyError:
             raise UnresolvedReferenceError(f"unknown transformation {name!r}") from None
-
-    @classmethod
-    def from_dict(cls, doc: Mapping) -> "Universe":
-        uni = cls()
-        for od in doc.get("objects", []):
-            obj = FinObj(od["id"], tuple(od["elements"]))
-            if obj.id in uni.objects:
-                raise ScenarioParseError(f"duplicate object id {obj.id!r}")
-            uni.objects[obj.id] = obj
-        for md in doc.get("morphisms", []):
-            src = uni.object(md["src"])
-            dst = uni.object(md["dst"])
-            mor = FinMor.from_mapping(src, dst, md["mapping"])
-            if md["id"] in uni.morphisms:
-                raise ScenarioParseError(f"duplicate morphism id {md['id']!r}")
-            uni.morphisms[md["id"]] = mor
-        for fd in doc.get("functors", []):
-            name = fd["name"]
-            if name in uni.functors:
-                raise ScenarioParseError(f"duplicate functor name {name!r}")
-            if fd.get("identity"):
-                uni.functors[name] = identity_functor(
-                    uni.objects.values(), uni.morphisms.values(), name=name)
-                continue
-            obj_map = {uni.object(a): uni.object(b)
-                       for a, b in fd.get("obj_map", {}).items()}
-            mor_map = {uni.morphism(a): uni.morphism(b)
-                       for a, b in fd.get("mor_map", {}).items()}
-            uni.functors[name] = FunctorRep(name, obj_map, mor_map)
-        for td in doc.get("transformations", []):
-            if td["name"] in uni.transformations:
-                raise ScenarioParseError(f"duplicate transformation name {td['name']!r}")
-            comps = {uni.object(a): uni.morphism(b)
-                     for a, b in td.get("components", {}).items()}
-            uni.transformations[td["name"]] = NatTransRep(
-                td["name"], td.get("source", "Id"), td.get("target", ""), comps)
-        return uni
-
-    @classmethod
-    def from_json(cls, text: str) -> "Universe":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ScenarioParseError(f"universe is not valid JSON: {exc}") from exc
-        if not isinstance(doc, Mapping):
-            raise ScenarioParseError("universe document must be a JSON object")
-        try:
-            return cls.from_dict(doc)
-        except (KeyError, TypeError) as exc:
-            raise ScenarioParseError(f"malformed universe entry: {exc!r}") from exc
 
     def _resolve_functor_name(self, name: str) -> FunctorRep | None:
         """None encodes the identity functor (names "Id" or empty)."""

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -48,25 +49,24 @@ from .entropy import (
     trace_to_csv,
 )
 from .errors import (
-    MissingSectionError,
     NoConvergenceError,
     ScenarioParseError,
     UndefinedClaimError,
-    UnresolvedReferenceError,
     VeridynError,
 )
 from .phase import cycle_net_phase, interference_pairing, phase_lock_space
 from .scenario import (
+    SquareCheck,
     load_scenario,
     parse_cascade_spec,
-    parse_entropy_params,
-    parse_entropy_trace,
-    parse_phase_settings,
+    parse_checks,
+    parse_entropy_settings,
     parse_simulate_settings,
     parse_sweep_settings,
     parse_theta_settings,
     parse_universe,
     scenario_hash,
+    scenario_seed,
 )
 
 EXIT_OK = 0
@@ -80,6 +80,7 @@ EXIT_NO_CONVERGENCE = 3
 
 def cmd_check_axioms(doc: dict, out: Path) -> tuple[int, list[str]]:
     uni = parse_universe(doc)
+    checks = parse_checks(doc, uni)
     functor_reports = {}
     all_ok = True
     for name, functor in sorted(uni.functors.items()):
@@ -94,27 +95,19 @@ def cmd_check_axioms(doc: dict, out: Path) -> tuple[int, list[str]]:
         if entry["status"] == "checked" and not entry["report"]["holds"]:
             all_ok = False
     explicit = []
-    for check in doc.get("checks", []):
-        kind = check.get("type")
-        if kind in ("observer_square", "verification_square"):
-            checker = (check_observer_square if kind == "observer_square"
+    for check in checks:
+        if isinstance(check, SquareCheck):
+            checker = (check_observer_square if check.kind == "observer_square"
                        else check_verification_square)
-            functor = uni.functor(check["functor"])
-            trans = uni.transformation(check["transformation"])
-            mor = uni.morphism(check["morphism"])
-            report = checker(functor, trans, mor)
-            explicit.append({"check": check, "report": report.to_dict()})
+            report = checker(check.functor, check.transformation, check.morphism)
+            explicit.append({"check": check.entry, "report": report.to_dict()})
             all_ok = all_ok and report.holds
-        elif kind == "equalizer":
-            sub, _ = equalizer(uni.morphism(check["left"]),
-                               uni.morphism(check["right"]))
-            expected = check.get("expect_elements")
-            ok = expected is None or list(sub.elements) == sorted(expected)
-            explicit.append({"check": check, "elements": list(sub.elements),
+        else:
+            sub, _ = equalizer(check.left, check.right)
+            ok = check.expect is None or list(sub.elements) == check.expect
+            explicit.append({"check": check.entry, "elements": list(sub.elements),
                              "holds": ok})
             all_ok = all_ok and ok
-        else:
-            raise ScenarioParseError(f"unknown check type {kind!r}")
     report_doc = {
         "functors": functor_reports,
         "squares": squares,
@@ -143,19 +136,16 @@ def cmd_theta(doc: dict, out: Path) -> tuple[int, list[str]]:
     return EXIT_NO_CONVERGENCE, outputs
 
 
-def cmd_simulate(doc: dict, out: Path, seed: int) -> tuple[int, list[str]]:
+def cmd_simulate(doc: dict, out: Path) -> tuple[int, list[str]]:
     sim = parse_simulate_settings(doc)
-    alpha = 1.0
-    if "entropy" in doc:
-        alpha = parse_entropy_params(doc).alpha
     traj = simulate_coupled(sim.update, sim.observer, sim.x0, sim.steps, r=sim.r,
-                            schedule=sim.schedule, seed=seed)
+                            schedule=sim.schedule)
     h_state = prefix_entropies([s.x for s in traj.states], sim.bins, sim.lo, sim.hi)
     h_obs = prefix_entropies([s.o for s in traj.states], sim.bins, sim.lo, sim.hi)
-    report = lyapunov_trace(traj, h_state, h_obs, alpha)
+    report = lyapunov_trace(traj, h_state, h_obs, sim.alpha)
     write_text(out / "trajectory.csv", trajectory_to_csv(traj, report))
     write_json(out / "lyapunov.json", {
-        "alpha": alpha,
+        "alpha": sim.alpha,
         "schedule": sim.schedule,
         "monotone": report.monotone,
         "violations": list(report.violations),
@@ -163,13 +153,12 @@ def cmd_simulate(doc: dict, out: Path, seed: int) -> tuple[int, list[str]]:
     return EXIT_OK, ["trajectory.csv", "lyapunov.json"]
 
 
-def cmd_sweep(doc: dict, out: Path, seed: int) -> tuple[int, list[str]]:
+def cmd_sweep(doc: dict, out: Path) -> tuple[int, list[str]]:
     sw = parse_sweep_settings(doc)
     r_grid = np.linspace(sw.lo, sw.hi, sw.steps)
     diagram = sweep_bifurcation(sw.update, sw.observer, r_grid,
                                 transient=sw.transient, sample=sw.sample,
-                                x0=sw.x0, seed=seed,
-                                period_tol=sw.period_tol,
+                                x0=sw.x0, period_tol=sw.period_tol,
                                 max_period=sw.max_period,
                                 divergence=sw.divergence)
     critical = find_critical_r(sw.update, sw.observer, sw.lo, sw.hi, sw.steps,
@@ -189,7 +178,6 @@ def cmd_cascade(doc: dict, out: Path) -> tuple[int, list[str]]:
     except UndefinedClaimError as exc:
         hull = None
         hull_note = str(exc)
-    from dataclasses import replace
     report = replace(report, hull_check=tuple(hull) if hull is not None else None)
     write_text(out / "spectrum.csv", spectrum_to_csv(report))
     basis = cascade_fixed_points(op)
@@ -217,15 +205,10 @@ def cmd_cascade(doc: dict, out: Path) -> tuple[int, list[str]]:
 
 
 def cmd_entropy(doc: dict, out: Path) -> tuple[int, list[str]]:
-    params = parse_entropy_params(doc)
-    if "entropy_trace" not in doc and "phases" not in doc:
-        raise MissingSectionError("entropy_trace")
-    uni = parse_universe(doc)
-    tr = parse_entropy_trace(doc, uni) if "entropy_trace" in doc else None
-    ph = parse_phase_settings(doc, uni) if "phases" in doc else None
+    params, tr, ph = parse_entropy_settings(doc)
     # both parts are computed before either is written, so a part rejected
     # in compute leaves no artifacts
-    trace = phase_doc = None
+    trace = phase_report = None
     if tr is not None:
         state = tr.initial
         H = []
@@ -236,17 +219,17 @@ def cmd_entropy(doc: dict, out: Path) -> tuple[int, list[str]]:
             state = pushforward(state, tr.transition)
         trace = build_trace(H, H_O, params, k_schedule=tr.k_schedule)
     if ph is not None:
-        phase_doc = {}
+        phase_report = {}
         if ph.pairing is not None:
-            phase_doc["pairing"] = list(interference_pairing(*ph.pairing).elements)
+            phase_report["pairing"] = list(interference_pairing(*ph.pairing).elements)
         if ph.lock is not None:
             theta, k = ph.lock
-            phase_doc["lock_space"] = list(phase_lock_space(theta, k).elements)
-            phase_doc["period"] = k
+            phase_report["lock_space"] = list(phase_lock_space(theta, k).elements)
+            phase_report["period"] = k
         if ph.cycle is not None:
             net = cycle_net_phase(ph.cycle)
-            phase_doc["cycle_net_phase"] = str(net)
-            phase_doc["cycle_zero_net"] = net.is_zero()
+            phase_report["cycle_net_phase"] = str(net)
+            phase_report["cycle_zero_net"] = net.is_zero()
     outputs = []
     if trace is not None:
         write_text(out / "entropy_trace.csv", trace_to_csv(trace, params))
@@ -256,24 +239,17 @@ def cmd_entropy(doc: dict, out: Path) -> tuple[int, list[str]]:
             "obs_violations": [s.n for s in trace.steps if not s.obs_bound_ok],
         })
         outputs += ["entropy_trace.csv", "entropy_report.json"]
-    if phase_doc is not None:
-        write_json(out / "phase_report.json", phase_doc)
+    if phase_report is not None:
+        write_json(out / "phase_report.json", phase_report)
         outputs.append("phase_report.json")
     return EXIT_OK, outputs
 
 
 # --- dispatch ---------------------------------------------------------------
 
-# Handlers are looked up by name at call time, so wrapping a cmd_* function
-# on the module also wraps its command.
-COMMANDS = {
-    "check-axioms": lambda doc, out, seed: cmd_check_axioms(doc, out),
-    "theta": lambda doc, out, seed: cmd_theta(doc, out),
-    "simulate": lambda doc, out, seed: cmd_simulate(doc, out, seed),
-    "sweep": lambda doc, out, seed: cmd_sweep(doc, out, seed),
-    "cascade": lambda doc, out, seed: cmd_cascade(doc, out),
-    "entropy": lambda doc, out, seed: cmd_entropy(doc, out),
-}
+# Each command runs cmd_<command>(doc, out), looked up by name at call time,
+# so wrapping a cmd_* function on the module also wraps its command.
+COMMANDS = ("check-axioms", "theta", "simulate", "sweep", "cascade", "entropy")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -282,14 +258,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Scenario-driven checks and simulations for "
                     "observer-coupled fixed-point dynamics.",
     )
-    parser.add_argument("command", choices=list(COMMANDS))
+    parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--scenario", required=True, help="scenario JSON path")
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the scenario seed (unsigned 64-bit)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility; has no effect "
-                             "(sweep rows advance together in one batch)")
     return parser
 
 
@@ -300,10 +273,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed is not None and not 0 <= args.seed < 2 ** 64:
             raise ScenarioParseError("--seed must be an unsigned 64-bit integer")
         doc = load_scenario(args.scenario)
-        seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
+        seed = args.seed if args.seed is not None else scenario_seed(doc)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        code, outputs = COMMANDS[args.command](doc, out, seed)
+        handler = globals()["cmd_" + args.command.replace("-", "_")]
+        code, outputs = handler(doc, out)
         write_json(out / "run_manifest.json", {
             "scenario_hash": scenario_hash(doc),
             "tool_version": __version__,
@@ -313,9 +287,6 @@ def main(argv: list[str] | None = None) -> int:
             "seed": seed,
         })
         return code
-    except (ScenarioParseError, MissingSectionError, UnresolvedReferenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     except NoConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE

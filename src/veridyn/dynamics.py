@@ -297,8 +297,6 @@ class CoupledState:
 class Trajectory:
     states: tuple[CoupledState, ...]
     r: float
-    seed: int = 0
-    transient: int = 0
 
     def __post_init__(self):
         if not self.states:
@@ -692,8 +690,6 @@ def sweep_bifurcation(update: MapSpec, observer: MapSpec,
                       transient: int = DEFAULT_TRANSIENT,
                       sample: int = DEFAULT_SAMPLE,
                       x0: Sequence[float] | None = None,
-                      seed: int = 0,
-                      threads: int = 1,
                       period_tol: float = PERIOD_TOL,
                       max_period: int = MAX_PERIOD,
                       divergence: float = DIVERGENCE_THRESHOLD) -> BifurcationDiagram:
@@ -704,9 +700,7 @@ def sweep_bifurcation(update: MapSpec, observer: MapSpec,
     its own F_r.  A row leaves the batch at its first non-finite step or
     its first step beyond `divergence`, and is classified divergent.  The
     remaining rows are classified from their last `sample` states, and a
-    fixed point near the last one gives the leading eigenvalue.  `threads`
-    is accepted but has no effect.  The seed is recorded for provenance
-    only: deterministic families make no random choices.
+    fixed point near the last one gives the leading eigenvalue.
     """
     if transient < 1:
         raise DomainError("transient must be >= 1")
@@ -740,8 +734,7 @@ def sweep_bifurcation(update: MapSpec, observer: MapSpec,
 # overflow shows up as a non-finite value, which the rollout checks and raises
 @np.errstate(over="ignore", invalid="ignore")
 def simulate_coupled(update: MapSpec, observer: MapSpec, x0: Sequence[float],
-                     steps: int, r: float = 0.0, schedule: int = 1,
-                     seed: int = 0) -> Trajectory:
+                     steps: int, r: float = 0.0, schedule: int = 1) -> Trajectory:
     """Roll out the coupled system, observing every `schedule`-th step.
 
     The state advances under F_r = update + r * observer back-action; the
@@ -769,7 +762,7 @@ def simulate_coupled(update: MapSpec, observer: MapSpec, x0: Sequence[float],
         if n % schedule == 0:
             o = observe(x, n)
         states.append(CoupledState(x, o))
-    return Trajectory(tuple(states), r=float(r), seed=seed, transient=0)
+    return Trajectory(tuple(states), r=float(r))
 
 
 @dataclass(frozen=True)

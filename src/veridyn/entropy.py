@@ -61,9 +61,10 @@ class ProbState:
             raise InvalidDistributionError(
                 f"{len(probs)} probabilities for carrier of size {self.carrier.size}"
             )
-        if any(p < 0.0 for p in probs):
-            raise InvalidDistributionError("negative probability")
-        if abs(sum(probs) - 1.0) > NORMALIZATION_TOL:
+        # written so that NaN fails both tests
+        if not all(p >= 0.0 for p in probs):
+            raise InvalidDistributionError("negative or NaN probability")
+        if not abs(sum(probs) - 1.0) <= NORMALIZATION_TOL:
             raise InvalidDistributionError(
                 f"probabilities sum to {sum(probs)!r}, not 1"
             )
@@ -126,7 +127,7 @@ def prefix_entropies(points: Sequence[Sequence[float]], bins: int, lo: float,
             insort(cells, cell)
         counts[cell] = counts.get(cell, 0) + 1
         probs = [counts[c] / n for c in cells]
-        if abs(sum(probs) - 1.0) > NORMALIZATION_TOL:
+        if not abs(sum(probs) - 1.0) <= NORMALIZATION_TOL:
             raise InvalidDistributionError(f"probabilities sum to {sum(probs)!r}, not 1")
         out.append(_entropy_bits(probs))
     return out

@@ -75,9 +75,6 @@ class RationalPhase:
     def is_zero(self) -> bool:
         return self.numerator == 0
 
-    def as_float_turns(self) -> float:
-        return self.numerator / self.denominator
-
     def __str__(self) -> str:
         return f"{self.numerator}/{self.denominator}"
 

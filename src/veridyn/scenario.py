@@ -1,9 +1,15 @@
 """Scenario files: one JSON document driving every CLI command.
 
+No other module reads scenario JSON: the parsers check and resolve the
+sections a command needs before anything runs.
+
 Top-level keys (all optional; each command names the sections it needs):
 
   seed          unsigned 64-bit integer, recorded in outputs
   universe      categorical layer: objects, morphisms, functors, transformations
+  checks        explicit check-axioms entries: {"type": "observer_square" or
+                "verification_square", "functor", "transformation", "morphism"}
+                or {"type": "equalizer", "left", "right", "expect_elements"}
   entropy       {"C": .., "K": .., "alpha": .., "k_schedule": [..]} bound constants
   entropy_trace {"start": obj, "initial_probs": [..], "transition": mor,
                  "observer": mor, "steps": n}
@@ -33,8 +39,10 @@ from .category import (
     FinMor,
     FinObj,
     FunctorRep,
+    NatTransRep,
     Universe,
     automorphism_order,
+    identity_functor,
     permutation_order,
 )
 from .coalgebra import DEFAULT_MAX_ITER
@@ -56,6 +64,7 @@ from .phase import PhasedMorphism, RationalPhase
 
 __all__ = [
     "load_scenario",
+    "scenario_seed",
     "scenario_hash",
     "require_section",
     "parse_universe",
@@ -68,11 +77,15 @@ __all__ = [
     "ThetaSettings",
     "EntropyTraceSettings",
     "PhaseSettings",
+    "SquareCheck",
+    "EqualizerCheck",
     "parse_simulate_settings",
     "parse_sweep_settings",
     "parse_theta_settings",
     "parse_entropy_trace",
     "parse_phase_settings",
+    "parse_entropy_settings",
+    "parse_checks",
 ]
 
 
@@ -92,6 +105,11 @@ def load_scenario(path: str) -> dict:
     return doc
 
 
+def scenario_seed(doc: Mapping) -> int:
+    """The seed recorded in outputs, as checked by load_scenario."""
+    return int(doc.get("seed", 0))
+
+
 def scenario_hash(doc: Mapping) -> str:
     return content_hash(doc)
 
@@ -103,41 +121,48 @@ def require_section(doc: Mapping, key: str):
 
 
 def parse_universe(doc: Mapping) -> Universe:
-    """The universe section, its entry shapes checked before anything is built."""
+    """The universe section, each entry checked as it is built."""
     section = _mapping(require_section(doc, "universe"), "universe")
+    uni = Universe()
     for od in _entries(section, "objects"):
-        _name(od, "id", "universe object")
-        _names(od.get("elements"), "universe object elements")
+        oid = _fresh(uni.objects, _name(od, "id", "universe object"), "object id")
+        uni.objects[oid] = FinObj(
+            oid, tuple(_names(od.get("elements"), "universe object elements")))
     for md in _entries(section, "morphisms"):
-        for key in ("id", "src", "dst"):
-            _name(md, key, "universe morphism")
-        _mapping(md.get("mapping"), "universe morphism mapping")
+        mid = _fresh(uni.morphisms, _name(md, "id", "universe morphism"), "morphism id")
+        src = uni.object(_name(md, "src", "universe morphism"))
+        dst = uni.object(_name(md, "dst", "universe morphism"))
+        uni.morphisms[mid] = FinMor.from_mapping(
+            src, dst, _name_table(md.get("mapping"), "universe morphism mapping"))
     for fd in _entries(section, "functors"):
-        _name(fd, "name", "universe functor")
-        if not fd.get("identity"):
-            _mapping(fd.get("obj_map", {}), "universe functor obj_map")
-            _mapping(fd.get("mor_map", {}), "universe functor mor_map")
+        name = _fresh(uni.functors, _name(fd, "name", "universe functor"),
+                      "functor name")
+        if fd.get("identity"):
+            uni.functors[name] = identity_functor(
+                uni.objects.values(), uni.morphisms.values(), name=name)
+            continue
+        obj_map = _name_table(fd.get("obj_map", {}), "universe functor obj_map")
+        mor_map = _name_table(fd.get("mor_map", {}), "universe functor mor_map")
+        uni.functors[name] = FunctorRep(
+            name, {uni.object(a): uni.object(b) for a, b in obj_map.items()},
+            {uni.morphism(a): uni.morphism(b) for a, b in mor_map.items()})
     for td in _entries(section, "transformations"):
-        _name(td, "name", "universe transformation")
-        for key in ("source", "target"):
-            if key in td:
-                _name(td, key, "universe transformation")
-        _mapping(td.get("components", {}),
-                 "universe transformation components")
-    try:
-        return Universe.from_dict(section)
-    except (KeyError, TypeError) as exc:
-        raise ScenarioParseError(f"malformed universe entry: {exc!r}") from exc
+        what = "universe transformation"
+        name = _fresh(uni.transformations, _name(td, "name", what),
+                      "transformation name")
+        source = _name(td, "source", what) if "source" in td else "Id"
+        target = _name(td, "target", what) if "target" in td else ""
+        comps = _name_table(td.get("components", {}), f"{what} components")
+        uni.transformations[name] = NatTransRep(
+            name, source, target,
+            {uni.object(a): uni.morphism(b) for a, b in comps.items()})
+    return uni
 
 
 def parse_entropy_params(doc: Mapping) -> EntropyParams:
     section = _mapping(require_section(doc, "entropy"), "entropy")
-    try:
-        return EntropyParams(C=float(section.get("C", 0.0)),
-                             K=float(section.get("K", 0.0)),
-                             alpha=float(section.get("alpha", 1.0)))
-    except (TypeError, ValueError) as exc:
-        raise ScenarioParseError(f"bad entropy parameters: {exc}") from exc
+    return EntropyParams(**{key: _real(section.get(key, default), f"entropy {key}")
+                            for key, default in (("C", 0.0), ("K", 0.0), ("alpha", 1.0))})
 
 
 def parse_map_spec(desc: Mapping) -> MapSpec:
@@ -165,36 +190,42 @@ def parse_map_spec(desc: Mapping) -> MapSpec:
 
 def parse_theta_operator(desc: Mapping) -> tuple[LinOp, int]:
     """Build a finite-order operator plus its declared period."""
-    try:
-        kind = desc["kind"]
-        if kind == "rotation":
-            turns = RationalPhase.parse(str(desc.get("turns", "0")))
-            dim = int(desc.get("dim", 2))
-            plane = tuple(desc.get("plane", (0, 1)))
-            period = turns.denominator if turns.numerator else 1
-            return LinOp.rotation(turns, dim=dim, plane=plane), period
-        if kind == "permutation":
-            perm = [int(i) for i in desc["perm"]]
-            op = LinOp.permutation(perm)
-            return op, permutation_order(dict(enumerate(perm)))
-        if kind == "matrix":
-            return LinOp(np.asarray(desc["entries"], dtype=float)), int(desc["period"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioParseError(f"malformed operator descriptor: {exc!r}") from exc
-    raise ScenarioParseError(f"unknown operator kind {desc.get('kind')!r}")
+    kind = _mapping(desc, "cascade stage theta").get("kind")
+    if kind == "rotation":
+        turns = _phase(desc.get("turns", "0"), "rotation turns")
+        dim = _integer(desc.get("dim", 2), "rotation dim", 2)
+        plane = desc.get("plane", [0, 1])
+        if not (isinstance(plane, list) and len(plane) == 2 and plane[0] != plane[1]
+                and all(_integer(axis, "rotation plane axis", 0) < dim for axis in plane)):
+            raise ScenarioParseError(
+                f"rotation plane must be two distinct axes below dim {dim}, got {plane!r}")
+        period = turns.denominator if turns.numerator else 1
+        return LinOp.rotation(turns, dim=dim, plane=tuple(plane)), period
+    if kind == "permutation":
+        perm = desc.get("perm")
+        if not isinstance(perm, list):
+            raise ScenarioParseError(f"permutation perm must be a list, got {perm!r}")
+        perm = [_integer(i, "permutation entry", 0) for i in perm]
+        return LinOp.permutation(perm), permutation_order(dict(enumerate(perm)))
+    if kind == "matrix":
+        rows = desc.get("entries")
+        if not isinstance(rows, list):
+            raise ScenarioParseError(f"matrix entries must be a list of rows, got {rows!r}")
+        entries = [_vector(row, len(rows), "matrix row") for row in rows]
+        return (LinOp(np.asarray(entries, dtype=float)),
+                _integer(desc.get("period"), "matrix period", 1))
+    raise ScenarioParseError(f"unknown operator kind {kind!r}")
 
 
 def parse_cascade_spec(doc: Mapping) -> CascadeSpec:
-    section = require_section(doc, "cascade")
-    try:
-        stages = []
-        for st in section["stages"]:
-            theta, period = parse_theta_operator(st["theta"])
-            stages.append(CascadeStage(float(st["lambda"]), theta,
-                                       int(st.get("period", period))))
-        return CascadeSpec(tuple(stages))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioParseError(f"malformed cascade section: {exc!r}") from exc
+    section = _mapping(require_section(doc, "cascade"), "cascade")
+    stages = []
+    for st in _entries(section, "stages", "cascade"):
+        theta, period = parse_theta_operator(st.get("theta"))
+        stages.append(CascadeStage(
+            _real(st.get("lambda"), "cascade stage lambda"), theta,
+            _integer(st.get("period", period), "cascade stage period", 1)))
+    return CascadeSpec(tuple(stages))
 
 
 # --- dynamical layer: simulate and sweep -------------------------------------
@@ -226,10 +257,10 @@ def _mapping(value, what: str) -> Mapping:
     return value
 
 
-def _entries(section: Mapping, key: str) -> list:
+def _entries(section: Mapping, key: str, where: str = "universe") -> list:
     value = section.get(key, [])
     if not isinstance(value, list) or not all(isinstance(e, dict) for e in value):
-        raise ScenarioParseError(f"universe {key} must be a list of objects")
+        raise ScenarioParseError(f"{where} {key} must be a list of objects")
     return value
 
 
@@ -238,6 +269,19 @@ def _names(value, what: str) -> list:
     if not isinstance(value, list) or not set(map(type, value)) <= {str}:
         raise ScenarioParseError(f"{what} must be a list of names")
     return value
+
+
+def _name_table(value, what: str) -> Mapping[str, str]:
+    # JSON object keys are always names; the values are checked in one pass
+    if not isinstance(value, dict) or not set(map(type, value.values())) <= {str}:
+        raise ScenarioParseError(f"{what} must map names to names")
+    return value
+
+
+def _fresh(table: Mapping, key: str, what: str) -> str:
+    if key in table:
+        raise ScenarioParseError(f"duplicate {what} {key!r}")
+    return key
 
 
 def _coupled_maps(doc: Mapping) -> tuple[MapSpec, MapSpec]:
@@ -274,6 +318,7 @@ class SimulateSettings:
     bins: int
     lo: float
     hi: float
+    alpha: float
 
 
 @dataclass(frozen=True)
@@ -310,18 +355,15 @@ def parse_simulate_settings(doc: Mapping) -> SimulateSettings:
         steps=_integer(require_section(doc, "steps"), "steps", 0),
         r=_real(doc.get("r", 0.0), "r"),
         schedule=_integer(doc.get("schedule", 1), "schedule", 1),
-        bins=bins, lo=lo, hi=hi)
+        bins=bins, lo=lo, hi=hi,
+        alpha=parse_entropy_params(doc).alpha if "entropy" in doc else 1.0)
 
 
 def parse_sweep_settings(doc: Mapping) -> SweepSettings:
     """The sweep command's sections, checked before anything runs."""
     update, observer = _coupled_maps(doc)
     grid = _mapping(require_section(doc, "r_grid"), "r_grid")
-    try:
-        lo, hi, steps = grid["lo"], grid["hi"], grid["steps"]
-    except KeyError as exc:
-        raise ScenarioParseError(f"r_grid needs lo, hi and steps: {exc!r}") from exc
-    lo, hi = _real(lo, "r_grid lo"), _real(hi, "r_grid hi")
+    lo, hi = _real(grid.get("lo"), "r_grid lo"), _real(grid.get("hi"), "r_grid hi")
     if not lo < hi:
         raise ScenarioParseError(f"r_grid needs lo < hi, got {lo} and {hi}")
     x0 = doc.get("x0")
@@ -329,7 +371,7 @@ def parse_sweep_settings(doc: Mapping) -> SweepSettings:
         update, observer,
         x0=None if x0 is None else _vector(x0, update.dim, "x0"),
         lo=lo, hi=hi,
-        steps=_integer(steps, "r_grid steps", 2),
+        steps=_integer(grid.get("steps"), "r_grid steps", 2),
         transient=_integer(doc.get("transient", DEFAULT_TRANSIENT), "transient", 1),
         sample=_integer(doc.get("sample", DEFAULT_SAMPLE), "sample", 2),
         period_tol=_real(doc.get("period_tol", PERIOD_TOL), "period_tol"),
@@ -366,6 +408,48 @@ class PhaseSettings:
     cycle: tuple[PhasedMorphism, ...] | None
 
 
+@dataclass(frozen=True)
+class SquareCheck:
+    """A resolved checks entry; `entry` is the entry as written, for the report."""
+
+    entry: Mapping
+    kind: str  # "observer_square" or "verification_square"
+    functor: FunctorRep
+    transformation: NatTransRep
+    morphism: FinMor
+
+
+@dataclass(frozen=True)
+class EqualizerCheck:
+    entry: Mapping
+    left: FinMor
+    right: FinMor
+    expect: list[str] | None  # sorted
+
+
+def parse_checks(doc: Mapping, uni: Universe) -> list[SquareCheck | EqualizerCheck]:
+    """The checks section of check-axioms, resolved before anything runs."""
+    out = []
+    for entry in _entries(doc, "checks", "scenario"):
+        kind = entry.get("type")
+        what = f"{kind} check"
+        if kind in ("observer_square", "verification_square"):
+            out.append(SquareCheck(
+                entry, kind, uni.functor(_name(entry, "functor", what)),
+                uni.transformation(_name(entry, "transformation", what)),
+                uni.morphism(_name(entry, "morphism", what))))
+        elif kind == "equalizer":
+            expect = entry.get("expect_elements")
+            out.append(EqualizerCheck(
+                entry, uni.morphism(_name(entry, "left", what)),
+                uni.morphism(_name(entry, "right", what)),
+                None if expect is None
+                else sorted(_names(expect, "equalizer check expect_elements"))))
+        else:
+            raise ScenarioParseError(f"unknown check type {kind!r}")
+    return out
+
+
 def parse_theta_settings(doc: Mapping) -> ThetaSettings:
     """The theta command's sections, checked before anything runs."""
     uni = parse_universe(doc)
@@ -400,6 +484,17 @@ def parse_entropy_trace(doc: Mapping, uni: Universe) -> EntropyTraceSettings:
                  if probs else ProbState.uniform(start)),
         transition=transition, observer=observer, steps=steps,
         k_schedule=k_schedule)
+
+
+def parse_entropy_settings(doc: Mapping) -> tuple[
+        EntropyParams, EntropyTraceSettings | None, PhaseSettings | None]:
+    """The entropy command's sections, at least one of entropy_trace and phases."""
+    params = parse_entropy_params(doc)
+    if "entropy_trace" not in doc and "phases" not in doc:
+        raise MissingSectionError("entropy_trace")
+    uni = parse_universe(doc)
+    return (params, parse_entropy_trace(doc, uni) if "entropy_trace" in doc else None,
+            parse_phase_settings(doc, uni) if "phases" in doc else None)
 
 
 def _phase(value, what: str) -> RationalPhase:

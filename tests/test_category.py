@@ -11,7 +11,6 @@ from veridyn.category import (
     FinObj,
     FunctorRep,
     NatTransRep,
-    Universe,
     automorphism_order,
     canonical_bijection,
     check_observer_square,
@@ -27,10 +26,10 @@ from veridyn.errors import (
     MissingComponentError,
     NonComposableError,
     NotAutomorphismError,
-    ScenarioParseError,
     ShapeMismatchError,
     UnresolvedReferenceError,
 )
+from veridyn.scenario import parse_universe
 
 
 X = FinObj("X", ("a", "b"))
@@ -383,7 +382,7 @@ UNIVERSE_DOC = {
 
 
 def test_universe_roundtrip_and_square_checks():
-    uni = Universe.from_json(json.dumps(UNIVERSE_DOC))
+    uni = parse_universe({"universe": json.loads(json.dumps(UNIVERSE_DOC))})
     assert uni.object("X").elements == ("a", "b")
     results = uni.all_square_checks()
     checked = [r for r in results if r["status"] == "checked"]
@@ -391,16 +390,10 @@ def test_universe_roundtrip_and_square_checks():
 
 
 def test_universe_unresolved_reference():
-    doc = dict(UNIVERSE_DOC)
     doc = json.loads(json.dumps(UNIVERSE_DOC))
     doc["morphisms"][0]["src"] = "NOPE"
     with pytest.raises(UnresolvedReferenceError):
-        Universe.from_dict(doc)
-
-
-def test_universe_bad_json():
-    with pytest.raises(ScenarioParseError):
-        Universe.from_json("{not json")
+        parse_universe({"universe": doc})
 
 
 def test_square_report_serializes():

@@ -245,14 +245,6 @@ def test_sweep_deterministic_and_transition(tmp_path):
     assert critical["r_c_flip"] == pytest.approx(3.0, abs=1e-6)
 
 
-def test_sweep_threads_flag_keeps_bytes(tmp_path):
-    scen = _write(tmp_path, LOGISTIC)
-    out1, out2 = tmp_path / "t1", tmp_path / "t2"
-    assert _run("sweep", scen, out1) == 0
-    assert _run("sweep", scen, out2, "--threads", "4") == 0
-    assert (out1 / "diagram.csv").read_bytes() == (out2 / "diagram.csv").read_bytes()
-
-
 def test_sweep_flip_at_observer_scale_098(tmp_path):
     # c = 0.98 moves the flip to 3/c = 3.0612...; the grid point r = 3.06
     # loses the fixed-point branch and is also the first bisection midpoint
@@ -457,6 +449,96 @@ def test_universe_not_an_object_is_rejected(tmp_path, capsys):
     doc["universe"] = [doc["universe"]]
     out = tmp_path / "out"
     assert _run("check-axioms", _write(tmp_path, doc), out) == 2
+    _assert_rejected(capsys, out)
+
+
+SQUARE_CHECK = {"type": "observer_square", "functor": "O", "transformation": "v",
+                "morphism": "swap"}
+EQUALIZER_CHECK = {"type": "equalizer", "left": "swap", "right": "swap",
+                   "expect_elements": ["b", "a"]}
+
+
+def _without(entry, key):
+    return {k: v for k, v in entry.items() if k != key}
+
+
+# values of the checks section of the bundled universe scenario
+BAD_CHECKS = {
+    "checks not a list": SQUARE_CHECK,
+    "check entry a string": ["x"],
+    "square check without functor": [_without(SQUARE_CHECK, "functor")],
+    "square check without transformation": [_without(SQUARE_CHECK, "transformation")],
+    "square check without morphism": [_without(SQUARE_CHECK, "morphism")],
+    "square check functor not a name": [{**SQUARE_CHECK, "functor": ["O"]}],
+    "equalizer without left": [_without(EQUALIZER_CHECK, "left")],
+    "unknown check type": [SQUARE_CHECK, {**SQUARE_CHECK, "type": "naturality"}],
+    "unresolved morphism": [{**SQUARE_CHECK, "morphism": "nope"}],
+    "expect_elements not a name list": [{**EQUALIZER_CHECK,
+                                         "expect_elements": [1, "a"]}],
+    "expect_elements a string": [{**EQUALIZER_CHECK, "expect_elements": "ab"}],
+}
+
+
+def test_checks_on_bundled_universe(tmp_path):
+    doc = json.loads(UNIVERSE_SCENARIO.read_text())
+    doc["checks"] = [SQUARE_CHECK, EQUALIZER_CHECK]
+    out = tmp_path / "out"
+    assert _run("check-axioms", _write(tmp_path, doc), out) in (0, 1)
+    explicit = json.loads((out / "axioms_report.json").read_text())["explicit_checks"]
+    assert [e["check"] for e in explicit] == doc["checks"]
+    assert explicit[1]["holds"]
+
+
+@pytest.mark.parametrize("checks", BAD_CHECKS.values(), ids=list(BAD_CHECKS))
+def test_bad_checks_are_rejected_before_compute(tmp_path, capsys, checks):
+    doc = json.loads(UNIVERSE_SCENARIO.read_text())
+    doc["checks"] = checks
+    out = tmp_path / "out"
+    assert _run("check-axioms", _write(tmp_path, doc), out) == 2
+    _assert_rejected(capsys, out)
+
+
+QUARTER_TURN = {"kind": "rotation", "turns": "1/4", "dim": 2}
+SWAP_MATRIX = {"kind": "matrix", "entries": [[0.0, 1.0], [1.0, 0.0]], "period": 2}
+SWAP_PERM = {"kind": "permutation", "perm": [1, 0]}
+
+
+def _stage(theta=QUARTER_TURN, **fields):
+    return {"lambda": 0.5, "theta": theta, **fields}
+
+
+# values of cascade.stages
+BAD_CASCADE = {
+    "stages not a list": _stage(),
+    "theta not an object": [_stage(["rotation"])],
+    "rotation dim 1": [_stage({**QUARTER_TURN, "dim": 1})],
+    "rotation dim beyond the cap": [_stage({**QUARTER_TURN, "dim": 10 ** 6})],
+    "rotation plane out of range": [_stage({**QUARTER_TURN, "plane": [0, 5]})],
+    "rotation plane repeats an axis": [_stage({**QUARTER_TURN, "plane": [1, 1]})],
+    "rotation plane axis fractional": [_stage({**QUARTER_TURN, "plane": [0, 1.0]})],
+    "rotation plane of three axes": [_stage({**QUARTER_TURN, "dim": 3,
+                                             "plane": [0, 1, 2]})],
+    "rotation turns a number": [_stage({**QUARTER_TURN, "turns": 1})],
+    "permutation entry fractional": [_stage({**SWAP_PERM, "perm": [1.5, 0]})],
+    "permutation entry a string": [_stage({**SWAP_PERM, "perm": ["1", "0"]})],
+    "matrix period fractional": [_stage({**SWAP_MATRIX, "period": 2.9})],
+    "matrix entry a string": [_stage({**SWAP_MATRIX,
+                                      "entries": [["0", 1.0], [1.0, 0.0]]})],
+    "stage period fractional": [_stage(period=4.5)],
+    "lambda a boolean": [{**_stage(), "lambda": True}],
+}
+
+
+def test_cascade_stage_kinds_are_accepted(tmp_path):
+    scen = _write(tmp_path, {"cascade": {"stages": [
+        _stage(), _stage(SWAP_MATRIX), _stage(SWAP_PERM, period=4)]}})
+    assert _run("cascade", scen, tmp_path / "out") == 0
+
+
+@pytest.mark.parametrize("stages", BAD_CASCADE.values(), ids=list(BAD_CASCADE))
+def test_bad_cascade_is_rejected_before_compute(tmp_path, capsys, stages):
+    out = tmp_path / "out"
+    assert _run("cascade", _write(tmp_path, {"cascade": {"stages": stages}}), out) == 2
     _assert_rejected(capsys, out)
 
 

@@ -450,29 +450,6 @@ def test_sweep_constant_families():
     assert all(row.attractor == "divergent" for row in diag.rows)
 
 
-def test_sweep_seed_invariance():
-    phi = zero_map(1)
-    obs = logistic_observer()
-    grid = [2.9, 3.2]
-    a = sweep_bifurcation(phi, obs, grid, transient=1500, sample=32,
-                          x0=[0.5], seed=1)
-    b = sweep_bifurcation(phi, obs, grid, transient=1500, sample=32,
-                          x0=[0.5], seed=999)
-    assert [r.attractor for r in a.rows] == [r.attractor for r in b.rows]
-    for ra, rb in zip(a.rows, b.rows):
-        assert ra.points == rb.points
-
-
-def test_sweep_threaded_matches_serial():
-    phi = zero_map(1)
-    obs = logistic_observer()
-    grid = [2.6, 2.9, 3.2, 3.3]
-    serial = sweep_bifurcation(phi, obs, grid, transient=800, sample=32, x0=[0.5])
-    threaded = sweep_bifurcation(phi, obs, grid, transient=800, sample=32,
-                                 x0=[0.5], threads=3)
-    assert diagram_to_csv(serial, 1) == diagram_to_csv(threaded, 1)
-
-
 def _scalar_sweep_row(update, observer, r, transient, sample, x0):
     """One row iterated on its own, as the sweep did before batching."""
     fr = perturbed_map(update, observer, r)

@@ -49,6 +49,14 @@ def test_normalization_enforced():
         ProbState(TWO, (1.5, -0.5))
 
 
+@pytest.mark.parametrize("probs", [(math.nan, 0.5), (math.inf, 0.0)],
+                         ids=["nan", "inf"])
+def test_non_finite_probability_rejected(probs):
+    # NaN compares false both ways, so each check must fail on it
+    with pytest.raises(InvalidDistributionError):
+        ProbState(TWO, probs)
+
+
 def test_entropy_known_values():
     assert shannon_entropy(ProbState.uniform(FOUR)) == pytest.approx(2.0, abs=1e-12)
     assert shannon_entropy(ProbState.point_mass(FOUR, "x")) == 0.0
