@@ -220,9 +220,11 @@ def cascade_fixed_points(C: LinOp, tol: float = PIVOT_RTOL) -> list[np.ndarray]:
             continue
         a[[row, p]] = a[[p, row]]
         a[row] /= a[row, col]
-        for r in range(n):
-            if r != row and a[r, col] != 0.0:
-                a[r] -= a[r, col] * a[row]
+        # one rank-1 update clears the column; rows already zero there are
+        # left alone, so a -0.0 entry keeps its sign
+        rows = a[:, col] != 0.0
+        rows[row] = False
+        a[rows] -= np.outer(a[rows, col], a[row])
         pivots.append(col)
         row += 1
     free = [c for c in range(n) if c not in pivots]
@@ -306,8 +308,14 @@ def spectrum(C: LinOp) -> SpectrumReport:
     eigs.sort(key=lambda ev: (ev.real, ev.imag))
     residuals = []
     scale = max(1.0, float(np.max(np.abs(C.entries))) if n else 1.0)
+    # C is real, so A v - lam v = r gives A conj(v) - conj(lam) conj(v) =
+    # conj(r): an exact conjugate (or repeat) has the same residual, bit for bit
+    shared: dict[complex, float] = {}
     for ev in eigs:
-        res = _eigenvector_residual(C.entries, ev)
+        key = ev.conjugate() if ev.imag < 0.0 else ev
+        res = shared.get(key)
+        if res is None:
+            res = shared[key] = _eigenvector_residual(C.entries, ev)
         if res > RESIDUAL_TOL:
             detval = abs(np.linalg.det(C.entries.astype(complex)
                                        - ev * np.eye(n)))

@@ -31,8 +31,6 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-import numpy as np
-
 from ._formats import content_hash
 from .cascade import CascadeSpec, CascadeStage, LinOp
 from .category import (
@@ -89,6 +87,15 @@ __all__ = [
 ]
 
 
+# Caps on the counts that set a command's work (DIM_CAP bounds operators);
+# a count beyond its cap exits 2 before anything runs.
+SWEEP_GRID_CAP = 10 ** 3  # r_grid steps, each with its own critical-scan solves
+SWEEP_ROW_CAP = 10 ** 5  # transient + sample, the batch's map steps per row
+SWEEP_WORK_CAP = 10 ** 7  # r_grid steps x (transient + sample)
+SIMULATE_STEPS_CAP = 10 ** 5
+ENTROPY_STEPS_CAP = 10 ** 4
+
+
 def load_scenario(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -100,7 +107,7 @@ def load_scenario(path: str) -> dict:
     if not isinstance(doc, dict):
         raise ScenarioParseError("scenario must be a JSON object")
     seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or not 0 <= seed < 2 ** 64:
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2 ** 64:
         raise ScenarioParseError("seed must be an unsigned 64-bit integer")
     return doc
 
@@ -165,27 +172,32 @@ def parse_entropy_params(doc: Mapping) -> EntropyParams:
                             for key, default in (("C", 0.0), ("K", 0.0), ("alpha", 1.0))})
 
 
-def parse_map_spec(desc: Mapping) -> MapSpec:
-    try:
-        kind = desc["kind"]
-        if kind == "affine":
-            return AffineMap(np.asarray(desc["A"], dtype=float),
-                             np.asarray(desc["b"], dtype=float))
-        if kind == "polynomial":
-            coords = tuple(
-                tuple((float(t["coeff"]), tuple(int(p) for p in t["powers"]))
-                      for t in terms)
-                for terms in desc["coords"])
-            return PolynomialMap(int(desc["dim"]), coords)
-        if kind == "pipeline":
-            return PipelineMap(tuple(parse_map_spec(p) for p in desc["parts"]))
-        if kind == "sum":
-            return WeightedSumMap(
-                tuple(parse_map_spec(p) for p in desc["parts"]),
-                tuple(float(w) for w in desc["weights"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioParseError(f"malformed map descriptor: {exc!r}") from exc
-    raise ScenarioParseError(f"unknown map kind {desc.get('kind')!r}")
+def parse_map_spec(desc) -> MapSpec:
+    kind = _mapping(desc, "map descriptor").get("kind")
+    if kind == "affine":
+        rows = _list(desc.get("A"), "affine A")
+        return AffineMap([_vector(row, len(rows), "affine A row") for row in rows],
+                         _vector(desc.get("b"), len(rows), "affine b"))
+    if kind == "polynomial":
+        dim = _integer(desc.get("dim"), "polynomial dim", 1)
+        coords = tuple(tuple(map(_poly_term, _list(terms, "polynomial coord")))
+                       for terms in _list(desc.get("coords"), "polynomial coords"))
+        return PolynomialMap(dim, coords)
+    if kind == "pipeline":
+        return PipelineMap(tuple(
+            parse_map_spec(p) for p in _list(desc.get("parts"), "pipeline parts")))
+    if kind == "sum":
+        parts = _list(desc.get("parts"), "sum parts")
+        return WeightedSumMap(tuple(parse_map_spec(p) for p in parts),
+                              _vector(desc.get("weights"), len(parts), "sum weights"))
+    raise ScenarioParseError(f"unknown map kind {kind!r}")
+
+
+def _poly_term(value) -> tuple[float, tuple[int, ...]]:
+    term = _mapping(value, "polynomial term")
+    return (_real(term.get("coeff"), "polynomial coeff"),
+            tuple(_integer(p, "polynomial power", 0)
+                  for p in _list(term.get("powers"), "polynomial powers")))
 
 
 def parse_theta_operator(desc: Mapping) -> tuple[LinOp, int]:
@@ -202,17 +214,12 @@ def parse_theta_operator(desc: Mapping) -> tuple[LinOp, int]:
         period = turns.denominator if turns.numerator else 1
         return LinOp.rotation(turns, dim=dim, plane=tuple(plane)), period
     if kind == "permutation":
-        perm = desc.get("perm")
-        if not isinstance(perm, list):
-            raise ScenarioParseError(f"permutation perm must be a list, got {perm!r}")
-        perm = [_integer(i, "permutation entry", 0) for i in perm]
+        perm = [_integer(i, "permutation entry", 0)
+                for i in _list(desc.get("perm"), "permutation perm")]
         return LinOp.permutation(perm), permutation_order(dict(enumerate(perm)))
     if kind == "matrix":
-        rows = desc.get("entries")
-        if not isinstance(rows, list):
-            raise ScenarioParseError(f"matrix entries must be a list of rows, got {rows!r}")
-        entries = [_vector(row, len(rows), "matrix row") for row in rows]
-        return (LinOp(np.asarray(entries, dtype=float)),
+        rows = _list(desc.get("entries"), "matrix entries")
+        return (LinOp([_vector(row, len(rows), "matrix row") for row in rows]),
                 _integer(desc.get("period"), "matrix period", 1))
     raise ScenarioParseError(f"unknown operator kind {kind!r}")
 
@@ -243,17 +250,29 @@ def _real(value, what: str) -> float:
     return out
 
 
-def _integer(value, what: str, minimum: int) -> int:
+def _integer(value, what: str, minimum: int, cap: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ScenarioParseError(f"{what} must be an integer, got {value!r}")
     if value < minimum:
         raise ScenarioParseError(f"{what} must be >= {minimum}, got {value}")
-    return value
+    return value if cap is None else _within_cap(value, what, cap)
+
+
+def _within_cap(count: int, what: str, cap: int) -> int:
+    if count > cap:
+        raise ScenarioParseError(f"{what} {count} exceeds cap {cap}")
+    return count
 
 
 def _mapping(value, what: str) -> Mapping:
     if not isinstance(value, dict):
         raise ScenarioParseError(f"{what} must be a JSON object")
+    return value
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ScenarioParseError(f"{what} must be a list, got {value!r}")
     return value
 
 
@@ -352,7 +371,7 @@ def parse_simulate_settings(doc: Mapping) -> SimulateSettings:
     return SimulateSettings(
         update, observer,
         x0=_vector(require_section(doc, "x0"), update.dim, "x0"),
-        steps=_integer(require_section(doc, "steps"), "steps", 0),
+        steps=_integer(require_section(doc, "steps"), "steps", 0, SIMULATE_STEPS_CAP),
         r=_real(doc.get("r", 0.0), "r"),
         schedule=_integer(doc.get("schedule", 1), "schedule", 1),
         bins=bins, lo=lo, hi=hi,
@@ -366,14 +385,16 @@ def parse_sweep_settings(doc: Mapping) -> SweepSettings:
     lo, hi = _real(grid.get("lo"), "r_grid lo"), _real(grid.get("hi"), "r_grid hi")
     if not lo < hi:
         raise ScenarioParseError(f"r_grid needs lo < hi, got {lo} and {hi}")
+    steps = _integer(grid.get("steps"), "r_grid steps", 2, SWEEP_GRID_CAP)
+    transient = _integer(doc.get("transient", DEFAULT_TRANSIENT), "transient", 1)
+    sample = _integer(doc.get("sample", DEFAULT_SAMPLE), "sample", 2)
+    per_row = _within_cap(transient + sample, "transient + sample", SWEEP_ROW_CAP)
+    _within_cap(steps * per_row, "r_grid steps x (transient + sample)", SWEEP_WORK_CAP)
     x0 = doc.get("x0")
     return SweepSettings(
         update, observer,
         x0=None if x0 is None else _vector(x0, update.dim, "x0"),
-        lo=lo, hi=hi,
-        steps=_integer(grid.get("steps"), "r_grid steps", 2),
-        transient=_integer(doc.get("transient", DEFAULT_TRANSIENT), "transient", 1),
-        sample=_integer(doc.get("sample", DEFAULT_SAMPLE), "sample", 2),
+        lo=lo, hi=hi, steps=steps, transient=transient, sample=sample,
         period_tol=_real(doc.get("period_tol", PERIOD_TOL), "period_tol"),
         max_period=_integer(doc.get("max_period", MAX_PERIOD), "max_period", 0),
         divergence=_real(doc.get("divergence", DIVERGENCE_THRESHOLD), "divergence"))
@@ -470,7 +491,8 @@ def parse_entropy_trace(doc: Mapping, uni: Universe) -> EntropyTraceSettings:
     observer = uni.morphism(_name(section, "observer", "entropy_trace"))
     if transition.src != transition.dst:
         raise ScenarioParseError("entropy_trace transition must be an endomap")
-    steps = _integer(section.get("steps", 16), "entropy_trace steps", 0)
+    steps = _integer(section.get("steps", 16), "entropy_trace steps", 0,
+                     ENTROPY_STEPS_CAP)
     probs = section.get("initial_probs")
     k_schedule = _mapping(doc.get("entropy", {}), "entropy").get("k_schedule")
     if k_schedule is not None:

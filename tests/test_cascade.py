@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from veridyn import cascade
 from veridyn.cascade import (
     CascadeSpec,
     CascadeStage,
@@ -157,7 +160,157 @@ def test_fixed_points_satisfy_residual_bound():
             assert resid <= 10 * 1e-10 * float(np.max(np.abs(v))) + 1e-12
 
 
+# Reference for cascade_fixed_points: the same elimination, clearing each
+# pivot column one row at a time instead of with one masked rank-1 update.
+
+
+def _fixed_points_rowwise(C, tol=cascade.PIVOT_RTOL):
+    n = C.dim
+    a = np.eye(n) - C.entries
+    scale = float(np.max(np.abs(a)))
+    noise_floor = 64.0 * cascade._EPS * max(1.0, float(np.max(np.abs(C.entries))))
+    if scale <= noise_floor:
+        return [np.eye(n)[:, k] for k in range(n)]
+    thresh = tol * scale
+    a = a.copy()
+    pivots = []
+    row = 0
+    for col in range(n):
+        if row >= n:
+            break
+        p = row + int(np.argmax(np.abs(a[row:, col])))
+        if abs(a[p, col]) <= thresh:
+            continue
+        a[[row, p]] = a[[p, row]]
+        a[row] /= a[row, col]
+        for r in range(n):
+            if r != row and a[r, col] != 0.0:
+                a[r] -= a[r, col] * a[row]
+        pivots.append(col)
+        row += 1
+    free = [c for c in range(n) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = np.zeros(n)
+        v[fc] = 1.0
+        for i, pc in enumerate(pivots):
+            v[pc] = -a[i, fc]
+        basis.append(v)
+    ortho = []
+    for v in basis:
+        w = v.copy()
+        for u in ortho:
+            w -= (u @ w) * u
+        norm = float(np.linalg.norm(w))
+        if norm > thresh:
+            ortho.append(w / norm)
+    return ortho
+
+
+def _bits(basis):
+    return [v.tobytes() for v in basis]
+
+
+def _seeded_cascade(seed, lengths, turns=()):
+    """A dim-64 cascade: a damped permutation whose cycle lengths are drawn
+    from `lengths`, then one damped rotation per (p, q) in `turns`, each in a
+    seeded plane."""
+    rng = np.random.default_rng(seed)
+    n = 64
+    order = [int(i) for i in rng.permutation(n)]
+    perm, period, i = [0] * n, 1, 0
+    while i < n:
+        k = min(int(rng.choice(lengths)), n - i)
+        cycle = order[i:i + k]
+        for j, v in enumerate(cycle):
+            perm[v] = cycle[(j + 1) % k]
+        period = math.lcm(period, k)
+        i += k
+    stages = [CascadeStage(float(rng.uniform(0.3, 0.8)), LinOp.permutation(perm), period)]
+    for p, q in turns:
+        plane = tuple(int(a) for a in rng.choice(n, 2, replace=False))
+        phase = RationalPhase(p, q)
+        stages.append(CascadeStage(float(rng.uniform(0.3, 0.8)),
+                                   LinOp.rotation(phase, dim=n, plane=plane),
+                                   phase.denominator))
+    return build_cascade(CascadeSpec(tuple(stages)))
+
+
+SEEDED_64 = {
+    "one 64-cycle, two rotations": [
+        _seeded_cascade(s, (64,), ((1, 3), (5, 12))) for s in (1, 2, 3)],
+    "short cycles": [_seeded_cascade(s, (1, 2, 3, 4)) for s in (4, 5, 6)],
+    "short cycles, quarter turns": [
+        _seeded_cascade(s, (1, 2, 4), ((1, 4), (3, 4))) for s in (7, 8, 9)],
+}
+
+
+def _up_to_conjugation(eigenvalues):
+    return {ev.conjugate() if ev.imag < 0.0 else ev for ev in eigenvalues}
+
+
+def test_fixed_points_match_rowwise_elimination_bitwise():
+    rng = np.random.default_rng(3)
+    ops = [LinOp.identity(4), LinOp(np.zeros((3, 3))), LinOp(np.diag([1.0, 0.5]))]
+    for _ in range(25):
+        n = int(rng.integers(2, 9))
+        k = int(rng.integers(0, n + 1))
+        q = _random_orthogonal(rng, n)
+        eigs = np.concatenate([np.ones(k), rng.uniform(-0.8, 0.8, n - k)])
+        ops.append(LinOp(q @ np.diag(eigs) @ q.T))
+    # single-stage short-cycle permutations: one fixed direction per cycle
+    ops += [_seeded_cascade(s, (1, 2, 3, 4)) for s in range(10, 16)]
+    ops += [op for group in SEEDED_64.values() for op in group]
+    nonempty = 0
+    for op in ops:
+        basis = cascade_fixed_points(op)
+        assert _bits(basis) == _bits(_fixed_points_rowwise(op))
+        nonempty += bool(basis)
+    assert nonempty >= 10
+
+
+def test_fixed_points_keep_negative_zero():
+    # the pivot row of column 1 is divided by -1, so the pivot row of column 0
+    # holds -0.0 in column 2, where it must stay: the mask skips that row
+    # because its column-1 entry is already zero
+    c = LinOp([[1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1.0, -1.0]])
+    basis = cascade_fixed_points(c)
+    assert _bits(basis) == _bits(_fixed_points_rowwise(c))
+    assert np.signbit(basis[0]).tolist() == [False, False, True]
+
+
 # --- spectrum ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("group", list(SEEDED_64))
+def test_spectrum_shared_residuals_are_the_per_eigenvalue_bits(group):
+    for op in SEEDED_64[group]:
+        rep = spectrum(op)
+        assert len(_up_to_conjugation(rep.eigenvalues)) < op.dim
+        for ev, res in zip(rep.eigenvalues, rep.residuals):
+            assert res == cascade._eigenvector_residual(op.entries, ev)
+
+
+def test_spectrum_verifies_once_per_eigenvalue_up_to_conjugation(monkeypatch):
+    verify = cascade._eigenvector_residual
+    calls = []
+
+    def counted(a, lam):
+        calls.append(lam)
+        return verify(a, lam)
+
+    monkeypatch.setattr(cascade, "_eigenvector_residual", counted)
+    for group in SEEDED_64.values():
+        for op in group:
+            calls.clear()
+            rep = spectrum(op)
+            assert len(rep.residuals) == op.dim
+            assert len(calls) == len(_up_to_conjugation(rep.eigenvalues))
+    calls.clear()
+    rep = spectrum(SEEDED_64["one 64-cycle, two rotations"][0])
+    # two real eigenvalues and 31 conjugate pairs
+    assert sum(ev.imag != 0.0 for ev in rep.eigenvalues) == 62
+    assert len(calls) == 33
 
 
 def test_spectrum_diagonal():

@@ -9,6 +9,18 @@ import pytest
 
 from veridyn.cascade import RESIDUAL_TOL
 from veridyn.cli import main
+from veridyn.errors import ScenarioParseError
+from veridyn.scenario import (
+    ENTROPY_STEPS_CAP,
+    SIMULATE_STEPS_CAP,
+    SWEEP_GRID_CAP,
+    SWEEP_ROW_CAP,
+    SWEEP_WORK_CAP,
+    parse_entropy_trace,
+    parse_simulate_settings,
+    parse_sweep_settings,
+    parse_universe,
+)
 
 GOOD_UNIVERSE = {
     "objects": [
@@ -280,6 +292,24 @@ BAD_DYNAMICS = {
     "x0 not finite": {"x0": [float("nan")]},
     "observer dim differs": {"observer": {"kind": "affine", "A": [[1.0, 0.0], [0.0, 1.0]],
                                           "b": [0.0, 0.0]}},
+    "seed a boolean": {"seed": True},
+    "map not an object": {"phi": [[0.0]]},
+    "map kind unknown": {"phi": {"kind": "linear", "A": [[0.0]], "b": [0.0]}},
+    "affine A entry a boolean": {"phi": {"kind": "affine", "A": [[True]], "b": [0.0]}},
+    "affine A ragged": {"phi": {"kind": "affine", "A": [[0.0, 1.0]], "b": [0.0]}},
+    "affine b entry a string": {"phi": {"kind": "affine", "A": [[0.0]], "b": ["0.5"]}},
+    "affine entry beyond float range": {"phi": {"kind": "affine", "A": [[10 ** 400]],
+                                                "b": [0.0]}},
+    "polynomial power fractional": {"observer": {"kind": "polynomial", "dim": 1, "coords": [
+        [{"coeff": 1.0, "powers": [2.7]}]]}},
+    "polynomial coeff a boolean": {"observer": {"kind": "polynomial", "dim": 1, "coords": [
+        [{"coeff": True, "powers": [1]}]]}},
+    "polynomial term not an object": {"observer": {"kind": "polynomial", "dim": 1,
+                                                   "coords": [[[1.0, [1]]]]}},
+    "observer dim fractional": {"observer": {**LOGISTIC["observer"], "dim": 1.9}},
+    "sum weight a string": {"observer": {"kind": "sum", "parts": [LOGISTIC["observer"]],
+                                         "weights": ["1.0"]}},
+    "pipeline parts not a list": {"phi": {"kind": "pipeline", "parts": LOGISTIC["phi"]}},
 }
 BAD_SWEEP = {
     "one-point grid": {"r_grid": {"lo": 2.8, "hi": 3.2, "steps": 1}},
@@ -288,6 +318,12 @@ BAD_SWEEP = {
     "grid without hi": {"r_grid": {"lo": 2.8, "steps": 9}},
     "zero transient": {"transient": 0},
     "one sample": {"sample": 1},
+    "sample beyond the row cap": {"sample": 10 ** 30},
+    "transient beyond the row cap": {"transient": SWEEP_ROW_CAP},
+    "grid beyond the cap": {"r_grid": {"lo": 2.8, "hi": 3.2,
+                                       "steps": SWEEP_GRID_CAP + 1}},
+    "grid beyond the work cap": {"r_grid": {"lo": 2.8, "hi": 3.2, "steps": SWEEP_GRID_CAP},
+                                 "transient": SWEEP_WORK_CAP // SWEEP_GRID_CAP},
 }
 OVERFLOWING_OBSERVER = {  # phi = identity, observer x^3 overflows at every step
     "phi": {"kind": "affine", "A": [[1.0]], "b": [0.0]},
@@ -302,6 +338,7 @@ BAD_SIMULATE = {
     "ledger width overflows": {"ledger": {"bins": 4, "lo": -1e308, "hi": 1e308}},
     "observer reading overflows": OVERFLOWING_OBSERVER,
     "first observer reading overflows": {**OVERFLOWING_OBSERVER, "steps": 0},
+    "steps beyond the cap": {"steps": SIMULATE_STEPS_CAP + 1},
 }
 
 
@@ -333,6 +370,33 @@ def test_overflowing_sweep_exits_0_with_empty_stderr(tmp_path, capsys, observer)
     assert capsys.readouterr().err == ""
 
 
+def _sweep_with(steps, per_row):
+    return {**LOGISTIC, "r_grid": {"lo": 2.8, "hi": 3.2, "steps": steps},
+            "transient": per_row - 32, "sample": 32}
+
+
+@pytest.mark.parametrize("at_cap, beyond", [
+    ((SWEEP_GRID_CAP, 34), (SWEEP_GRID_CAP + 1, 34)),
+    ((2, SWEEP_ROW_CAP), (2, SWEEP_ROW_CAP + 1)),
+    ((SWEEP_GRID_CAP, SWEEP_WORK_CAP // SWEEP_GRID_CAP),
+     (SWEEP_GRID_CAP, SWEEP_WORK_CAP // SWEEP_GRID_CAP + 1)),
+], ids=["grid", "row", "work"])
+def test_sweep_at_its_caps_is_accepted_and_one_more_is_not(at_cap, beyond):
+    # (r_grid steps, transient + sample); parsed only, since a run at a cap
+    # takes seconds (README, "Caps")
+    assert parse_sweep_settings(_sweep_with(*at_cap)).steps == at_cap[0]
+    with pytest.raises(ScenarioParseError, match="exceeds cap"):
+        parse_sweep_settings(_sweep_with(*beyond))
+
+
+def test_step_counts_at_their_caps_are_accepted():
+    assert parse_simulate_settings(
+        {**LOGISTIC, "steps": SIMULATE_STEPS_CAP}).steps == SIMULATE_STEPS_CAP
+    doc = json.loads(UNIVERSE_SCENARIO.read_text())
+    doc["entropy_trace"]["steps"] = ENTROPY_STEPS_CAP
+    assert parse_entropy_trace(doc, parse_universe(doc)).steps == ENTROPY_STEPS_CAP
+
+
 def _assert_rejected(capsys, out):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
@@ -350,6 +414,8 @@ BAD_FINITE_SET = {
     "theta functor not a name": ("theta", "theta_limit", "update", ["V"]),
     "entropy_trace without start": ("entropy", "entropy_trace", "start", None),
     "entropy_trace steps not a number": ("entropy", "entropy_trace", "steps", "x"),
+    "entropy_trace steps beyond the cap": ("entropy", "entropy_trace", "steps",
+                                           ENTROPY_STEPS_CAP + 1),
     "entropy_trace probs not numbers": ("entropy", "entropy_trace", "initial_probs",
                                         ["x", 1]),
     "k_schedule shorter than steps": ("entropy", "entropy", "k_schedule", [1.0]),
