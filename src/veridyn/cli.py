@@ -1,9 +1,10 @@
 """Scenario-driven command line: load JSON, dispatch, emit deterministic artifacts.
 
 Exit codes: 0 success, 1 check failure, 2 input error, 3 non-convergence.
-Every command writes a run_manifest.json listing the files it produced;
-identical scenario and seed produce byte-identical CSV/JSON artifacts
-(the manifest itself carries wall time and is exempt).
+A command computes its artifacts and returns them; main then creates --out,
+writes them and a run_manifest.json listing them, so a command that raises
+writes nothing. Identical scenario and seed produce byte-identical CSV/JSON
+artifacts (the manifest itself carries wall time and is exempt).
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ EXIT_NO_CONVERGENCE = 3
 # --- commands -------------------------------------------------------------
 
 
-def cmd_check_axioms(doc: dict, out: Path) -> tuple[int, list[str]]:
+def cmd_check_axioms(doc: dict) -> tuple[int, dict]:
     uni = parse_universe(doc)
     checks = parse_checks(doc, uni)
     functor_reports = {}
@@ -114,61 +115,55 @@ def cmd_check_axioms(doc: dict, out: Path) -> tuple[int, list[str]]:
         "explicit_checks": explicit,
         "all_hold": all_ok,
     }
-    write_json(out / "axioms_report.json", report_doc)
-    return (EXIT_OK if all_ok else EXIT_CHECK_FAILED), ["axioms_report.json"]
+    return (EXIT_OK if all_ok else EXIT_CHECK_FAILED), {"axioms_report.json": report_doc}
 
 
-def cmd_theta(doc: dict, out: Path) -> tuple[int, list[str]]:
+def cmd_theta(doc: dict) -> tuple[int, dict]:
     th = parse_theta_settings(doc)
     result = iterate_to_theta(th.verification, th.update, th.start, th.max_iter)
-    outputs = ["theta_result.json", "theta_chain.csv"]
     chain = build_chain(th.verification, th.update, th.start,
                         result.iterations if result.converged else th.max_iter)
-    write_text(out / "theta_chain.csv", chain_to_csv(chain))
     doc_out = result.to_dict()
     if result.converged:
         verdict = verify_theta(th.verification, th.update, result)
         doc_out["verified"] = verdict.to_dict()
-        write_json(out / "theta_result.json", doc_out)
-        return (EXIT_OK if verdict.holds else EXIT_CHECK_FAILED), outputs
-    doc_out["verified"] = None
-    write_json(out / "theta_result.json", doc_out)
-    return EXIT_NO_CONVERGENCE, outputs
+        code = EXIT_OK if verdict.holds else EXIT_CHECK_FAILED
+    else:
+        doc_out["verified"] = None
+        code = EXIT_NO_CONVERGENCE
+    return code, {"theta_chain.csv": chain_to_csv(chain), "theta_result.json": doc_out}
 
 
-def cmd_simulate(doc: dict, out: Path) -> tuple[int, list[str]]:
+def cmd_simulate(doc: dict) -> tuple[int, dict]:
     sim = parse_simulate_settings(doc)
     traj = simulate_coupled(sim.update, sim.observer, sim.x0, sim.steps, r=sim.r,
                             schedule=sim.schedule)
     h_state = prefix_entropies([s.x for s in traj.states], sim.bins, sim.lo, sim.hi)
     h_obs = prefix_entropies([s.o for s in traj.states], sim.bins, sim.lo, sim.hi)
     report = lyapunov_trace(traj, h_state, h_obs, sim.alpha)
-    write_text(out / "trajectory.csv", trajectory_to_csv(traj, report))
-    write_json(out / "lyapunov.json", {
-        "alpha": sim.alpha,
-        "schedule": sim.schedule,
-        "monotone": report.monotone,
-        "violations": list(report.violations),
-    })
-    return EXIT_OK, ["trajectory.csv", "lyapunov.json"]
+    return EXIT_OK, {
+        "trajectory.csv": trajectory_to_csv(traj, report),
+        "lyapunov.json": {
+            "alpha": sim.alpha,
+            "schedule": sim.schedule,
+            "monotone": report.monotone,
+            "violations": list(report.violations),
+        },
+    }
 
 
-def cmd_sweep(doc: dict, out: Path) -> tuple[int, list[str]]:
+def cmd_sweep(doc: dict) -> tuple[int, dict]:
     sw = parse_sweep_settings(doc)
     r_grid = np.linspace(sw.lo, sw.hi, sw.steps)
     diagram = sweep_bifurcation(sw.update, sw.observer, r_grid,
-                                transient=sw.transient, sample=sw.sample,
-                                x0=sw.x0, period_tol=sw.period_tol,
-                                max_period=sw.max_period,
-                                divergence=sw.divergence)
+                                transient=sw.transient, sample=sw.sample, x0=sw.x0)
     critical = find_critical_r(sw.update, sw.observer, sw.lo, sw.hi, sw.steps,
                                x0=sw.x0)
-    write_text(out / "diagram.csv", diagram_to_csv(diagram, sw.update.dim))
-    write_json(out / "critical_report.json", critical.to_dict())
-    return EXIT_OK, ["diagram.csv", "critical_report.json"]
+    return EXIT_OK, {"diagram.csv": diagram_to_csv(diagram, sw.update.dim),
+                     "critical_report.json": critical.to_dict()}
 
 
-def cmd_cascade(doc: dict, out: Path) -> tuple[int, list[str]]:
+def cmd_cascade(doc: dict) -> tuple[int, dict]:
     spec = parse_cascade_spec(doc)
     op = build_cascade(spec)
     report = spectrum(op)
@@ -179,7 +174,6 @@ def cmd_cascade(doc: dict, out: Path) -> tuple[int, list[str]]:
         hull = None
         hull_note = str(exc)
     report = replace(report, hull_check=tuple(hull) if hull is not None else None)
-    write_text(out / "spectrum.csv", spectrum_to_csv(report))
     basis = cascade_fixed_points(op)
     commuting = []
     for i in range(len(spec.stages)):
@@ -191,24 +185,24 @@ def cmd_cascade(doc: dict, out: Path) -> tuple[int, list[str]]:
         # containment claim side-note: nearest distance of the spectrum
         # to unit modulus when some damping factor equals one
         unit_eig_note = min(abs(abs(ev) - 1.0) for ev in report.eigenvalues)
-    write_json(out / "cascade_report.json", {
-        "dim": spec.dim,
-        "contraction": spec.contraction,
-        "operator": [[float(v) for v in row] for row in op.entries],
-        "spectrum": report.to_dict(),
-        "hull_note": hull_note,
-        "fixed_point_basis": [[float(v) for v in vec] for vec in basis],
-        "commuting": commuting,
-        "unit_modulus_gap_with_undamped_stage": unit_eig_note,
-    })
-    return EXIT_OK, ["spectrum.csv", "cascade_report.json"]
+    return EXIT_OK, {
+        "spectrum.csv": spectrum_to_csv(report),
+        "cascade_report.json": {
+            "dim": spec.dim,
+            "contraction": spec.contraction,
+            "operator": [[float(v) for v in row] for row in op.entries],
+            "spectrum": report.to_dict(),
+            "hull_note": hull_note,
+            "fixed_point_basis": [[float(v) for v in vec] for vec in basis],
+            "commuting": commuting,
+            "unit_modulus_gap_with_undamped_stage": unit_eig_note,
+        },
+    }
 
 
-def cmd_entropy(doc: dict, out: Path) -> tuple[int, list[str]]:
+def cmd_entropy(doc: dict) -> tuple[int, dict]:
     params, tr, ph = parse_entropy_settings(doc)
-    # both parts are computed before either is written, so a part rejected
-    # in compute leaves no artifacts
-    trace = phase_report = None
+    artifacts = {}
     if tr is not None:
         state = tr.initial
         H = []
@@ -218,6 +212,12 @@ def cmd_entropy(doc: dict, out: Path) -> tuple[int, list[str]]:
             H_O.append(shannon_entropy(pushforward(state, tr.observer)))
             state = pushforward(state, tr.transition)
         trace = build_trace(H, H_O, params, k_schedule=tr.k_schedule)
+        artifacts["entropy_trace.csv"] = trace_to_csv(trace, params)
+        artifacts["entropy_report.json"] = {
+            "steps": tr.steps,
+            "step_violations": [s.n for s in trace.steps if not s.step_bound_ok],
+            "obs_violations": [s.n for s in trace.steps if not s.obs_bound_ok],
+        }
     if ph is not None:
         phase_report = {}
         if ph.pairing is not None:
@@ -230,25 +230,15 @@ def cmd_entropy(doc: dict, out: Path) -> tuple[int, list[str]]:
             net = cycle_net_phase(ph.cycle)
             phase_report["cycle_net_phase"] = str(net)
             phase_report["cycle_zero_net"] = net.is_zero()
-    outputs = []
-    if trace is not None:
-        write_text(out / "entropy_trace.csv", trace_to_csv(trace, params))
-        write_json(out / "entropy_report.json", {
-            "steps": tr.steps,
-            "step_violations": [s.n for s in trace.steps if not s.step_bound_ok],
-            "obs_violations": [s.n for s in trace.steps if not s.obs_bound_ok],
-        })
-        outputs += ["entropy_trace.csv", "entropy_report.json"]
-    if phase_report is not None:
-        write_json(out / "phase_report.json", phase_report)
-        outputs.append("phase_report.json")
-    return EXIT_OK, outputs
+        artifacts["phase_report.json"] = phase_report
+    return EXIT_OK, artifacts
 
 
 # --- dispatch ---------------------------------------------------------------
 
-# Each command runs cmd_<command>(doc, out), looked up by name at call time,
-# so wrapping a cmd_* function on the module also wraps its command.
+# Each command runs cmd_<command>(doc), looked up by name at call time, so
+# wrapping a cmd_* function on the module also wraps its command. It returns
+# (exit code, artifacts): each file name mapped to its CSV text or JSON value.
 COMMANDS = ("check-axioms", "theta", "simulate", "sweep", "cascade", "entropy")
 
 
@@ -274,25 +264,33 @@ def main(argv: list[str] | None = None) -> int:
             raise ScenarioParseError("--seed must be an unsigned 64-bit integer")
         doc = load_scenario(args.scenario)
         seed = args.seed if args.seed is not None else scenario_seed(doc)
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        # hashed before compute, while only the scenario is held
+        digest = scenario_hash(doc)
         handler = globals()["cmd_" + args.command.replace("-", "_")]
-        code, outputs = handler(doc, out)
-        write_json(out / "run_manifest.json", {
-            "scenario_hash": scenario_hash(doc),
-            "tool_version": __version__,
-            "command": args.command,
-            "outputs": sorted(outputs),
-            "wall_time_s": time.monotonic() - t0,
-            "seed": seed,
-        })
-        return code
+        code, artifacts = handler(doc)
     except NoConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     except VeridynError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, value in artifacts.items():
+            (write_text if isinstance(value, str) else write_json)(out / name, value)
+        write_json(out / "run_manifest.json", {
+            "scenario_hash": digest,
+            "tool_version": __version__,
+            "command": args.command,
+            "outputs": sorted(artifacts),
+            "wall_time_s": time.monotonic() - t0,
+            "seed": seed,
+        })
+    except OSError as exc:
+        print(f"error: cannot write to --out {args.out!r}: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    return code
 
 
 if __name__ == "__main__":

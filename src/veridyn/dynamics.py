@@ -662,11 +662,10 @@ def _classify(samples: list[np.ndarray], period_tol: float,
 
 
 def _diagram_row(update: MapSpec, observer: MapSpec, r: float,
-                 samples: list[np.ndarray], x0: np.ndarray, period_tol: float,
-                 max_period: int) -> DiagramRow:
+                 samples: list[np.ndarray], x0: np.ndarray) -> DiagramRow:
     """Classify one row from its samples (empty when divergent)."""
     if samples:
-        attractor, period = _classify(samples, period_tol, max_period)
+        attractor, period = _classify(samples, PERIOD_TOL, MAX_PERIOD)
     else:
         attractor, period = "divergent", None
     reps = samples[-min(len(samples), period or REPRESENTATIVE_SLOTS):]
@@ -689,18 +688,16 @@ def sweep_bifurcation(update: MapSpec, observer: MapSpec,
                       r_grid: Sequence[float],
                       transient: int = DEFAULT_TRANSIENT,
                       sample: int = DEFAULT_SAMPLE,
-                      x0: Sequence[float] | None = None,
-                      period_tol: float = PERIOD_TOL,
-                      max_period: int = MAX_PERIOD,
-                      divergence: float = DIVERGENCE_THRESHOLD) -> BifurcationDiagram:
+                      x0: Sequence[float] | None = None) -> BifurcationDiagram:
     """Classify the attractor of F_r on a grid of coupling values.
 
     Every r advances at once: each step is one batched evaluation of F_r
     with one weight per row, and each row gets the same bits as iterating
     its own F_r.  A row leaves the batch at its first non-finite step or
-    its first step beyond `divergence`, and is classified divergent.  The
-    remaining rows are classified from their last `sample` states, and a
-    fixed point near the last one gives the leading eigenvalue.
+    its first step beyond DIVERGENCE_THRESHOLD, and is classified
+    divergent.  The remaining rows are classified from their last `sample`
+    states, and a fixed point near the last one gives the leading
+    eigenvalue.
     """
     if transient < 1:
         raise DomainError("transient must be >= 1")
@@ -718,15 +715,14 @@ def sweep_bifurcation(update: MapSpec, observer: MapSpec,
             break
         x = family.batch(x, (1.0, rs[live]))
         bad = ~np.all(np.isfinite(x), axis=1) \
-            | (np.max(np.abs(x), axis=1, initial=0.0) > divergence)
+            | (np.max(np.abs(x), axis=1, initial=0.0) > DIVERGENCE_THRESHOLD)
         if step >= transient:
             samples[live, step - transient] = x
         if bad.any():
             divergent[live[bad]] = True
             live, x = live[~bad], x[~bad]
     rows = [_diagram_row(update, observer, float(r),
-                         [] if divergent[i] else list(samples[i]), start,
-                         period_tol, max_period)
+                         [] if divergent[i] else list(samples[i]), start)
             for i, r in enumerate(rs)]
     return BifurcationDiagram(tuple(rows))
 

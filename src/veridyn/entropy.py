@@ -158,6 +158,7 @@ class TraceStep:
     H_O: float
     step_bound_ok: bool
     obs_bound_ok: bool
+    obs_bound: float  # H(n) + K_n, the bound H_O(n+1) was tested against
 
     def __post_init__(self):
         if self.H < 0 or self.H_O < 0:
@@ -185,8 +186,9 @@ def build_trace(H: Sequence[float], H_O: Sequence[float], params: EntropyParams,
     """Assemble a trace from per-step entropies and flag both bounds.
 
     Step n carries the growth check for the step n -> n+1 (the final step
-    trivially passes) and the observation check H_O(n+1) <= H(n) + K_n.
-    A per-step schedule may override the constant K.
+    trivially passes) and the observation check H_O(n+1) <= H(n) + K_n,
+    with the bound it tested.  A per-step schedule may override the
+    constant K.
     """
     if len(H) != len(H_O):
         raise LengthMismatchError("H and H_O sequences differ in length")
@@ -194,11 +196,14 @@ def build_trace(H: Sequence[float], H_O: Sequence[float], params: EntropyParams,
     for n in range(len(H)):
         step_ok = True
         obs_ok = True
+        k_n = params.K
         if n + 1 < len(H):
             step_ok = H[n + 1] - H[n] <= params.C * math.log(n + 1) + BOUND_TOL
-            k_n = params.K if k_schedule is None else float(k_schedule[n])
+            if k_schedule is not None:
+                k_n = float(k_schedule[n])
             obs_ok = check_observation_bound(H[n], H_O[n + 1], k_n)
-        steps.append(TraceStep(n, float(H[n]), float(H_O[n]), step_ok, obs_ok))
+        steps.append(TraceStep(n, float(H[n]), float(H_O[n]), step_ok, obs_ok,
+                               float(H[n]) + k_n))
     return EntropyTrace(tuple(steps))
 
 
@@ -305,7 +310,6 @@ def trace_to_csv(trace: EntropyTrace, params: EntropyParams) -> str:
     H0 = trace.H[0] if len(trace) else 0.0
     for s in trace.steps:
         step_bound = params.C * math.log(s.n + 1)
-        obs_bound = (trace.H[s.n] if s.n + 1 < len(trace) else s.H) + params.K
         total = s.H + s.H_O if s.n == 0 else total_entropy_bound(s.n, H0, params)
         flags = []
         if not s.step_bound_ok:
@@ -316,6 +320,6 @@ def trace_to_csv(trace: EntropyTrace, params: EntropyParams) -> str:
             flags.append("total")
         lines.append(",".join([
             str(s.n), fmt_real(s.H), fmt_real(s.H_O), fmt_real(step_bound),
-            fmt_real(obs_bound), fmt_real(total), ";".join(flags),
+            fmt_real(s.obs_bound), fmt_real(total), ";".join(flags),
         ]))
     return "\n".join(lines) + "\n"

@@ -47,9 +47,6 @@ from .coalgebra import DEFAULT_MAX_ITER
 from .dynamics import (
     DEFAULT_SAMPLE,
     DEFAULT_TRANSIENT,
-    DIVERGENCE_THRESHOLD,
-    MAX_PERIOD,
-    PERIOD_TOL,
     AffineMap,
     MapSpec,
     PipelineMap,
@@ -94,6 +91,7 @@ SWEEP_ROW_CAP = 10 ** 5  # transient + sample, the batch's map steps per row
 SWEEP_WORK_CAP = 10 ** 7  # r_grid steps x (transient + sample)
 SIMULATE_STEPS_CAP = 10 ** 5
 ENTROPY_STEPS_CAP = 10 ** 4
+THETA_ITER_CAP = 10 ** 4  # theta_limit max_iter, each a functor image of the carrier
 
 
 def load_scenario(path: str) -> dict:
@@ -350,9 +348,6 @@ class SweepSettings:
     steps: int
     transient: int
     sample: int
-    period_tol: float
-    max_period: int
-    divergence: float
 
 
 def parse_simulate_settings(doc: Mapping) -> SimulateSettings:
@@ -394,10 +389,7 @@ def parse_sweep_settings(doc: Mapping) -> SweepSettings:
     return SweepSettings(
         update, observer,
         x0=None if x0 is None else _vector(x0, update.dim, "x0"),
-        lo=lo, hi=hi, steps=steps, transient=transient, sample=sample,
-        period_tol=_real(doc.get("period_tol", PERIOD_TOL), "period_tol"),
-        max_period=_integer(doc.get("max_period", MAX_PERIOD), "max_period", 0),
-        divergence=_real(doc.get("divergence", DIVERGENCE_THRESHOLD), "divergence"))
+        lo=lo, hi=hi, steps=steps, transient=transient, sample=sample)
 
 
 # --- finite-set layer: theta, entropy traces and phases ----------------------
@@ -480,7 +472,7 @@ def parse_theta_settings(doc: Mapping) -> ThetaSettings:
         update=uni.functor(_name(section, "update", "theta_limit")),
         start=uni.object(_name(section, "start", "theta_limit")),
         max_iter=_integer(section.get("max_iter", DEFAULT_MAX_ITER),
-                          "theta_limit max_iter", 1))
+                          "theta_limit max_iter", 1, THETA_ITER_CAP))
 
 
 def parse_entropy_trace(doc: Mapping, uni: Universe) -> EntropyTraceSettings:

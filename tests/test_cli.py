@@ -1,11 +1,16 @@
 import cmath
+import contextlib
+import io
 import json
 import math
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from veridyn.cascade import RESIDUAL_TOL
 from veridyn.cli import main
@@ -16,9 +21,11 @@ from veridyn.scenario import (
     SWEEP_GRID_CAP,
     SWEEP_ROW_CAP,
     SWEEP_WORK_CAP,
+    THETA_ITER_CAP,
     parse_entropy_trace,
     parse_simulate_settings,
     parse_sweep_settings,
+    parse_theta_settings,
     parse_universe,
 )
 
@@ -395,15 +402,18 @@ def test_step_counts_at_their_caps_are_accepted():
     doc = json.loads(UNIVERSE_SCENARIO.read_text())
     doc["entropy_trace"]["steps"] = ENTROPY_STEPS_CAP
     assert parse_entropy_trace(doc, parse_universe(doc)).steps == ENTROPY_STEPS_CAP
+    doc["theta_limit"]["max_iter"] = THETA_ITER_CAP
+    assert parse_theta_settings(doc).max_iter == THETA_ITER_CAP
 
 
 def _assert_rejected(capsys, out):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
-UNIVERSE_SCENARIO = Path(__file__).parents[1] / "scenarios" / "observer_universe.json"
+SCENARIOS = Path(__file__).parents[1] / "scenarios"
+UNIVERSE_SCENARIO = SCENARIOS / "observer_universe.json"
 # (command, section, key, value) patches; a value of None deletes the key,
 # a key of None replaces the whole section
 BAD_FINITE_SET = {
@@ -411,6 +421,8 @@ BAD_FINITE_SET = {
     "theta without verification": ("theta", "theta_limit", "verification", None),
     "theta max_iter not a number": ("theta", "theta_limit", "max_iter", "x"),
     "theta max_iter zero": ("theta", "theta_limit", "max_iter", 0),
+    "theta max_iter beyond the cap": ("theta", "theta_limit", "max_iter",
+                                      THETA_ITER_CAP + 1),
     "theta functor not a name": ("theta", "theta_limit", "update", ["V"]),
     "entropy_trace without start": ("entropy", "entropy_trace", "start", None),
     "entropy_trace steps not a number": ("entropy", "entropy_trace", "steps", "x"),
@@ -743,3 +755,108 @@ def test_seed_flag_overrides_scenario(tmp_path):
     assert _run("simulate", scen, out, "--seed", "777") == 0
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert manifest["seed"] == 777
+
+
+def test_entropy_obs_bound_is_the_scheduled_bound(tmp_path):
+    doc = json.loads(UNIVERSE_SCENARIO.read_text())
+    k = [0.5, 0.25, 0.0, 1.0, 2.0, 0.0, 0.125, 3.0]
+    doc["entropy"]["k_schedule"] = k
+    out = tmp_path / "out"
+    assert _run("entropy", _write(tmp_path, doc), out) == 0
+    rows = [line.split(",") for line in
+            (out / "entropy_trace.csv").read_text().splitlines()[1:]]
+    # the observation flag of row n tests H_O(n+1) <= H(n) + k_n
+    tested = rows[:doc["entropy_trace"]["steps"]]
+    assert len(tested) == len(k)
+    assert [float(row[4]) for row in tested] == [float(row[1]) + k_n
+                                                 for row, k_n in zip(tested, k)]
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "path-under-file"])
+def test_out_naming_a_file_is_rejected(tmp_path, capsys, under):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep\n")
+    out = blocker / "sub" if under else blocker
+    assert _run("simulate", _write(tmp_path, LOGISTIC), out) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert blocker.read_text() == "keep\n"
+
+
+def _failing_check(doc):
+    doc["checks"] = [{**EQUALIZER_CHECK, "expect_elements": ["a"]}]
+
+
+def _one_theta_step(doc):
+    doc["theta_limit"]["max_iter"] = 1
+
+
+@pytest.mark.parametrize("cmd, scenario, patch, code", [
+    ("check-axioms", "observer_universe", None, 0),
+    ("check-axioms", "observer_universe", _failing_check, 1),
+    ("theta", "observer_universe", None, 0),
+    ("theta", "observer_universe", _one_theta_step, 3),
+    ("entropy", "observer_universe", None, 0),
+    ("cascade", "damped_cascade", None, 0),
+    ("cascade", "cascade_64_pairs", None, 0),
+    ("simulate", "logistic_sweep", None, 0),
+    ("sweep", "logistic_sweep", None, 0),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_out_holds_exactly_the_manifest_outputs(tmp_path, cmd, scenario, patch, code):
+    doc = json.loads((SCENARIOS / f"{scenario}.json").read_text())
+    if patch is not None:
+        patch(doc)
+    out = tmp_path / "out"
+    assert _run(cmd, _write(tmp_path, doc), out) == code
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["outputs"]
+    assert sorted(p.name for p in out.iterdir()) == \
+        sorted([*manifest["outputs"], "run_manifest.json"])
+
+
+# single-field mutations of the bundled scenarios, run by the commands that
+# read them; the scenarios keep their own sizes, the caps bound the work
+FUZZ_RUNS = {"observer_universe": ("check-axioms", "theta", "entropy"),
+             "damped_cascade": ("cascade",),
+             "logistic_sweep": ("simulate", "sweep")}
+DELETE = "<delete>"
+FUZZ_VALUES = [None, "x", -1, 0, 2.5, [], {}, True, 1e308, 10 ** 30, DELETE]
+
+
+def _field_paths(node, path=()):
+    """The key or index path of every value below the root of a JSON document."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield (*path, key)
+        yield from _field_paths(child, (*path, key))
+
+
+FUZZ_CASES = [(name, cmd, path)
+              for name, cmds in FUZZ_RUNS.items()
+              for path in _field_paths(json.loads((SCENARIOS / f"{name}.json").read_text()))
+              for cmd in cmds]
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(case=st.sampled_from(FUZZ_CASES), value=st.sampled_from(FUZZ_VALUES))
+def test_single_field_mutation_keeps_the_exit_contract(case, value):
+    name, cmd, path = case
+    doc = json.loads((SCENARIOS / f"{name}.json").read_text())
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value == DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = _run(cmd, _write(Path(tmp), doc), out)
+        assert code in (0, 1, 2, 3)
+        if code == 2:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+            assert not out.exists()
