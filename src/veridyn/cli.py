@@ -3,13 +3,16 @@
 Exit codes: 0 success, 1 check failure, 2 input error, 3 non-convergence.
 A command computes its artifacts and returns them; main then creates --out,
 writes them and a run_manifest.json listing them, so a command that raises
-writes nothing. Identical scenario and seed produce byte-identical CSV/JSON
-artifacts (the manifest itself carries wall time and is exempt).
+writes nothing. Files that the manifest already in --out listed and this
+run did not write are then deleted; no other file is. Identical scenario
+and seed produce byte-identical CSV/JSON artifacts (the manifest itself
+carries wall time and is exempt).
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
 from dataclasses import replace
@@ -256,6 +259,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _listed_outputs(out: Path) -> set[str]:
+    """The file names that the run manifest already in `out` lists.
+
+    A run deletes those it did not write, so a reused --out holds only its
+    manifest's files. A manifest that cannot be read lists nothing, and a
+    name that is not a plain file name in `out` is dropped.
+    """
+    try:
+        listed = json.loads((out / "run_manifest.json").read_text(encoding="utf-8"))
+        listed = listed["outputs"]
+    except (OSError, ValueError, TypeError, KeyError):
+        return set()
+    if not isinstance(listed, list):
+        return set()
+    return {name for name in listed if isinstance(name, str)
+            and Path(name).name == name and name != "run_manifest.json"}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     t0 = time.monotonic()
@@ -276,6 +297,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT_ERROR
     out = Path(args.out)
     try:
+        stale = _listed_outputs(out) - artifacts.keys()
         out.mkdir(parents=True, exist_ok=True)
         for name, value in artifacts.items():
             (write_text if isinstance(value, str) else write_json)(out / name, value)
@@ -287,6 +309,9 @@ def main(argv: list[str] | None = None) -> int:
             "wall_time_s": time.monotonic() - t0,
             "seed": seed,
         })
+        for name in stale:
+            if (out / name).is_file():
+                (out / name).unlink()
     except OSError as exc:
         print(f"error: cannot write to --out {args.out!r}: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -1,6 +1,6 @@
 """Coupled state/observer updates, stability analysis, bifurcation sweeps.
 
-The coupled step advances the state by the update map and lets the
+A coupled step advances the state by the update map and lets the
 observer read the new state; the perturbed family F_r adds an observer
 back-action r * O(x) to the update.  The critical-coupling search locates
 parameter values where det(I - DF) or det(I + DF) vanishes at the tracked
@@ -42,7 +42,6 @@ __all__ = [
     "CriticalReport",
     "LyapunovReport",
     "StabilityReport",
-    "coupled_step",
     "perturbed_map",
     "jacobian",
     "jacobian_fd",
@@ -67,27 +66,44 @@ LYAPUNOV_TOL = 1e-9
 REPRESENTATIVE_SLOTS = 4
 
 
+def _pow(x: float, p: int) -> float:
+    """x ** p as np.float64(x) ** p gives it: libm pow, and the signed
+    infinity where math.pow raises OverflowError."""
+    try:
+        return math.pow(x, p)
+    except OverflowError:
+        return math.copysign(math.inf, x) if p % 2 else math.inf
+
+
 _math_pow = np.frompyfunc(math.pow, 2, 1)
 
 
 def _libm_pow(col: np.ndarray, p: int) -> np.ndarray:
-    """col ** p through libm pow, which the scalar np.float64 ** int calls.
+    """col ** p through libm pow, as _pow and the scalar evaluation take it.
 
     numpy's array power takes SIMD paths (x * x for p = 2) that round
     differently, so batched rows would drift from the scalar ones.
     """
     try:
         return _math_pow(col, p).astype(np.float64)
-    except OverflowError:  # math.pow raises where the scalar power gives inf
-        return np.array([v ** p for v in col])
+    except OverflowError:
+        return np.array([_pow(v, p) for v in col.tolist()])
 
 
 class MapSpec:
-    """Interface for the state-update maps: evaluate and differentiate."""
+    """Interface for the state-update maps: evaluate and differentiate.
+
+    Calling a map takes a sequence of `dim` floats and returns a tuple of
+    `dim` Python floats, with the bits the numpy evaluation of the same
+    map gives.  Scalar solves run on these tuples, because numpy's
+    per-call dispatch costs far more than the arithmetic at these sizes.
+    `batch`, `jacobian_analytic` and everything downstream of them stay
+    on numpy arrays.
+    """
 
     dim: int
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
+    def __call__(self, x: Sequence[float]) -> tuple[float, ...]:
         raise NotImplementedError
 
     def batch(self, xs: np.ndarray) -> np.ndarray:
@@ -117,13 +133,20 @@ class AffineMap(MapSpec):
         b.setflags(write=False)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+        object.__setattr__(self, "_scalar", (float(a[0, 0]), float(b[0]))
+                           if a.shape == (1, 1) else None)
 
     @property
     def dim(self) -> int:
         return self.a.shape[0]
 
     def __call__(self, x):
-        return self.a @ np.asarray(x, dtype=np.float64) + self.b
+        if self._scalar is None:
+            # a Python sum cannot match the order OpenBLAS sums a small matvec in
+            return tuple((self.a @ np.array(x, dtype=np.float64) + self.b).tolist())
+        a, b = self._scalar
+        # A @ x accumulates onto +0.0, which turns a -0.0 product into +0.0
+        return (0.0 + a * x[0] + b,)
 
     def batch(self, xs):
         # one A @ x product per row: a single (B, dim) @ A.T product sums
@@ -162,20 +185,22 @@ class PolynomialMap(MapSpec):
                     )
                 if not math.isfinite(coeff):
                     raise NonFiniteError("polynomial coefficient must be finite")
+        # each term as (coeff, ((j, p), ...)) over its nonzero powers, in order
+        object.__setattr__(self, "_terms", tuple(
+            tuple((coeff, tuple((j, p) for j, p in enumerate(powers) if p))
+                  for coeff, powers in terms)
+            for terms in self.coords))
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        out = np.zeros(self.dim)
-        for i, terms in enumerate(self.coords):
+        out = []
+        for terms in self._terms:
             acc = 0.0
-            for coeff, powers in terms:
-                term = coeff
-                for j, p in enumerate(powers):
-                    if p:
-                        term *= x[j] ** p
+            for term, factors in terms:
+                for j, p in factors:
+                    term *= _pow(x[j], p)
                 acc += term
-            out[i] = acc
-        return out
+            out.append(acc)
+        return tuple(out)
 
     def batch(self, xs):
         out = np.zeros(xs.shape)
@@ -225,10 +250,9 @@ class PipelineMap(MapSpec):
         return self.parts[0].dim
 
     def __call__(self, x):
-        out = np.asarray(x, dtype=np.float64)
         for p in self.parts:
-            out = p(out)
-        return out
+            x = p(x)
+        return x
 
     def batch(self, xs):
         out = xs
@@ -259,11 +283,10 @@ class WeightedSumMap(MapSpec):
         return self.parts[0].dim
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        out = 0.0
+        out = [0.0] * len(x)
         for w, p in zip(self.weights, self.parts):
-            out = out + w * p(x)
-        return out
+            out = [o + w * v for o, v in zip(out, p(x))]
+        return tuple(out)
 
     def batch(self, xs, weights=None):
         """Rows of the sum; `weights` may replace self.weights, each entry a
@@ -303,17 +326,6 @@ class Trajectory:
             raise LengthMismatchError("trajectory must contain at least one state")
 
 
-def coupled_step(update: MapSpec, observer: MapSpec, s: CoupledState) -> CoupledState:
-    """Advance the state, then let the observer read the new state."""
-    if update.dim != observer.dim or s.x.shape != (update.dim,):
-        raise DimMismatchError("state, update and observer dimensions differ")
-    x_next = update(s.x)
-    o_next = observer(x_next)
-    if not (np.all(np.isfinite(x_next)) and np.all(np.isfinite(o_next))):
-        raise NonFiniteError("coupled step produced a non-finite coordinate")
-    return CoupledState(x_next, o_next)
-
-
 def perturbed_map(update: MapSpec, observer: MapSpec, r: float) -> MapSpec:
     """Observer back-action family F_r(x) = update(x) + r * observer(x)."""
     if update.dim != observer.dim:
@@ -332,7 +344,7 @@ def jacobian_fd(F: MapSpec, x: np.ndarray) -> np.ndarray:
         xm = x.copy()
         xp[j] += h
         xm[j] -= h
-        jac[:, j] = (F(xp) - F(xm)) / (2.0 * h)
+        jac[:, j] = np.subtract(F(xp.tolist()), F(xm.tolist())) / (2.0 * h)
     return jac
 
 
@@ -346,11 +358,18 @@ def jacobian(F: MapSpec, x: np.ndarray) -> LinOp:
     return LinOp(jac)
 
 
-def _ninf(v: np.ndarray) -> float:
-    return float(np.abs(v).max(initial=0.0))
+def _residual(d: list[float]) -> float:
+    """max |d_i|, NaN when any d_i is NaN, as np.abs(d).max() gives.
+
+    max() alone keeps a NaN only when it comes first.
+    """
+    norms = list(map(abs, d))
+    total = sum(norms)  # NaN exactly when some |d_i| is NaN
+    return total if total != total else max(norms)
 
 
-# the residual and step checks decide on non-finite values themselves
+# a dim > 1 affine node evaluates in numpy; the residual and step checks
+# decide on non-finite values themselves
 @np.errstate(over="ignore", invalid="ignore")
 def find_fixed_point(F: MapSpec, x0: Sequence[float], max_iter: int = 10_000,
                      tol: float = 1e-10) -> np.ndarray:
@@ -360,23 +379,26 @@ def find_fixed_point(F: MapSpec, x0: Sequence[float], max_iter: int = 10_000,
     margin; merely-not-worse progress (the signature of a neutral
     multiplier) triggers the same halving as an outright increase, which
     restores contraction near flip-neutral points.  beta never grows back.
+    The iteration runs on tuples of floats; the fixed point is returned
+    as an array.
     """
-    x = np.asarray(x0, dtype=np.float64).copy()
-    d = F(x) - x
-    res = _ninf(d)
+    x = tuple(map(float, x0))
+    d = [f - c for f, c in zip(F(x), x)]
+    res = _residual(d)
     if res <= tol:
-        return x
+        return np.array(x)
     beta = 1.0
     for _ in range(max_iter):
-        cand = x + beta * d
+        cand = tuple([c + beta * e for c, e in zip(x, d)])
         fc = F(cand)
-        dc = fc - cand
-        cres = _ninf(dc)
+        dc = [f - c for f, c in zip(fc, cand)]
+        cres = _residual(dc)
         if cres <= tol:
-            return cand
+            return np.array(cand)
         # a finite cres implies a finite F(cand); an infinite one passes
         # against an infinite res, so there F(cand) must be checked
-        if cres <= res * (1.0 - 1e-3) and (cres < math.inf or np.isfinite(fc).all()):
+        if cres <= res * (1.0 - 1e-3) and (cres < math.inf
+                                            or all(map(math.isfinite, fc))):
             x, d, res = cand, dc, cres
             continue
         beta *= 0.5
@@ -727,7 +749,8 @@ def sweep_bifurcation(update: MapSpec, observer: MapSpec,
     return BifurcationDiagram(tuple(rows))
 
 
-# overflow shows up as a non-finite value, which the rollout checks and raises
+# overflow shows up as a non-finite value, which the rollout checks and
+# raises; only a dim > 1 affine node evaluates in numpy
 @np.errstate(over="ignore", invalid="ignore")
 def simulate_coupled(update: MapSpec, observer: MapSpec, x0: Sequence[float],
                      steps: int, r: float = 0.0, schedule: int = 1) -> Trajectory:
@@ -741,19 +764,19 @@ def simulate_coupled(update: MapSpec, observer: MapSpec, x0: Sequence[float],
     if schedule < 1:
         raise DomainError("schedule must be >= 1")
 
-    def observe(x: np.ndarray, n: int) -> np.ndarray:
+    def observe(x: tuple[float, ...], n: int) -> tuple[float, ...]:
         o = observer(x)
-        if not np.all(np.isfinite(o)):
+        if not all(map(math.isfinite, o)):
             raise NonFiniteError(f"observer reading left the finite range at step {n}")
         return o
 
     fr = perturbed_map(update, observer, r) if r != 0.0 else update
-    x = np.asarray(x0, dtype=np.float64)
+    x = tuple(map(float, x0))
     o = observe(x, 0)
     states = [CoupledState(x, o)]
     for n in range(1, steps + 1):
         x = fr(x)
-        if not np.all(np.isfinite(x)):
+        if not all(map(math.isfinite, x)):
             raise NonFiniteError(f"trajectory left the finite range at step {n}")
         if n % schedule == 0:
             o = observe(x, n)

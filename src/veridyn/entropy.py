@@ -159,6 +159,7 @@ class TraceStep:
     step_bound_ok: bool
     obs_bound_ok: bool
     obs_bound: float  # H(n) + K_n, the bound H_O(n+1) was tested against
+    total_bound: float  # H(0) + C ln n + K_0 + ... + K_(n-1); H(0) + H_O(0) at n = 0
 
     def __post_init__(self):
         if self.H < 0 or self.H_O < 0:
@@ -187,23 +188,27 @@ def build_trace(H: Sequence[float], H_O: Sequence[float], params: EntropyParams,
 
     Step n carries the growth check for the step n -> n+1 (the final step
     trivially passes) and the observation check H_O(n+1) <= H(n) + K_n,
-    with the bound it tested.  A per-step schedule may override the
-    constant K.
+    with the bound it tested, and the total bound after n rounds.  A
+    per-step schedule may override the constant K, in both bounds.
     """
     if len(H) != len(H_O):
         raise LengthMismatchError("H and H_O sequences differ in length")
     steps = []
+    spent = 0.0  # K_0 + ... + K_(n-1) under a schedule
     for n in range(len(H)):
         step_ok = True
         obs_ok = True
         k_n = params.K
+        total = (float(H[0]) + float(H_O[0]) if n == 0 else total_entropy_bound(
+            n, float(H[0]), params, None if k_schedule is None else spent))
         if n + 1 < len(H):
             step_ok = H[n + 1] - H[n] <= params.C * math.log(n + 1) + BOUND_TOL
             if k_schedule is not None:
                 k_n = float(k_schedule[n])
+                spent += k_n
             obs_ok = check_observation_bound(H[n], H_O[n + 1], k_n)
         steps.append(TraceStep(n, float(H[n]), float(H_O[n]), step_ok, obs_ok,
-                               float(H[n]) + k_n))
+                               float(H[n]) + k_n, total))
     return EntropyTrace(tuple(steps))
 
 
@@ -223,11 +228,16 @@ def check_observation_bound(H_X: float, H_O_next: float, K: float) -> bool:
     return H_O_next <= H_X + K + BOUND_TOL
 
 
-def total_entropy_bound(n: int, H0: float, params: EntropyParams) -> float:
-    """Accumulated budget H0 + C ln(n) + n K after n >= 1 rounds."""
+def total_entropy_bound(n: int, H0: float, params: EntropyParams,
+                        k_spent: float | None = None) -> float:
+    """Accumulated budget H0 + C ln(n) + K_0 + ... + K_(n-1) after n >= 1 rounds.
+
+    `k_spent` is that sum under a k_schedule; without one every K_i is K
+    and the sum is n K.
+    """
     if n < 1:
         raise DomainError("total bound starts at n = 1 (log of 0 is undefined)")
-    return H0 + params.C * math.log(n) + n * params.K
+    return H0 + params.C * math.log(n) + (n * params.K if k_spent is None else k_spent)
 
 
 @dataclass(frozen=True)
@@ -307,19 +317,17 @@ def trace_to_csv(trace: EntropyTrace, params: EntropyParams) -> str:
     the accumulation formula starts at n = 1.
     """
     lines = ["n,H,H_O,step_bound,obs_bound,total_bound,violated_flags"]
-    H0 = trace.H[0] if len(trace) else 0.0
     for s in trace.steps:
         step_bound = params.C * math.log(s.n + 1)
-        total = s.H + s.H_O if s.n == 0 else total_entropy_bound(s.n, H0, params)
         flags = []
         if not s.step_bound_ok:
             flags.append("step")
         if not s.obs_bound_ok:
             flags.append("obs")
-        if s.n >= 1 and s.H + s.H_O > total + BOUND_TOL:
+        if s.n >= 1 and s.H + s.H_O > s.total_bound + BOUND_TOL:
             flags.append("total")
         lines.append(",".join([
             str(s.n), fmt_real(s.H), fmt_real(s.H_O), fmt_real(step_bound),
-            fmt_real(s.obs_bound), fmt_real(total), ";".join(flags),
+            fmt_real(s.obs_bound), fmt_real(s.total_bound), ";".join(flags),
         ]))
     return "\n".join(lines) + "\n"

@@ -772,6 +772,23 @@ def test_entropy_obs_bound_is_the_scheduled_bound(tmp_path):
                                                  for row, k_n in zip(tested, k)]
 
 
+@pytest.mark.parametrize("k", [[0] * 8, [0.5, 0.25, 0.0, 1.0, 2.0, 0.0, 0.125, 3.0]],
+                         ids=["zero", "dyadic"])
+def test_entropy_total_bound_sums_the_schedule(tmp_path, k):
+    doc = json.loads(UNIVERSE_SCENARIO.read_text())
+    doc["entropy"]["k_schedule"] = k
+    out = tmp_path / "out"
+    assert _run("entropy", _write(tmp_path, doc), out) == 0
+    rows = [line.split(",") for line in
+            (out / "entropy_trace.csv").read_text().splitlines()[1:]]
+    H0, C = float(rows[0][1]), doc["entropy"]["C"]
+    # row n grants k_0 + ... + k_(n-1), not n K (K = 1 here)
+    assert [float(row[5]) for row in rows[1:]] == [
+        H0 + C * math.log(n) + sum(k[:n]) for n in range(1, len(rows))]
+    if not any(k):
+        assert float(rows[7][5]) == H0 + C * math.log(7)
+
+
 @pytest.mark.parametrize("under", [False, True], ids=["file", "path-under-file"])
 def test_out_naming_a_file_is_rejected(tmp_path, capsys, under):
     blocker = tmp_path / "blocker"
@@ -812,6 +829,45 @@ def test_out_holds_exactly_the_manifest_outputs(tmp_path, cmd, scenario, patch, 
     assert manifest["outputs"]
     assert sorted(p.name for p in out.iterdir()) == \
         sorted([*manifest["outputs"], "run_manifest.json"])
+
+
+def test_reused_out_drops_the_previous_runs_outputs(tmp_path):
+    doc = json.loads(UNIVERSE_SCENARIO.read_text())
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_text("mine\n")
+    assert _run("entropy", _write(tmp_path, doc), out) == 0
+    assert (out / "phase_report.json").is_file()
+    del doc["phases"]
+    assert _run("entropy", _write(tmp_path, doc), out) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert "phase_report.json" not in manifest["outputs"]
+    assert sorted(p.name for p in out.iterdir()) == \
+        sorted([*manifest["outputs"], "run_manifest.json", "notes.txt"])
+    assert (out / "notes.txt").read_text() == "mine\n"
+
+
+@pytest.mark.parametrize("old_manifest", [
+    "{not json",
+    json.dumps(["phase_report.json"]),
+    json.dumps({"outputs": "phase_report.json"}),
+    json.dumps({"outputs": ["../outside.txt", "sub/phase_report.json", ".",
+                            "run_manifest.json", 7]}),
+], ids=["unreadable", "not-an-object", "not-a-list", "not-plain-names"])
+def test_reused_out_deletes_only_what_a_manifest_listed(tmp_path, old_manifest):
+    doc = json.loads(UNIVERSE_SCENARIO.read_text())
+    del doc["phases"]
+    out = tmp_path / "out"
+    (out / "sub").mkdir(parents=True)
+    kept = [tmp_path / "outside.txt", out / "phase_report.json",
+            out / "sub" / "phase_report.json"]
+    for path in kept:
+        path.write_text("mine\n")
+    (out / "run_manifest.json").write_text(old_manifest)
+    assert _run("entropy", _write(tmp_path, doc), out) == 0
+    assert all(path.read_text() == "mine\n" for path in kept)
+    assert json.loads((out / "run_manifest.json").read_text())["outputs"] == [
+        "entropy_report.json", "entropy_trace.csv"]
 
 
 # single-field mutations of the bundled scenarios, run by the commands that

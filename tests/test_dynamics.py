@@ -1,8 +1,13 @@
+import contextlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from veridyn import cli, dynamics
 from veridyn.cascade import LinOp, spectrum
 from veridyn.category import FinObj
 from veridyn.dynamics import (
@@ -15,7 +20,6 @@ from veridyn.dynamics import (
     PolynomialMap,
     Trajectory,
     WeightedSumMap,
-    coupled_step,
     diagram_to_csv,
     find_critical_r,
     find_fixed_point,
@@ -79,24 +83,28 @@ def test_pipeline_and_sum_eval():
     assert mix(np.array([3.0]))[0] == pytest.approx(6.0 - 9.0)
 
 
+def _coupled_step(update, observer, x):
+    """The state after one step of simulate_coupled, observed on that step."""
+    return simulate_coupled(update, observer, x, steps=1).states[1]
+
+
 def test_coupled_step_examples():
     ident = scale_map(1, 1.0)
-    s = CoupledState(np.array([0.4]), np.array([0.4]))
-    out = coupled_step(ident, ident, s)
+    out = _coupled_step(ident, ident, [0.4])
     assert out.x[0] == pytest.approx(0.4)
     halver = scale_map(1, 0.5)
-    out = coupled_step(halver, ident, CoupledState(np.array([1.0]), np.array([0.0])))
+    out = _coupled_step(halver, ident, [1.0])
     assert (out.x[0], out.o[0]) == (0.5, 0.5)
-    origin = coupled_step(halver, halver, CoupledState(np.zeros(1), np.zeros(1)))
+    origin = _coupled_step(halver, halver, [0.0])
     assert origin.x[0] == 0.0 and origin.o[0] == 0.0
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
 def test_coupled_step_nonfinite_guard():
     big = AffineMap(np.array([[1e308]]), np.zeros(1))
-    s = CoupledState(np.array([10.0]), np.array([0.0]))
-    with pytest.raises(NonFiniteError):
-        coupled_step(big, big, s)
+    with pytest.raises(NonFiniteError, match="trajectory left the finite range at step 1"):
+        _coupled_step(big, scale_map(1, 1.0), [10.0])
+    with pytest.raises(NonFiniteError, match="observer reading"):
+        _coupled_step(scale_map(1, 1.0), big, [10.0])
 
 
 def test_perturbed_map_examples():
@@ -166,10 +174,69 @@ def test_batch_power_overflow_matches_scalar():
     assert got[0, 0] == np.inf and got[1, 0] == -np.inf
 
 
+# --- pinned references: numpy scalar evaluation --------------------------------
+#
+# Each map's __call__ as it stood when scalar evaluation ran on numpy arrays.
+# The float evaluators must return the same bits at every point, and a
+# solve must visit the same points, so that every artifact keeps its bytes.
+
+
+def _ref_affine_call(self, x):
+    return self.a @ np.asarray(x, dtype=np.float64) + self.b
+
+
+def _ref_polynomial_call(self, x):
+    x = np.asarray(x, dtype=np.float64)
+    out = np.zeros(self.dim)
+    for i, terms in enumerate(self.coords):
+        acc = 0.0
+        for coeff, powers in terms:
+            term = coeff
+            for j, p in enumerate(powers):
+                if p:
+                    term *= x[j] ** p
+            acc += term
+        out[i] = acc
+    return out
+
+
+def _ref_pipeline_call(self, x):
+    out = np.asarray(x, dtype=np.float64)
+    for p in self.parts:
+        out = p(out)
+    return out
+
+
+def _ref_sum_call(self, x):
+    x = np.asarray(x, dtype=np.float64)
+    out = 0.0
+    for w, p in zip(self.weights, self.parts):
+        out = out + w * p(x)
+    return out
+
+
+REFERENCE_CALLS = {AffineMap: _ref_affine_call, PolynomialMap: _ref_polynomial_call,
+                   PipelineMap: _ref_pipeline_call, WeightedSumMap: _ref_sum_call}
+
+
+@contextlib.contextmanager
+def _reference_calls():
+    """Every map class evaluates through its numpy reference inside the block."""
+    saved = {cls: cls.__dict__["__call__"] for cls in REFERENCE_CALLS}
+    try:
+        for cls, call in REFERENCE_CALLS.items():
+            cls.__call__ = call
+        yield
+    finally:
+        for cls, call in saved.items():
+            cls.__call__ = call
+
+
 # --- pinned references: damped fixed-point solve and period test -------------
 #
 # find_fixed_point and _classify as they stood before the solver kept its
-# residual vector between steps and the period test was vectorised.  The
+# residual vector between steps and the period test was vectorised.  Run on
+# the numpy evaluators above, the solver is the numpy scalar solve; the
 # current code must evaluate F at the same points and return the same bits.
 
 
@@ -226,13 +293,27 @@ def _bits(x):
     return np.asarray(x, dtype=np.float64).view(np.uint64).tolist()
 
 
+def _value_bits(x):
+    """_bits with every NaN as one pattern.
+
+    C leaves the sign and payload of pow(NaN, p) to the libm: glibc clears
+    the sign for odd p, and math.pow returns its NaN argument unchanged.
+    From F's output the sign passes into the solver's next candidate.
+    Nothing in veridyn reads it: a NaN fails every comparison and
+    isfinite, and fmt_real prints it as nan.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    return _bits(np.where(np.isnan(x), np.nan, x))
+
+
 def _traced_solve(solver, F, x0, **kwargs):
-    """(outcome, bit patterns of every point F was evaluated at)."""
+    """(outcome, bit patterns of every point F was evaluated at and of F there)."""
     calls = []
 
     def recorded(x):
-        calls.append(_bits(x))
-        return F(x)
+        fx = F(x)
+        calls.append((_value_bits(x), _value_bits(fx)))
+        return fx
 
     try:
         outcome = ("converged", _bits(solver(recorded, x0, **kwargs)))
@@ -241,8 +322,82 @@ def _traced_solve(solver, F, x0, **kwargs):
     return outcome, calls
 
 
+def _reference_solve(F, x0, **kwargs):
+    """_traced_solve of the numpy solver on the numpy evaluators."""
+    with _reference_calls():
+        return _traced_solve(_ref_find_fixed_point, F, x0, **kwargs)
+
+
+SPECIAL = (0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1e200, -1e200, 5e-324, -1.5)
+
+
+def _evaluation_points(rng, dim, count):
+    """Points in [-2, 2]^dim, some coordinates replaced by special values."""
+    xs = rng.uniform(-2, 2, (count, dim))
+    mask = rng.random((count, dim)) < 0.2
+    xs[mask] = rng.choice(SPECIAL, int(mask.sum()))
+    return xs
+
+
+def _assert_evaluates_as_reference(spec, xs):
+    for x in xs:
+        got = spec(x.tolist())
+        assert type(got) is tuple and all(type(v) is float for v in got)
+        with _reference_calls():
+            want = spec(x)
+        assert _value_bits(got) == _value_bits(want), (spec, x)
+
+
+@given(st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=200, deadline=None)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_evaluation_matches_numpy_reference_bitwise(dim, seed):
+    rng = np.random.default_rng(seed)
+    spec = _random_spec(rng, dim, depth=2)
+    _assert_evaluates_as_reference(spec, _evaluation_points(rng, dim, 8))
+
+
+CUBE = PolynomialMap(1, (((1.0, (3,)),),))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("spec, x", [
+    # A @ x sums onto +0.0, so 0 * (negative x) gives +0.0 before b = -0.0
+    (AffineMap([[0.0]], [-0.0]), [-1.0]),
+    (AffineMap([[0.0]], [-0.0]), [-0.0]),
+    (AffineMap([[1.0]], [-0.0]), [-0.0]),
+    (AffineMap([[-0.0]], [0.0]), [3.0]),
+    (AffineMap(np.zeros((2, 2)), [-0.0, -0.0]), [-1.0, -2.0]),
+    (WeightedSumMap((AffineMap([[1.0]], [0.0]),), (-1.0,)), [0.0]),
+    # an odd power of a huge negative base overflows to -inf, an even one to
+    # +inf; a zero coefficient turns the infinity into NaN
+    (CUBE, [-1e200]),
+    (CUBE, [1e200]),
+    (PolynomialMap(1, (((1.0, (2,)),),)), [-1e200]),
+    (PolynomialMap(1, (((0.0, (3,)), (2.0, (1,))),)), [-1e200]),
+    (PolynomialMap(2, (((-3.0, (2, 1)),), ((1.0, (0, 3)),))), [-1e200, -1e120]),
+    (CUBE, [np.nan]),
+    (CUBE, [-np.inf]),
+    # NaN in a later coordinate
+    (PolynomialMap(3, (((1.0, (0, 0, 1)),), ((1.0, (1, 0, 0)),), ((1.0, (0, 1, 0)),))),
+     [0.5, 0.25, np.nan]),
+    (PipelineMap((AffineMap(np.eye(4), np.zeros(4)), PolynomialMap(
+        4, tuple(((1.0, tuple(3 if k == i else 0 for k in range(4))),)
+                 for i in range(4))))), [1.0, -1e200, 2.0, np.nan]),
+])
+def test_evaluation_edge_cases_match_numpy_reference(spec, x):
+    _assert_evaluates_as_reference(spec, [np.array(x, dtype=np.float64)])
+
+
 SWAP_SQUARES = PolynomialMap(2, (((1.0, (0, 2)),), ((1.0, (2, 0)),)))
 SQUARE_AND_CONSTANT = PolynomialMap(2, (((1.0, (0, 2)),), ((1.0, (0, 0)),)))
+
+
+def _keep_and_square_last(dim):
+    """x -> (x_0, ..., x_(dim-2), x_(dim-1)^2)."""
+    return PolynomialMap(dim, tuple(
+        ((1.0, tuple(2 if (k == i == dim - 1) else int(k == i) for k in range(dim))),)
+        for i in range(dim)))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -255,10 +410,36 @@ SQUARE_AND_CONSTANT = PolynomialMap(2, (((1.0, (0, 2)),), ((1.0, (0, 0)),)))
     (SQUARE_AND_CONSTANT, [0.0, 1e200]),
     (SWAP_SQUARES, [np.nan, 0.5]),
     (scale_map(2, 2.0), [1.0, -1.0]),
+    # NaN in a later coordinate: the residual is NaN, never the max of the rest
+    (scale_map(2, 0.5), [0.25, np.nan]),
+    (scale_map(3, 0.5), [0.25, -0.5, np.nan]),
+    (scale_map(4, 0.5), [0.25, 1.0, np.nan, 2.0]),
+    # inf - inf makes the last residual coordinate NaN; a residual that
+    # dropped it would read 0 and accept (0.5, ..., inf) as a fixed point
+    (_keep_and_square_last(2), [0.5, 1e200]),
+    (_keep_and_square_last(3), [0.5, -0.25, 1e200]),
+    (_keep_and_square_last(4), [0.5, -0.25, 0.125, 1e200]),
+    # divergent: the cube overflows, and so does an expanding affine step
+    (CUBE, [1e120]),
+    (CUBE, [-1e120]),
+    (AffineMap([[3.0]], [1.0]), [1e308]),
 ])
 def test_fixed_point_overflow_paths_match_reference(spec, x0):
     got = _traced_solve(find_fixed_point, spec, x0, max_iter=300)
-    assert got == _traced_solve(_ref_find_fixed_point, spec, x0, max_iter=300)
+    assert got == _reference_solve(spec, x0, max_iter=300)
+    assert got[0][0] == "stalled"
+
+
+@pytest.mark.parametrize("spec, x0, max_iter", [
+    # flip-neutral logistic at r = 3: converges too slowly for 50 steps
+    (perturbed_map(AffineMap([[0.0]], [0.0]),
+                   PolynomialMap(1, (((1.0, (1,)), (-1.0, (2,))),)), 3.0), [0.5], 50),
+    (scale_map(1, 2.0), [1.0], 10_000),
+    (AffineMap([[0.0, -1.1], [1.1, 0.0]], [0.1, 0.2]), [1.0, 1.0], 200),
+])
+def test_stalled_solves_match_reference(spec, x0, max_iter):
+    got = _traced_solve(find_fixed_point, spec, x0, max_iter=max_iter)
+    assert got == _reference_solve(spec, x0, max_iter=max_iter)
     assert got[0][0] == "stalled"
 
 
@@ -266,8 +447,16 @@ def test_fixed_point_overflow_paths_match_reference(spec, x0):
 def test_fixed_point_overflow_candidates_pinned():
     _, calls = _traced_solve(find_fixed_point, SWAP_SQUARES, [1e200, 0.0], max_iter=3)
     inf = float("inf")
-    assert calls == [_bits(x) for x in ([1e200, 0.0], [0.0, inf], [5e199, inf],
-                                        [7.5e199, inf])]
+    assert [x for x, _ in calls] == [_bits(x) for x in ([1e200, 0.0], [0.0, inf],
+                                                         [5e199, inf], [7.5e199, inf])]
+
+
+def test_fixed_point_is_an_array():
+    x = find_fixed_point(scale_map(2, 0.5), (1.0, -1.0))
+    assert isinstance(x, np.ndarray) and x.dtype == np.float64 and x.shape == (2,)
+    start = np.array([-0.0])
+    x = find_fixed_point(AffineMap([[1.0]], [0.0]), start)
+    assert x is not start and _bits(x) == _bits(start)
 
 
 @given(st.integers(1, 4), st.integers(0, 2 ** 32 - 1),
@@ -279,7 +468,7 @@ def test_fixed_point_matches_reference_bitwise(dim, seed, scale, tol):
     spec = _random_spec(rng, dim, depth=2)
     x0 = rng.uniform(-scale, scale, dim)
     got = _traced_solve(find_fixed_point, spec, x0, max_iter=200, tol=tol)
-    assert got == _traced_solve(_ref_find_fixed_point, spec, x0, max_iter=200, tol=tol)
+    assert got == _reference_solve(spec, x0, max_iter=200, tol=tol)
 
 
 @given(st.integers(1, 3), st.integers(1, 20), st.integers(1, 6), st.integers(0, 17),
@@ -451,7 +640,10 @@ def test_sweep_constant_families():
 
 
 def _scalar_sweep_row(update, observer, r, transient, sample, x0):
-    """One row iterated on its own, as the sweep did before batching."""
+    """One row iterated on its own, as the sweep did before batching.
+
+    Run it inside _reference_calls(): it iterates the numpy evaluators.
+    """
     fr = perturbed_map(update, observer, r)
     x = np.asarray(x0, dtype=np.float64).copy()
     samples = []
@@ -494,11 +686,32 @@ def test_sweep_rows_match_scalar_reference(family):
         x0 = [0.3, -0.2]
         grid = np.linspace(-2.0, 3.0, 26)
     diag = sweep_bifurcation(phi, obs, grid, transient=300, sample=32, x0=x0)
-    want = [_scalar_sweep_row(phi, obs, float(r), 300, 32, np.asarray(x0))
-            for r in grid]
+    with _reference_calls():
+        want = [_scalar_sweep_row(phi, obs, float(r), 300, 32, np.asarray(x0))
+                for r in grid]
     assert [repr(row) for row in diag.rows] == [repr(row) for row in want]
     classes = {row.attractor for row in want}
     assert "divergent" in classes and len(classes) > 1
+
+
+SCENARIOS = Path(__file__).parents[1] / "scenarios"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("scenario", ["logistic_sweep", "pipeline_ledger"])
+def test_sweep_and_simulate_artifacts_match_numpy_reference(scenario, monkeypatch):
+    # the same run on the numpy evaluators and the numpy solver, so no digest
+    # pinned on one machine's libm or BLAS
+    doc = json.loads((SCENARIOS / f"{scenario}.json").read_text())
+
+    def artifacts():
+        return json.dumps([cli.cmd_sweep(doc), cli.cmd_simulate(doc)])
+
+    got = artifacts()
+    for cls, call in REFERENCE_CALLS.items():
+        monkeypatch.setattr(cls, "__call__", call)
+    monkeypatch.setattr(dynamics, "find_fixed_point", _ref_find_fixed_point)
+    assert artifacts() == got
 
 
 def test_sweep_validates_settings():
@@ -513,7 +726,7 @@ def test_coupled_fixed_point_residuals():
     phi = scale_map(2, 0.5)
     obs = AffineMap(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([0.2, -0.1]))
     xstar = find_fixed_point(phi, [1.0, -1.0])
-    s = coupled_step(phi, obs, CoupledState(xstar, obs(xstar)))
+    s = _coupled_step(phi, obs, xstar)
     assert float(np.max(np.abs(s.x - xstar))) <= 1e-9
     assert float(np.max(np.abs(s.o - obs(xstar)))) <= 1e-9
 
