@@ -5,21 +5,11 @@ inputs produce byte-identical files (17 significant digits round-trips
 float64 exactly).
 """
 
-import hashlib
 import json
 
 
 def fmt_real(x: float) -> str:
     return f"{float(x):.17g}"
-
-
-def canonical_json(obj) -> str:
-    """Key-sorted, whitespace-free JSON used for content hashing."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
-
-
-def content_hash(obj) -> str:
-    return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
 
 
 def write_text(path, text: str) -> None:

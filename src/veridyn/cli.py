@@ -69,7 +69,6 @@ from .scenario import (
     parse_sweep_settings,
     parse_theta_settings,
     parse_universe,
-    scenario_hash,
     scenario_seed,
 )
 
@@ -269,7 +268,7 @@ def _listed_outputs(out: Path) -> set[str]:
     try:
         listed = json.loads((out / "run_manifest.json").read_text(encoding="utf-8"))
         listed = listed["outputs"]
-    except (OSError, ValueError, TypeError, KeyError):
+    except (OSError, ValueError, RecursionError, TypeError, KeyError):
         return set()
     if not isinstance(listed, list):
         return set()
@@ -283,10 +282,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.seed is not None and not 0 <= args.seed < 2 ** 64:
             raise ScenarioParseError("--seed must be an unsigned 64-bit integer")
-        doc = load_scenario(args.scenario)
+        doc, digest = load_scenario(args.scenario)
         seed = args.seed if args.seed is not None else scenario_seed(doc)
-        # hashed before compute, while only the scenario is held
-        digest = scenario_hash(doc)
         handler = globals()["cmd_" + args.command.replace("-", "_")]
         code, artifacts = handler(doc)
     except NoConvergenceError as exc:

@@ -26,12 +26,12 @@ Top-level keys (all optional; each command names the sections it needs):
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from ._formats import content_hash
 from .cascade import CascadeSpec, CascadeStage, LinOp
 from .category import (
     FinMor,
@@ -60,7 +60,6 @@ from .phase import PhasedMorphism, RationalPhase
 __all__ = [
     "load_scenario",
     "scenario_seed",
-    "scenario_hash",
     "require_section",
     "parse_universe",
     "parse_entropy_params",
@@ -94,29 +93,36 @@ ENTROPY_STEPS_CAP = 10 ** 4
 THETA_ITER_CAP = 10 ** 4  # theta_limit max_iter, each a functor image of the carrier
 
 
-def load_scenario(path: str) -> dict:
+def load_scenario(path: str) -> tuple[dict, str]:
+    """The scenario document at `path` and the sha256 of the file's bytes.
+
+    The file is read once; the hash identifies it exactly, whitespace included.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise ScenarioParseError(f"cannot read scenario {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    digest = hashlib.sha256(data).hexdigest()
+    try:
+        # strict UTF-8: json.loads(bytes) would also accept UTF-16/32 and a BOM
+        text = data.decode("utf-8")
+        del data  # not held while the document is built
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        # bad UTF-8, bad JSON, nesting too deep, or an integer beyond int's digit limit
         raise ScenarioParseError(f"scenario is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ScenarioParseError("scenario must be a JSON object")
     seed = doc.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2 ** 64:
         raise ScenarioParseError("seed must be an unsigned 64-bit integer")
-    return doc
+    return doc, digest
 
 
 def scenario_seed(doc: Mapping) -> int:
     """The seed recorded in outputs, as checked by load_scenario."""
     return int(doc.get("seed", 0))
-
-
-def scenario_hash(doc: Mapping) -> str:
-    return content_hash(doc)
 
 
 def require_section(doc: Mapping, key: str):

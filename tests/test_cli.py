@@ -1,5 +1,6 @@
 import cmath
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -407,13 +408,38 @@ def test_step_counts_at_their_caps_are_accepted():
 
 
 def _assert_rejected(capsys, out):
+    """Checks one error line on stderr and no --out; returns that line."""
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert not out.exists()
+    return err[0]
 
 
 SCENARIOS = Path(__file__).parents[1] / "scenarios"
 UNIVERSE_SCENARIO = SCENARIOS / "observer_universe.json"
+
+
+# scenario files that do not decode to a JSON document
+UNDECODABLE = {
+    "invalid UTF-8": b'{"seed": "\xff"}',
+    "arrays nested 100 000 deep": b"[" * 100_000 + b"]" * 100_000,
+    "integer of 5 000 digits": b'{"seed": ' + b"9" * 5000 + b"}",
+    # json.loads(bytes) would detect these encodings; a scenario is UTF-8 only
+    "UTF-8 BOM": b"\xef\xbb\xbf" + json.dumps(LOGISTIC).encode(),
+    "UTF-16": json.dumps(LOGISTIC).encode("utf-16"),
+    "UTF-16 without BOM": json.dumps(LOGISTIC).encode("utf-16-le"),
+}
+
+
+@pytest.mark.parametrize("data", UNDECODABLE.values(), ids=list(UNDECODABLE))
+def test_undecodable_scenario_is_rejected(tmp_path, capsys, data):
+    scen = tmp_path / "scenario.json"
+    scen.write_bytes(data)
+    out = tmp_path / "out"
+    assert _run("simulate", str(scen), out) == 2
+    assert _assert_rejected(capsys, out).startswith("error: scenario is not valid JSON: ")
+
+
 # (command, section, key, value) patches; a value of None deletes the key,
 # a key of None replaces the whole section
 BAD_FINITE_SET = {
@@ -853,7 +879,9 @@ def test_reused_out_drops_the_previous_runs_outputs(tmp_path):
     json.dumps({"outputs": "phase_report.json"}),
     json.dumps({"outputs": ["../outside.txt", "sub/phase_report.json", ".",
                             "run_manifest.json", 7]}),
-], ids=["unreadable", "not-an-object", "not-a-list", "not-plain-names"])
+    "[" * 100_000 + "]" * 100_000,
+], ids=["unreadable", "not-an-object", "not-a-list", "not-plain-names",
+        "nested-too-deep"])
 def test_reused_out_deletes_only_what_a_manifest_listed(tmp_path, old_manifest):
     doc = json.loads(UNIVERSE_SCENARIO.read_text())
     del doc["phases"]
@@ -868,6 +896,31 @@ def test_reused_out_deletes_only_what_a_manifest_listed(tmp_path, old_manifest):
     assert all(path.read_text() == "mine\n" for path in kept)
     assert json.loads((out / "run_manifest.json").read_text())["outputs"] == [
         "entropy_report.json", "entropy_trace.csv"]
+
+
+def test_scenario_hash_is_the_sha256_of_the_file_bytes(tmp_path):
+    text = UNIVERSE_SCENARIO.read_text()
+    copies = {"bundled": UNIVERSE_SCENARIO,
+              "whitespace": tmp_path / "whitespace.json",
+              "crlf": tmp_path / "crlf.json"}
+    copies["whitespace"].write_bytes(text.replace("\n", "\n  ").encode())
+    copies["crlf"].write_bytes(text.replace("\n", "\r\n").encode())
+    hashes, artifacts = {}, {}
+    for name, path in copies.items():
+        for cmd in ("check-axioms", "theta", "entropy"):
+            out = tmp_path / name / cmd
+            assert _run(cmd, str(path), out) == 0
+            manifest = json.loads((out / "run_manifest.json").read_text())
+            assert manifest["scenario_hash"] == hashlib.sha256(path.read_bytes()).hexdigest()
+            hashes[name] = manifest["scenario_hash"]
+            artifacts[name, cmd] = {p.name: p.read_bytes() for p in out.iterdir()
+                                    if p.name != "run_manifest.json"}
+    # a whitespace or line-end edit changes the hash, not the artifacts
+    assert len(set(hashes.values())) == 3
+    for cmd in ("check-axioms", "theta", "entropy"):
+        assert artifacts["bundled", cmd]
+        assert artifacts["whitespace", cmd] == artifacts["crlf", cmd] == \
+            artifacts["bundled", cmd]
 
 
 # single-field mutations of the bundled scenarios, run by the commands that
