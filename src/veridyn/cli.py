@@ -1,19 +1,22 @@
 """Scenario-driven command line: load JSON, dispatch, emit deterministic artifacts.
 
 Exit codes: 0 success, 1 check failure, 2 input error, 3 non-convergence.
-A command computes its artifacts and returns them; main then creates --out,
-writes them and a run_manifest.json listing them, so a command that raises
-writes nothing. Files that the manifest already in --out listed and this
-run did not write are then deleted; no other file is. Identical scenario
-and seed produce byte-identical CSV/JSON artifacts (the manifest itself
-carries wall time and is exempt).
+A command computes its artifacts and returns them; main writes them and a
+run_manifest.json listing them into a temporary directory beside --out,
+then moves each into --out, the manifest last. A command that raises, or a
+write that fails, leaves --out as it was. Files that the manifest already
+in --out listed and this run did not write are then deleted; no other file
+is. Identical scenario and seed produce byte-identical CSV/JSON artifacts
+(the manifest itself carries wall time and is exempt).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+import tempfile
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -122,9 +125,7 @@ def cmd_check_axioms(doc: dict) -> tuple[int, dict]:
 
 def cmd_theta(doc: dict) -> tuple[int, dict]:
     th = parse_theta_settings(doc)
-    result = iterate_to_theta(th.verification, th.update, th.start, th.max_iter)
-    chain = build_chain(th.verification, th.update, th.start,
-                        result.iterations if result.converged else th.max_iter)
+    result = iterate_to_theta(th.verification, th.update, th.start)
     doc_out = result.to_dict()
     if result.converged:
         verdict = verify_theta(th.verification, th.update, result)
@@ -133,7 +134,8 @@ def cmd_theta(doc: dict) -> tuple[int, dict]:
     else:
         doc_out["verified"] = None
         code = EXIT_NO_CONVERGENCE
-    return code, {"theta_chain.csv": chain_to_csv(chain), "theta_result.json": doc_out}
+    return code, {"theta_chain.csv": chain_to_csv(build_chain(result)),
+                  "theta_result.json": doc_out}
 
 
 def cmd_simulate(doc: dict) -> tuple[int, dict]:
@@ -295,17 +297,21 @@ def main(argv: list[str] | None = None) -> int:
     out = Path(args.out)
     try:
         stale = _listed_outputs(out) - artifacts.keys()
-        out.mkdir(parents=True, exist_ok=True)
-        for name, value in artifacts.items():
-            (write_text if isinstance(value, str) else write_json)(out / name, value)
-        write_json(out / "run_manifest.json", {
-            "scenario_hash": digest,
-            "tool_version": __version__,
-            "command": args.command,
-            "outputs": sorted(artifacts),
-            "wall_time_s": time.monotonic() - t0,
-            "seed": seed,
-        })
+        out.parent.mkdir(parents=True, exist_ok=True)
+        with tempfile.TemporaryDirectory(prefix=f".{out.name}.", dir=out.parent) as tmp:
+            for name, value in artifacts.items():
+                (write_text if isinstance(value, str) else write_json)(Path(tmp, name), value)
+            write_json(Path(tmp, "run_manifest.json"), {
+                "scenario_hash": digest,
+                "tool_version": __version__,
+                "command": args.command,
+                "outputs": sorted(artifacts),
+                "wall_time_s": time.monotonic() - t0,
+                "seed": seed,
+            })
+            out.mkdir(exist_ok=True)
+            for name in [*artifacts, "run_manifest.json"]:
+                os.replace(Path(tmp, name), out / name)
         for name in stale:
             if (out / name).is_file():
                 (out / name).unlink()

@@ -1,10 +1,10 @@
 """Temporal iteration and the distributed verification limit.
 
-Repeatedly applies the verification-augmented update F(Y) = V(update(Y))
-over a declared finite universe and detects the first stage whose carrier
-is isomorphic to its own image.  Isomorphism of finite carriers is decided
-by the canonical positional bijection (lexicographic tie-breaking), which
-doubles as the stored witness.
+Walks the orbit of the verification-augmented update F(Y) = V(update(Y))
+over a declared finite universe and decides whether it reaches a stage
+whose carrier is isomorphic to its own image.  Isomorphism of finite
+carriers is decided by the canonical positional bijection (lexicographic
+tie-breaking), which doubles as the stored witness.
 """
 
 from __future__ import annotations
@@ -22,9 +22,7 @@ from .category import (
 from .errors import NoWitnessError
 
 __all__ = [
-    "ChainRecord",
     "ThetaResult",
-    "iterate_temporal",
     "apply_F",
     "iterate_to_theta",
     "verify_theta",
@@ -32,53 +30,41 @@ __all__ = [
     "chain_to_csv",
 ]
 
-DEFAULT_MAX_ITER = 64
-
-
-@dataclass(frozen=True)
-class ChainRecord:
-    """One stage of an iteration chain, with its connecting inclusion if any.
-
-    connecting_map is present only when the previous carrier embeds into
-    this one label-for-label (the union/colimit reading); it is None at
-    stage 0 and whenever the step is not an inclusion.
-    """
-
-    stage: int
-    carrier: FinObj
-    connecting_map: FinMor | None = None
-
-    def __post_init__(self):
-        if self.connecting_map is not None and self.connecting_map.dst != self.carrier:
-            raise ValueError("connecting map must land in this stage's carrier")
-
 
 @dataclass(frozen=True)
 class ThetaResult:
-    """Outcome of iterating the verification-augmented update to stabilization."""
+    """Outcome of walking the F-orbit until it stabilizes or repeats a carrier.
 
-    carrier: FinObj
-    iterations: int
+    stages holds the carriers Y_0 .. Y_n walked, so `carrier` is Y_n and
+    `iterations` is n.  When the orbit repeats a carrier instead of
+    converging, Y_n is that carrier and cycle is (stage first seen, period).
+    """
+
+    stages: tuple[FinObj, ...]
     converged: bool
     witness: FinMor | None = None
     inclusion_chain: bool = False   # True when every step embedded the previous carrier
+    cycle: tuple[int, int] | None = None
+
+    @property
+    def carrier(self) -> FinObj:
+        return self.stages[-1]
+
+    @property
+    def iterations(self) -> int:
+        return len(self.stages) - 1
 
     def to_dict(self) -> dict:
-        return {
+        doc = {
             "carrier": self.carrier.to_dict(),
             "iterations": self.iterations,
             "converged": self.converged,
             "witness": self.witness.to_dict() if self.witness else None,
             "inclusion_chain": self.inclusion_chain,
         }
-
-
-def iterate_temporal(update: FunctorRep, start: FinObj, n: int) -> list[FinObj]:
-    """Orbit [X, update(X), ..., update^n(X)]; length n + 1."""
-    out = [start]
-    for _ in range(n):
-        out.append(update.apply_obj(out[-1]))
-    return out
+        if self.cycle is not None:
+            doc["cycle"] = {"from": self.cycle[0], "period": self.cycle[1]}
+        return doc
 
 
 def apply_F(verification: FunctorRep, update: FunctorRep, carrier: FinObj) -> FinObj:
@@ -90,27 +76,31 @@ def _is_inclusion(a: FinObj, b: FinObj) -> bool:
     return set(a.elements) <= set(b.elements)
 
 
-def iterate_to_theta(verification: FunctorRep, update: FunctorRep, start: FinObj,
-                     max_iter: int = DEFAULT_MAX_ITER) -> ThetaResult:
-    """Iterate Y_{n+1} = F(Y_n) until a carrier is isomorphic to its image.
+def iterate_to_theta(verification: FunctorRep, update: FunctorRep,
+                     start: FinObj) -> ThetaResult:
+    """Decide whether Y_{n+1} = F(Y_n) reaches a carrier isomorphic to its image.
 
-    Convergence is declared at the first stage n where a canonical
-    bijection Y_n ~ F(Y_n) exists; that bijection is stored as the
-    witness.  Non-convergence within max_iter is reported in the result,
-    not raised.
+    F maps the universe's declared objects to themselves, so the orbit either
+    reaches a stage n with a canonical bijection Y_n ~ F(Y_n), stored as the
+    witness, or repeats a carrier within |objects| + 1 stages and has no
+    limit.  An object outside the functors' tables raises UniverseEscapeError.
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-    carrier = start
+    stages = [start]
+    seen = {start: 0}   # keyed by FinObj, as FunctorRep.obj_map is
     inclusions = True
-    for n in range(max_iter):
+    while True:
+        carrier = stages[-1]
         image = apply_F(verification, update, carrier)
         witness = canonical_bijection(carrier, image)
         if witness is not None:
-            return ThetaResult(carrier, n, True, witness, inclusions)
+            return ThetaResult(tuple(stages), True, witness, inclusions)
         inclusions = inclusions and _is_inclusion(carrier, image)
-        carrier = image
-    return ThetaResult(carrier, max_iter, False, None, inclusions)
+        stages.append(image)
+        if image in seen:
+            first = seen[image]
+            return ThetaResult(tuple(stages), False, None, inclusions,
+                               (first, len(stages) - 1 - first))
+        seen[image] = len(stages) - 1
 
 
 def verify_theta(verification: FunctorRep, update: FunctorRep,
@@ -142,23 +132,14 @@ def verify_theta(verification: FunctorRep, update: FunctorRep,
     return SquareReport(not violations, tuple(violations))
 
 
-def build_chain(verification: FunctorRep, update: FunctorRep, start: FinObj,
-                stages: int) -> list[ChainRecord]:
-    """Materialize the first `stages` + 1 records of the F-iteration chain."""
-    records = [ChainRecord(0, start, None)]
-    carrier = start
-    for n in range(1, stages + 1):
-        nxt = apply_F(verification, update, carrier)
-        incl = None
-        if _is_inclusion(carrier, nxt):
-            incl = FinMor(carrier, nxt, tuple((x, x) for x in carrier.elements))
-        records.append(ChainRecord(n, nxt, incl))
-        carrier = nxt
-    return records
+# The name stays while the benchmark's tracer wraps it (ROADMAP item 5).
+def build_chain(result: ThetaResult) -> list[tuple[int, FinObj]]:
+    """The (stage, carrier) rows of the chain the theta walk recorded."""
+    return list(enumerate(result.stages))
 
 
-def chain_to_csv(records: list[ChainRecord]) -> str:
+def chain_to_csv(records: list[tuple[int, FinObj]]) -> str:
     lines = ["stage,carrier_size"]
-    for rec in records:
-        lines.append(f"{rec.stage},{rec.carrier.size}")
+    for stage, carrier in records:
+        lines.append(f"{stage},{carrier.size}")
     return "\n".join(lines) + "\n"

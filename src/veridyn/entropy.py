@@ -1,4 +1,4 @@
-"""Entropy bookkeeping: Shannon entropy, accumulation bounds, memory layers.
+"""Entropy bookkeeping: Shannon entropy and its accumulation bounds.
 
 Entropy values are base-2 (bits); the growth bounds use the natural log,
 with the constants C and K absorbing the base.  The classical postulate
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from bisect import insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from ._formats import fmt_real
@@ -20,7 +20,6 @@ from .errors import (
     DomainError,
     InvalidDistributionError,
     LengthMismatchError,
-    NotMonotoneError,
     ShapeMismatchError,
 )
 
@@ -29,16 +28,12 @@ __all__ = [
     "EntropyParams",
     "TraceStep",
     "EntropyTrace",
-    "Filtration",
     "shannon_entropy",
     "prefix_entropies",
     "pushforward",
-    "check_step_bound",
     "check_observation_bound",
     "total_entropy_bound",
     "build_trace",
-    "build_filtration",
-    "memory_sequence",
     "entropy_direction_report",
     "trace_to_csv",
 ]
@@ -170,17 +165,6 @@ class TraceStep:
 class EntropyTrace:
     steps: tuple[TraceStep, ...]
 
-    def __len__(self) -> int:
-        return len(self.steps)
-
-    @property
-    def H(self) -> list[float]:
-        return [s.H for s in self.steps]
-
-    @property
-    def H_O(self) -> list[float]:
-        return [s.H_O for s in self.steps]
-
 
 def build_trace(H: Sequence[float], H_O: Sequence[float], params: EntropyParams,
                 k_schedule: Sequence[float] | None = None) -> EntropyTrace:
@@ -212,15 +196,6 @@ def build_trace(H: Sequence[float], H_O: Sequence[float], params: EntropyParams,
     return EntropyTrace(tuple(steps))
 
 
-def check_step_bound(trace: EntropyTrace, C: float) -> list[int]:
-    """Indices n at which H(n+1) - H(n) exceeds C ln(n+1) (plus tolerance)."""
-    if len(trace) == 0:
-        raise DomainError("empty trace")
-    H = trace.H
-    return [n for n in range(len(H) - 1)
-            if H[n + 1] - H[n] > C * math.log(n + 1) + BOUND_TOL]
-
-
 def check_observation_bound(H_X: float, H_O_next: float, K: float) -> bool:
     """Observation injects at most K bits: H_O(next) <= H(current) + K."""
     if H_X < 0 or H_O_next < 0:
@@ -238,50 +213,6 @@ def total_entropy_bound(n: int, H0: float, params: EntropyParams,
     if n < 1:
         raise DomainError("total bound starts at n = 1 (log of 0 is undefined)")
     return H0 + params.C * math.log(n) + (n * params.K if k_spent is None else k_spent)
-
-
-@dataclass(frozen=True)
-class Filtration:
-    """Increasing chain of memory layers with verified inclusion maps."""
-
-    layers: tuple[FinObj, ...]
-    inclusions: tuple[FinMor, ...] = field(default=())
-
-    def __post_init__(self):
-        if len(self.inclusions) != max(len(self.layers) - 1, 0):
-            raise LengthMismatchError("need one inclusion per consecutive layer pair")
-
-
-def build_filtration(verification, start: FinObj, n: int) -> Filtration:
-    """Layers [X, V(X), V(V(X)), ...] with identity-on-label inclusions.
-
-    Raises NotMonotoneError when some step drops or relabels elements of
-    the previous layer: the memory reading requires every layer to embed
-    into the next unchanged.
-    """
-    layers = [start]
-    inclusions = []
-    for _ in range(n):
-        nxt = verification.apply_obj(layers[-1])
-        missing = [x for x in layers[-1].elements if x not in nxt]
-        if missing:
-            raise NotMonotoneError(
-                f"step from {layers[-1].id!r} to {nxt.id!r} loses elements {missing}"
-            )
-        inclusions.append(FinMor(layers[-1], nxt,
-                                 tuple((x, x) for x in layers[-1].elements)))
-        layers.append(nxt)
-    return Filtration(tuple(layers), tuple(inclusions))
-
-
-def memory_sequence(orbit: Sequence[FinObj], base_id: str = "M") -> list[FinObj]:
-    """Cumulative unions M_k of the carriers seen along an orbit."""
-    out = []
-    seen: set[str] = set()
-    for k, carrier in enumerate(orbit):
-        seen |= set(carrier.elements)
-        out.append(FinObj(f"{base_id}{k}", tuple(sorted(seen))))
-    return out
 
 
 def entropy_direction_report(pairs: Sequence[tuple[ProbState, FinMor]]) -> dict:

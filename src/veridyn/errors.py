@@ -46,10 +46,6 @@ class InvalidDistributionError(VeridynError):
     """Probability vector fails normalization or positivity."""
 
 
-class NotMonotoneError(VeridynError):
-    """A memory filtration step fails to embed the previous layer."""
-
-
 class DomainError(VeridynError):
     """Numeric argument outside the domain of the requested formula."""
 

@@ -20,8 +20,7 @@ Top-level keys (all optional; each command names the sections it needs):
   x0, steps, r, schedule        simulate settings
   r_grid, transient, sample     sweep settings {"lo", "hi", "steps"}
   ledger        {"bins": .., "lo": .., "hi": ..} state-binning for entropy columns
-  theta_limit   {"verification": functor, "update": functor,
-                 "start": obj, "max_iter": n}
+  theta_limit   {"verification": functor, "update": functor, "start": obj}
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ from .category import (
     identity_functor,
     permutation_order,
 )
-from .coalgebra import DEFAULT_MAX_ITER
 from .dynamics import (
     DEFAULT_SAMPLE,
     DEFAULT_TRANSIENT,
@@ -90,7 +88,6 @@ SWEEP_ROW_CAP = 10 ** 5  # transient + sample, the batch's map steps per row
 SWEEP_WORK_CAP = 10 ** 7  # r_grid steps x (transient + sample)
 SIMULATE_STEPS_CAP = 10 ** 5
 ENTROPY_STEPS_CAP = 10 ** 4
-THETA_ITER_CAP = 10 ** 4  # theta_limit max_iter, each a functor image of the carrier
 
 
 def load_scenario(path: str) -> tuple[dict, str]:
@@ -406,7 +403,6 @@ class ThetaSettings:
     verification: FunctorRep
     update: FunctorRep
     start: FinObj
-    max_iter: int
 
 
 @dataclass(frozen=True)
@@ -476,9 +472,7 @@ def parse_theta_settings(doc: Mapping) -> ThetaSettings:
     return ThetaSettings(
         verification=uni.functor(_name(section, "verification", "theta_limit")),
         update=uni.functor(_name(section, "update", "theta_limit")),
-        start=uni.object(_name(section, "start", "theta_limit")),
-        max_iter=_integer(section.get("max_iter", DEFAULT_MAX_ITER),
-                          "theta_limit max_iter", 1, THETA_ITER_CAP))
+        start=uni.object(_name(section, "start", "theta_limit")))
 
 
 def parse_entropy_trace(doc: Mapping, uni: Universe) -> EntropyTraceSettings:

@@ -38,7 +38,6 @@ from veridyn.entropy import (
     EntropyParams,
     ProbState,
     build_trace,
-    check_step_bound,
     pushforward,
     shannon_entropy,
 )
@@ -108,10 +107,10 @@ def test_criterion_3_theta_fixed_point():
     good = 0
     total = 50
     for _ in range(total):
-        verification, update, start, _ = make_theta_system(
+        verification, update, start, objects = make_theta_system(
             rng, n_objects=int(rng.integers(4, 9)))
-        result = iterate_to_theta(verification, update, start, max_iter=64)
-        if not result.converged or result.iterations > 64:
+        result = iterate_to_theta(verification, update, start)
+        if not result.converged or result.iterations > len(objects):
             continue
         if not verify_theta(verification, update, result).holds:
             continue
@@ -134,8 +133,8 @@ def test_criterion_4_entropy_bounds():
         length = int(rng.integers(2, 24))
         H = np.abs(rng.standard_normal(length).cumsum()).tolist()
         C = float(rng.random() * 1.5)
-        flagged = check_step_bound(
-            build_trace(H, [0.0] * length, EntropyParams(C=C)), C)
+        trace = build_trace(H, [0.0] * length, EntropyParams(C=C))
+        flagged = [s.n for s in trace.steps if not s.step_bound_ok]
         brute = [n for n in range(length - 1)
                  if H[n + 1] - H[n] > C * math.log(n + 1) + 1e-9]
         if flagged == brute:

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from veridyn import cli
 from veridyn.cascade import RESIDUAL_TOL
 from veridyn.cli import main
 from veridyn.errors import ScenarioParseError
@@ -22,11 +23,9 @@ from veridyn.scenario import (
     SWEEP_GRID_CAP,
     SWEEP_ROW_CAP,
     SWEEP_WORK_CAP,
-    THETA_ITER_CAP,
     parse_entropy_trace,
     parse_simulate_settings,
     parse_sweep_settings,
-    parse_theta_settings,
     parse_universe,
 )
 
@@ -170,6 +169,32 @@ def test_theta_converging_and_nonconverging(tmp_path):
     assert result["converged"] and result["carrier"]["id"] == "S"
     assert (out / "theta_chain.csv").read_text().splitlines()[0] == "stage,carrier_size"
 
+    # P swaps carriers of 2 and 1 elements: the orbit repeats from stage 0
+    universe["functors"][1]["obj_map"] = {"A": "S", "S": "A", "W": "W"}
+    out2 = tmp_path / "out2"
+    assert _run("theta", _write(tmp_path, {
+        "universe": universe,
+        "theta_limit": {"verification": "Id", "update": "P", "start": "A"},
+    }, name="swap.json"), out2) == 3
+    result = json.loads((out2 / "theta_result.json").read_text())
+    assert not result["converged"] and result["verified"] is None
+    assert result["cycle"] == {"from": 0, "period": 2}
+    assert (result["iterations"], result["carrier"]["id"]) == (2, "A")
+    assert (out2 / "theta_chain.csv").read_text() == "stage,carrier_size\n0,2\n1,1\n2,2\n"
+
+
+def test_theta_cycle_after_a_tail(tmp_path):
+    out = tmp_path / "out"
+    assert _run("theta", str(SCENARIOS / "theta_cycle.json"), out) == 3
+    result = json.loads((out / "theta_result.json").read_text())
+    assert result["cycle"] == {"from": 2, "period": 3}
+    assert (result["iterations"], result["carrier"]["id"]) == (5, "C0")
+    # a tail of 1 and 2 elements, then the cycle 3 -> 4 -> 5 -> 3
+    assert (out / "theta_chain.csv").read_text().splitlines() == [
+        "stage,carrier_size", "0,1", "1,2", "2,3", "3,4", "4,5", "5,3"]
+
+
+def test_theta_orbit_leaving_the_universe_is_an_input_error(tmp_path, capsys):
     growing = {
         "objects": [{"id": f"G{i}", "elements": [f"x{j}" for j in range(i + 1)]}
                     for i in range(6)],
@@ -180,15 +205,26 @@ def test_theta_converging_and_nonconverging(tmp_path):
              "mor_map": {}},
         ],
     }
-    scen2 = _write(tmp_path, {
+    scen = _write(tmp_path, {
         "universe": growing,
-        "theta_limit": {"verification": "V", "update": "Id", "start": "G0",
-                        "max_iter": 4},
-    }, name="grow.json")
-    out2 = tmp_path / "out2"
-    assert _run("theta", scen2, out2) == 3
-    result = json.loads((out2 / "theta_result.json").read_text())
-    assert not result["converged"]
+        "theta_limit": {"verification": "V", "update": "Id", "start": "G0"},
+    })
+    out = tmp_path / "out"
+    assert _run("theta", scen, out) == 2
+    assert "G5" in _assert_rejected(capsys, out)
+
+
+def test_theta_max_iter_is_not_read(tmp_path):
+    doc = json.loads(UNIVERSE_SCENARIO.read_text())
+    outputs = {}
+    for max_iter in (None, 1):
+        if max_iter is not None:
+            doc["theta_limit"]["max_iter"] = max_iter
+        out = tmp_path / f"out-{max_iter}"
+        assert _run("theta", _write(tmp_path, doc), out) == 0
+        outputs[max_iter] = {p.name: p.read_bytes() for p in out.iterdir()
+                             if p.name != "run_manifest.json"}
+    assert outputs[None] and outputs[1] == outputs[None]
 
 
 def test_simulate_outputs(tmp_path):
@@ -403,8 +439,6 @@ def test_step_counts_at_their_caps_are_accepted():
     doc = json.loads(UNIVERSE_SCENARIO.read_text())
     doc["entropy_trace"]["steps"] = ENTROPY_STEPS_CAP
     assert parse_entropy_trace(doc, parse_universe(doc)).steps == ENTROPY_STEPS_CAP
-    doc["theta_limit"]["max_iter"] = THETA_ITER_CAP
-    assert parse_theta_settings(doc).max_iter == THETA_ITER_CAP
 
 
 def _assert_rejected(capsys, out):
@@ -445,10 +479,6 @@ def test_undecodable_scenario_is_rejected(tmp_path, capsys, data):
 BAD_FINITE_SET = {
     "theta_limit not an object": ("theta", "theta_limit", None, 3),
     "theta without verification": ("theta", "theta_limit", "verification", None),
-    "theta max_iter not a number": ("theta", "theta_limit", "max_iter", "x"),
-    "theta max_iter zero": ("theta", "theta_limit", "max_iter", 0),
-    "theta max_iter beyond the cap": ("theta", "theta_limit", "max_iter",
-                                      THETA_ITER_CAP + 1),
     "theta functor not a name": ("theta", "theta_limit", "update", ["V"]),
     "entropy_trace without start": ("entropy", "entropy_trace", "start", None),
     "entropy_trace steps not a number": ("entropy", "entropy_trace", "steps", "x"),
@@ -830,15 +860,19 @@ def _failing_check(doc):
     doc["checks"] = [{**EQUALIZER_CHECK, "expect_elements": ["a"]}]
 
 
-def _one_theta_step(doc):
-    doc["theta_limit"]["max_iter"] = 1
+def _swap_cycle(doc):
+    doc["universe"]["functors"] += [
+        {"name": "Id", "identity": True},
+        {"name": "W", "obj_map": {"X": "S", "S": "X"}, "mor_map": {}}]
+    doc["theta_limit"] = {"verification": "W", "update": "Id", "start": "X"}
 
 
 @pytest.mark.parametrize("cmd, scenario, patch, code", [
     ("check-axioms", "observer_universe", None, 0),
     ("check-axioms", "observer_universe", _failing_check, 1),
     ("theta", "observer_universe", None, 0),
-    ("theta", "observer_universe", _one_theta_step, 3),
+    ("theta", "observer_universe", _swap_cycle, 3),
+    ("theta", "theta_cycle", None, 3),
     ("entropy", "observer_universe", None, 0),
     ("cascade", "damped_cascade", None, 0),
     ("cascade", "cascade_64_pairs", None, 0),
@@ -896,6 +930,40 @@ def test_reused_out_deletes_only_what_a_manifest_listed(tmp_path, old_manifest):
     assert all(path.read_text() == "mine\n" for path in kept)
     assert json.loads((out / "run_manifest.json").read_text())["outputs"] == [
         "entropy_report.json", "entropy_trace.csv"]
+
+
+@pytest.mark.parametrize("failing", ["entropy_trace.csv", "entropy_report.json",
+                                     "phase_report.json", "run_manifest.json"])
+def test_failed_write_leaves_out_as_it_was(tmp_path, capsys, monkeypatch, failing):
+    doc = json.loads(UNIVERSE_SCENARIO.read_text())
+    out = tmp_path / "out"
+    assert _run("entropy", _write(tmp_path, doc), out) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    doc["entropy_trace"]["steps"] = 6
+    doc["phases"]["period"] = 4
+    scen = _write(tmp_path, doc)
+    # without the fault, the second run rewrites every file
+    assert _run("entropy", scen, tmp_path / "unfaulted") == 0
+    assert all((tmp_path / "unfaulted" / name).read_bytes() != data
+               for name, data in before.items())
+    capsys.readouterr()
+
+    def refuse(write):
+        def wrapped(path, value):
+            if Path(path).name == failing:
+                raise OSError(28, "No space left on device")
+            write(path, value)
+        return wrapped
+
+    monkeypatch.setattr(cli, "write_text", refuse(cli.write_text))
+    monkeypatch.setattr(cli, "write_json", refuse(cli.write_json))
+    assert _run("entropy", scen, out) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    # the temporary directory beside --out is gone
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "out", "scenario.json", "unfaulted"]
 
 
 def test_scenario_hash_is_the_sha256_of_the_file_bytes(tmp_path):

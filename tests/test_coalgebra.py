@@ -7,7 +7,6 @@ from veridyn.coalgebra import (
     apply_F,
     build_chain,
     chain_to_csv,
-    iterate_temporal,
     iterate_to_theta,
     verify_theta,
 )
@@ -19,36 +18,62 @@ MARKED = FinObj("Am", ("a1", "a2", "m"))
 STAR = FinObj("S", ("s",))
 
 
+# --- temporal iteration: the one walk of the F-orbit -----------------------
+
+
 def test_iterate_temporal_zero_steps():
+    # a carrier isomorphic to its image at once: one stage, no step taken
     ident = identity_functor([A])
-    assert iterate_temporal(ident, A, 0) == [A]
+    result = iterate_to_theta(ident, ident, A)
+    assert result.stages == (A,)
+    assert build_chain(result) == [(0, A)]
 
 
 def test_iterate_temporal_identity():
-    ident = identity_functor([A])
-    assert iterate_temporal(ident, A, 5) == [A] * 6
+    # V(Y) = Y: a carrier is isomorphic to itself, so the walk never needs a repeat
+    update = FunctorRep("P", {A: MARKED, MARKED: STAR, STAR: STAR}, {})
+    ident = identity_functor([A, MARKED, STAR])
+    result = iterate_to_theta(ident, update, A)
+    assert result.converged and result.cycle is None
+    assert result.stages == (A, MARKED, STAR)
+    assert result.witness.is_identity()
+    assert "cycle" not in result.to_dict()
+    assert verify_theta(ident, update, result).holds
 
 
 def test_iterate_temporal_two_cycle():
-    cyc = FunctorRep("P", {A: B, B: A}, {})
-    assert iterate_temporal(cyc, A, 3) == [A, B, A, B]
+    # carriers of 2 and 1 elements that update swaps: no limit exists
+    update = FunctorRep("P", {A: STAR, STAR: A}, {})
+    ident = identity_functor([A, STAR])
+    result = iterate_to_theta(ident, update, A)
+    assert not result.converged and result.witness is None
+    assert result.stages == (A, STAR, A)
+    assert result.cycle == (0, 2)
+    assert (result.iterations, result.carrier) == (2, A)
+    assert not result.inclusion_chain
+    assert result.to_dict()["cycle"] == {"from": 0, "period": 2}
+    with pytest.raises(NoWitnessError):
+        verify_theta(ident, update, result)
 
 
 def test_iterate_temporal_escape():
-    partial = FunctorRep("P", {A: B}, {})
+    partial = FunctorRep("P", {A: STAR}, {})
     with pytest.raises(UniverseEscapeError):
-        iterate_temporal(partial, A, 2)
+        iterate_to_theta(identity_functor([A, STAR]), partial, A)
 
 
 def test_iterate_temporal_append_recurrence():
     rng = np.random.default_rng(5)
     for _ in range(20):
-        verification, update, start, _ = make_theta_system(rng)
-        for n in range(16):
-            longer = iterate_temporal(update, start, n + 1)
-            shorter = iterate_temporal(update, start, n)
-            assert longer[:-1] == shorter
-            assert longer[-1] == update.apply_obj(shorter[-1])
+        verification, update, start, objs = make_theta_system(rng)
+        result = iterate_to_theta(verification, update, start)
+        assert result.stages[0] == start
+        assert len(result.stages) <= len(objs) + 1
+        for prev, nxt in zip(result.stages, result.stages[1:]):
+            assert nxt == apply_F(verification, update, prev)
+
+
+# --- the verification limit -------------------------------------------------
 
 
 def test_apply_F_identity_and_marker():
@@ -93,21 +118,27 @@ def test_theta_equal_size_step_counts_as_isomorphic():
 
 
 def test_theta_growing_chain_does_not_converge():
+    # V is undefined on G3: the orbit leaves the universe before it could repeat
     g0 = FinObj("G0", ("x0",))
     g1 = FinObj("G1", ("x0", "x1"))
     g2 = FinObj("G2", ("x0", "x1", "x2"))
     g3 = FinObj("G3", ("x0", "x1", "x2", "x3"))
     grower = FunctorRep("V", {g0: g1, g1: g2, g2: g3}, {})
     ident = identity_functor([g0, g1, g2, g3])
-    result = iterate_to_theta(grower, ident, g0, max_iter=3)
-    assert not result.converged
-    assert result.carrier == g3
-    assert result.iterations == 3
-    assert result.inclusion_chain
-    with pytest.raises(NoWitnessError):
-        verify_theta(grower, ident, result)
     with pytest.raises(UniverseEscapeError):
-        iterate_to_theta(grower, ident, g0, max_iter=16)
+        iterate_to_theta(grower, ident, g0)
+
+
+def test_theta_cycle_after_tail():
+    # sizes 1, 2, then the 3-cycle 3 -> 4 -> 5 -> 3
+    objs = [FinObj(f"T{i}", tuple(f"t{i}_{j}" for j in range(i + 1))) for i in range(5)]
+    verification = FunctorRep("V", {**{objs[i]: objs[i + 1] for i in range(4)},
+                                    objs[4]: objs[2]}, {})
+    result = iterate_to_theta(verification, identity_functor(objs), objs[0])
+    assert not result.converged
+    assert result.stages == (*objs, objs[2])
+    assert result.cycle == (2, 3)
+    assert len(chain_to_csv(build_chain(result)).splitlines()) == 1 + 6
 
 
 def test_generated_systems_converge_and_idempotent():
@@ -163,16 +194,15 @@ def test_convergence_invariant_under_relabeling():
 def test_chain_records_and_csv():
     update = FunctorRep("P", {A: B, B: STAR, STAR: STAR}, {})
     ident = identity_functor([A, B, STAR])
-    chain = build_chain(ident, update, A, 3)
-    assert [rec.stage for rec in chain] == [0, 1, 2, 3]
-    assert chain[0].connecting_map is None
-    # A and B share no labels: not an inclusion step
-    assert chain[1].connecting_map is None
-    # STAR -> STAR is an inclusion
-    assert chain[3].connecting_map is not None
+    result = iterate_to_theta(ident, update, A)
+    chain = build_chain(result)
+    # A and B have equal sizes, so the walk converges at stage 0
+    assert chain == [(0, A)]
+    result = iterate_to_theta(ident, update, B)
+    chain = build_chain(result)
+    assert chain == [(0, B), (1, STAR)]
     csv = chain_to_csv(chain)
-    assert csv.splitlines()[0] == "stage,carrier_size"
-    assert csv.splitlines()[1] == "0,2"
+    assert csv.splitlines() == ["stage,carrier_size", "0,2", "1,1"]
 
 
 def test_theta_result_serializes():

@@ -8,15 +8,13 @@ from hypothesis import strategies as st
 
 from conftest import random_mor, random_obj
 from veridyn.category import FinMor, FinObj, FunctorRep, compose, identity_functor
+from veridyn.coalgebra import iterate_to_theta
 from veridyn.entropy import (
     EntropyParams,
     ProbState,
-    build_filtration,
     build_trace,
     check_observation_bound,
-    check_step_bound,
     entropy_direction_report,
-    memory_sequence,
     prefix_entropies,
     pushforward,
     shannon_entropy,
@@ -26,7 +24,6 @@ from veridyn.entropy import (
 from veridyn.errors import (
     DomainError,
     InvalidDistributionError,
-    NotMonotoneError,
     ShapeMismatchError,
 )
 
@@ -129,14 +126,19 @@ def test_data_processing_inequality_and_direction_report():
 # --- bounds -----------------------------------------------------------------
 
 
+def _step_violations(trace):
+    # the expression cmd_entropy writes as step_violations
+    return [s.n for s in trace.steps if not s.step_bound_ok]
+
+
 def test_step_bound_no_violation_for_constant_trace():
     trace = build_trace([1.0] * 6, [0.5] * 6, EntropyParams(C=0.0))
-    assert check_step_bound(trace, 0.0) == []
+    assert _step_violations(trace) == []
 
 
 def test_step_bound_flags_initial_jump():
     trace = build_trace([0.0, 3.0, 3.0], [0.0, 0.0, 0.0], EntropyParams(C=1.0))
-    assert check_step_bound(trace, 1.0) == [0]
+    assert _step_violations(trace) == [0]
     assert not trace.steps[0].step_bound_ok
 
 
@@ -145,7 +147,7 @@ def test_step_bound_half_log_growth_passes():
     for n in range(8):
         H.append(H[-1] + 0.5 * math.log(n + 1))
     trace = build_trace(H, [0.0] * len(H), EntropyParams(C=1.0))
-    assert check_step_bound(trace, 1.0) == []
+    assert _step_violations(trace) == []
 
 
 def test_step_bound_oracle_agreement_random_traces():
@@ -157,7 +159,7 @@ def test_step_bound_oracle_agreement_random_traces():
         trace = build_trace(H, [0.0] * length, EntropyParams(C=C))
         brute = [n for n in range(length - 1)
                  if H[n + 1] - H[n] > C * math.log(n + 1) + 1e-9]
-        assert check_step_bound(trace, C) == brute
+        assert _step_violations(trace) == brute
 
 
 def test_observation_bound_cases():
@@ -253,52 +255,52 @@ def test_prefix_entropies_known_values():
     assert huge == [0.0, 0.0, third, 1.0]
 
 
-# --- filtration and memory --------------------------------------------------
+# --- memory filtration: the theta walk's inclusion_chain ----------------
+#
+# With update the identity functor, inclusion_chain is True exactly when
+# every layer V^n(X) embeds into the next one label for label.
 
 
 def test_filtration_identity_functor():
     ident = identity_functor([THREE])
-    filt = build_filtration(ident, THREE, 4)
-    assert all(layer == THREE for layer in filt.layers)
-    assert len(filt.inclusions) == 4
+    result = iterate_to_theta(ident, ident, THREE)
+    assert result.stages == (THREE,)
+    assert result.inclusion_chain
 
 
 def test_filtration_growing_layers():
     l0 = FinObj("L0", ("a",))
     l1 = FinObj("L1", ("a", "b"))
     l2 = FinObj("L2", ("a", "b", "c"))
-    grower = FunctorRep("V", {l0: l1, l1: l2}, {})
-    filt = build_filtration(grower, l0, 2)
-    assert [layer.size for layer in filt.layers] == [1, 2, 3]
-    for incl in filt.inclusions:
-        assert incl.is_identity() or all(a == b for a, b in incl.pairs)
+    grower = FunctorRep("V", {l0: l1, l1: l2, l2: l2}, {})
+    result = iterate_to_theta(grower, identity_functor([l0, l1, l2]), l0)
+    assert [layer.size for layer in result.stages] == [1, 2, 3]
+    assert result.inclusion_chain
 
 
 def test_filtration_collapse_rejected():
     l1 = FinObj("L1", ("a", "b"))
     l0 = FinObj("L0", ("a",))
-    collapser = FunctorRep("V", {l1: l0}, {})
-    with pytest.raises(NotMonotoneError):
-        build_filtration(collapser, l1, 1)
+    collapser = FunctorRep("V", {l1: l0, l0: l0}, {})
+    result = iterate_to_theta(collapser, identity_functor([l0, l1]), l1)
+    assert result.stages == (l1, l0)
+    assert not result.inclusion_chain
 
 
 def test_filtration_inclusions_compose_exactly():
     l0 = FinObj("L0", ("a",))
     l1 = FinObj("L1", ("a", "b"))
     l2 = FinObj("L2", ("a", "b", "c"))
-    grower = FunctorRep("V", {l0: l1, l1: l2}, {})
-    filt = build_filtration(grower, l0, 2)
-    direct = FinMor(filt.layers[0], filt.layers[2],
-                    tuple((x, x) for x in filt.layers[0].elements))
-    assert compose(filt.inclusions[0], filt.inclusions[1]) == direct
+    grower = FunctorRep("V", {l0: l1, l1: l2, l2: l2}, {})
+    result = iterate_to_theta(grower, identity_functor([l0, l1, l2]), l0)
+    assert result.inclusion_chain
 
+    def inclusion(a, b):
+        return FinMor(a, b, tuple((x, x) for x in a.elements))
 
-def test_memory_sequence_unions():
-    orbit = [FinObj("O0", ("a", "b")), FinObj("O1", ("b", "c")),
-             FinObj("O2", ("d",))]
-    mem = memory_sequence(orbit)
-    assert [m.elements for m in mem] == [
-        ("a", "b"), ("a", "b", "c"), ("a", "b", "c", "d")]
+    layers = result.stages
+    assert compose(inclusion(layers[0], layers[1]), inclusion(layers[1], layers[2])) == \
+        inclusion(layers[0], layers[2])
 
 
 # --- CSV --------------------------------------------------------------------
