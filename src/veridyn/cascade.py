@@ -39,7 +39,6 @@ __all__ = [
     "spectrum",
     "check_hull_claim",
     "check_commuting",
-    "compose_cascades",
     "spectrum_to_csv",
 ]
 
@@ -74,10 +73,6 @@ class LinOp:
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
-
-    @classmethod
-    def identity(cls, n: int) -> "LinOp":
-        return cls(np.eye(n))
 
     @classmethod
     def rotation(cls, turns: RationalPhase, dim: int = 2,
@@ -357,11 +352,6 @@ def check_commuting(theta_i: LinOp, theta_j: LinOp,
     comm = theta_i.entries @ theta_j.entries - theta_j.entries @ theta_i.entries
     norm = float(np.max(np.abs(comm))) if comm.size else 0.0
     return norm <= tol, norm
-
-
-def compose_cascades(first: LinOp, second: LinOp) -> LinOp:
-    """Operator of applying `first`, then `second` (matrix product order)."""
-    return second @ first
 
 
 def spectrum_to_csv(report: SpectrumReport) -> str:

@@ -308,16 +308,6 @@ def automorphism_order(theta: FinMor) -> int:
     return permutation_order(theta.mapping)
 
 
-def iterate_morphism(theta: FinMor, k: int) -> FinMor:
-    """k-fold self-composite of an endomap (k >= 0)."""
-    if theta.src != theta.dst:
-        raise NonComposableError("can only iterate an endomap")
-    out = identity_morphism(theta.src)
-    for _ in range(k):
-        out = compose(out, theta)
-    return out
-
-
 def equalizer(f: FinMor, g: FinMor) -> tuple[FinObj, FinMor]:
     """Subobject of the common source on which f and g agree, plus its inclusion."""
     if f.src != g.src or f.dst != g.dst:

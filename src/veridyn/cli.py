@@ -50,6 +50,7 @@ from .dynamics import (
 )
 from .entropy import (
     build_trace,
+    entropy_direction_report,
     prefix_entropies,
     pushforward,
     shannon_entropy,
@@ -216,11 +217,15 @@ def cmd_entropy(doc: dict) -> tuple[int, dict]:
             H_O.append(shannon_entropy(pushforward(state, tr.observer)))
             state = pushforward(state, tr.transition)
         trace = build_trace(H, H_O, params, k_schedule=tr.k_schedule)
+        drops, rises = entropy_direction_report(H)
         artifacts["entropy_trace.csv"] = trace_to_csv(trace, params)
         artifacts["entropy_report.json"] = {
             "steps": tr.steps,
             "step_violations": [s.n for s in trace.steps if not s.step_bound_ok],
             "obs_violations": [s.n for s in trace.steps if not s.obs_bound_ok],
+            # findings: neither direction claim sets the exit code
+            "postulate_violations": drops,
+            "contraction_violations": rises,
         }
     if ph is not None:
         phase_report = {}

@@ -1,4 +1,4 @@
-"""Coupled state/observer updates, stability analysis, bifurcation sweeps.
+"""Coupled state/observer updates, critical-coupling scans, bifurcation sweeps.
 
 A coupled step advances the state by the update map and lets the
 observer read the new state; the perturbed family F_r adds an observer
@@ -32,8 +32,6 @@ __all__ = [
     "PolynomialMap",
     "PipelineMap",
     "WeightedSumMap",
-    "zero_map",
-    "scale_map",
     "CoupledState",
     "Trajectory",
     "DiagramRow",
@@ -41,7 +39,6 @@ __all__ = [
     "BifRoot",
     "CriticalReport",
     "LyapunovReport",
-    "StabilityReport",
     "perturbed_map",
     "jacobian",
     "jacobian_fd",
@@ -50,7 +47,6 @@ __all__ = [
     "sweep_bifurcation",
     "simulate_coupled",
     "lyapunov_trace",
-    "stability_report",
     "diagram_to_csv",
     "trajectory_to_csv",
 ]
@@ -155,14 +151,6 @@ class AffineMap(MapSpec):
 
     def jacobian_analytic(self, x):
         return np.array(self.a, copy=True)
-
-
-def zero_map(dim: int) -> AffineMap:
-    return AffineMap(np.zeros((dim, dim)), np.zeros(dim))
-
-
-def scale_map(dim: int, c: float) -> AffineMap:
-    return AffineMap(c * np.eye(dim), np.zeros(dim))
 
 
 @dataclass(frozen=True)
@@ -651,16 +639,6 @@ class DiagramRow:
     points: tuple[tuple[float, ...], ...]
     lead_eig: complex | None
 
-    def to_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "attractor": self.attractor,
-            "period": self.period,
-            "points": [list(p) for p in self.points],
-            "lead_eig": None if self.lead_eig is None
-            else {"re": self.lead_eig.real, "im": self.lead_eig.imag},
-        }
-
 
 @dataclass(frozen=True)
 class BifurcationDiagram:
@@ -790,13 +768,6 @@ class LyapunovReport:
     monotone: bool
     violations: tuple[int, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "values": list(self.values),
-            "monotone": self.monotone,
-            "violations": list(self.violations),
-        }
-
 
 def lyapunov_trace(traj: Trajectory, h_state: Sequence[float],
                    h_obs: Sequence[float], alpha: float) -> LyapunovReport:
@@ -815,28 +786,6 @@ def lyapunov_trace(traj: Trajectory, h_state: Sequence[float],
     violations = [n for n in range(len(values) - 1)
                   if values[n + 1] > values[n] + LYAPUNOV_TOL]
     return LyapunovReport(tuple(values), not violations, tuple(violations))
-
-
-@dataclass(frozen=True)
-class StabilityReport:
-    spectral_radius: float
-    stable: bool
-    eigenvalues: tuple[complex, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "spectral_radius": self.spectral_radius,
-            "stable": self.stable,
-            "eigenvalues": [{"re": ev.real, "im": ev.imag}
-                            for ev in self.eigenvalues],
-        }
-
-
-def stability_report(J: LinOp) -> StabilityReport:
-    """Linear stability: all eigenvalues strictly inside the unit disk."""
-    report = spectrum(J)
-    radius = report.max_modulus
-    return StabilityReport(radius, radius < 1.0 - 1e-9, report.eigenvalues)
 
 
 # --- CSV artifacts --------------------------------------------------------

@@ -3,8 +3,9 @@
 Entropy values are base-2 (bits); the growth bounds use the natural log,
 with the constants C and K absorbing the base.  The classical postulate
 that entropy never decreases under transitions is treated as a checked
-property that may fail: deterministic maps contract entropy, and the
-ledger reports violations in either direction instead of enforcing one.
+property that may fail: deterministic maps contract entropy, and
+`entropy_direction_report` lists the steps of a trace that move against
+either direction, for `entropy_report.json` to report, never to enforce.
 """
 
 from __future__ import annotations
@@ -69,11 +70,6 @@ class ProbState:
         if carrier.size == 0:
             raise InvalidDistributionError("no distribution on an empty carrier")
         return cls(carrier, tuple(1.0 / carrier.size for _ in carrier.elements))
-
-    @classmethod
-    def point_mass(cls, carrier: FinObj, element: str) -> "ProbState":
-        return cls(carrier, tuple(1.0 if x == element else 0.0
-                                  for x in carrier.elements))
 
 
 @dataclass(frozen=True)
@@ -215,30 +211,17 @@ def total_entropy_bound(n: int, H0: float, params: EntropyParams,
     return H0 + params.C * math.log(n) + (n * params.K if k_spent is None else k_spent)
 
 
-def entropy_direction_report(pairs: Sequence[tuple[ProbState, FinMor]]) -> dict:
-    """Compare source and image entropies on concrete (state, map) pairs.
+def entropy_direction_report(H: Sequence[float]) -> tuple[list[int], list[int]]:
+    """Steps n where the entropy trace H moves against either direction claim.
 
-    Counts contraction steps (image entropy below source, the direction
-    deterministic maps guarantee) and expansion steps (the opposite
-    postulate).  Both rates are reported; neither is asserted.
+    The first list holds the steps with H(n+1) < H(n) - BOUND_TOL, where
+    the non-decrease postulate fails; the second those with H(n+1) > H(n)
+    + BOUND_TOL, where the contraction a deterministic map guarantees
+    fails.  Both are findings, never verdicts.
     """
-    contract = 0
-    strict_drops = 0
-    for p, f in pairs:
-        h_src = shannon_entropy(p)
-        h_img = shannon_entropy(pushforward(p, f))
-        if h_img <= h_src + BOUND_TOL:
-            contract += 1
-        if h_img < h_src - BOUND_TOL:
-            strict_drops += 1
-    total = len(pairs)
-    return {
-        "pairs": total,
-        "contraction_holds": contract,
-        "nondecreasing_postulate_violations": strict_drops,
-        "nondecreasing_postulate_violation_rate":
-            strict_drops / total if total else 0.0,
-    }
+    steps = range(len(H) - 1)
+    return ([n for n in steps if H[n + 1] < H[n] - BOUND_TOL],
+            [n for n in steps if H[n + 1] > H[n] + BOUND_TOL])
 
 
 def trace_to_csv(trace: EntropyTrace, params: EntropyParams) -> str:

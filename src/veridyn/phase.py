@@ -13,28 +13,23 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .category import FinMor, FinObj, automorphism_order, compose
+from .category import FinMor, FinObj, automorphism_order
 from .errors import (
     DenominatorOverflowError,
-    NonComposableError,
     NotAClosedLoopError,
     NotAutomorphismError,
     PartialPhaseMapError,
-    ShapeMismatchError,
 )
 
 __all__ = [
     "RationalPhase",
-    "PhasedElement",
     "PhasedMorphism",
     "ZERO_PHASE",
     "phase_add",
     "phase_inverse",
-    "compose_phased",
     "cycle_net_phase",
     "phase_lock_space",
     "interference_pairing",
-    "lift_phi_phase",
 ]
 
 DENOMINATOR_CAP = 10 ** 6
@@ -78,12 +73,6 @@ class RationalPhase:
     def __str__(self) -> str:
         return f"{self.numerator}/{self.denominator}"
 
-    def __add__(self, other: "RationalPhase") -> "RationalPhase":
-        return phase_add(self, other)
-
-    def __neg__(self) -> "RationalPhase":
-        return phase_inverse(self)
-
 
 ZERO_PHASE = RationalPhase(0, 1)
 
@@ -117,22 +106,9 @@ def phase_inverse(a: RationalPhase) -> RationalPhase:
 
 
 @dataclass(frozen=True)
-class PhasedElement:
-    element: str
-    phase: RationalPhase
-
-
-@dataclass(frozen=True)
 class PhasedMorphism:
     base: FinMor
     phase: RationalPhase
-
-
-def compose_phased(a: PhasedMorphism, b: PhasedMorphism) -> PhasedMorphism:
-    """Compose the bases (first a, then b); the phases add."""
-    if a.base.dst != b.base.src:
-        raise NonComposableError("phased morphisms are not composable")
-    return PhasedMorphism(compose(a.base, b.base), phase_add(a.phase, b.phase))
 
 
 def cycle_net_phase(cycle: Sequence[PhasedMorphism]) -> RationalPhase:
@@ -189,17 +165,3 @@ def interference_pairing(carrier: FinObj,
         groups.setdefault(phases[x], []).append(x)
     pairs = [f"({x},{y})" for x in carrier.elements for y in groups[phases[x]]]
     return FinObj(f"PhasePairs({carrier.id})", tuple(pairs))
-
-
-def lift_phi_phase(update: FinMor,
-                   states: Sequence[PhasedElement]) -> list[PhasedElement]:
-    """Apply the update to the element coordinate; phases ride along unchanged."""
-    table = update.mapping
-    out = []
-    for s in states:
-        if s.element not in table:
-            raise ShapeMismatchError(
-                f"{s.element!r} is not in the update map's source"
-            )
-        out.append(PhasedElement(table[s.element], s.phase))
-    return out

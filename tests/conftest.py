@@ -1,7 +1,7 @@
-"""Shared random generators for the test suite.
+"""Shared builders and random generators for the test suite.
 
-Everything is driven by numpy Generators with explicit seeds so failures
-reproduce exactly.
+Everything random is driven by numpy Generators with explicit seeds so
+failures reproduce exactly.
 """
 
 from __future__ import annotations
@@ -9,6 +9,21 @@ from __future__ import annotations
 import numpy as np
 
 from veridyn.category import FinMor, FinObj, FunctorRep, NatTransRep
+from veridyn.dynamics import AffineMap
+from veridyn.entropy import ProbState
+
+
+def zero_map(dim: int) -> AffineMap:
+    return AffineMap(np.zeros((dim, dim)), np.zeros(dim))
+
+
+def scale_map(dim: int, c: float) -> AffineMap:
+    return AffineMap(c * np.eye(dim), np.zeros(dim))
+
+
+def point_mass(carrier: FinObj, element: str) -> ProbState:
+    return ProbState(carrier, tuple(1.0 if x == element else 0.0
+                                    for x in carrier.elements))
 
 
 def random_obj(rng: np.random.Generator, oid: str, max_elems: int = 4,

@@ -13,7 +13,14 @@ from math import gcd
 
 import numpy as np
 
-from conftest import make_theta_system, random_mor, random_obj, random_square_setup
+from conftest import (
+    make_theta_system,
+    random_mor,
+    random_obj,
+    random_square_setup,
+    scale_map,
+    zero_map,
+)
 from veridyn.cascade import (
     CascadeSpec,
     CascadeStage,
@@ -29,10 +36,7 @@ from veridyn.dynamics import (
     PolynomialMap,
     find_critical_r,
     jacobian_fd,
-    scale_map,
-    stability_report,
     sweep_bifurcation,
-    zero_map,
 )
 from veridyn.entropy import (
     EntropyParams,
@@ -123,10 +127,39 @@ def test_criterion_3_theta_fixed_point():
 
 
 # -------------------------------------------------------------------------
-# 4. entropy ledger agrees with brute force; pushforward never expands
+# 4. entropy ledger agrees with brute force; pushforward never expands;
+#    entropy_report.json's direction lists agree with brute force
 
 
-def test_criterion_4_entropy_bounds():
+def _entropy_trace_scenario(rng) -> tuple[dict, list[float]]:
+    """A random endomap trace on one carrier, and its H sequence by hand."""
+    carrier = random_obj(rng, "X", max_elems=6, pool="abcdefgh")
+    step = random_mor(rng, carrier, carrier)
+    raw = rng.random(carrier.size) + 1e-9
+    probs = (raw / raw.sum()).tolist()
+    state = dict(zip(carrier.elements, probs))
+    steps = int(rng.integers(1, 8))
+    H = []
+    for _ in range(steps + 1):
+        H.append(-sum(q * math.log2(q) for q in state.values() if q > 0.0))
+        image = dict.fromkeys(carrier.elements, 0.0)
+        for x, q in state.items():
+            image[step.apply(x)] += q
+        state = image
+    doc = {
+        "universe": {
+            "objects": [{"id": "X", "elements": list(carrier.elements)}],
+            "morphisms": [{"id": "t", "src": "X", "dst": "X",
+                           "mapping": dict(step.pairs)}],
+            "functors": [], "transformations": []},
+        "entropy": {"C": 1.0, "K": 1.0},
+        "entropy_trace": {"start": "X", "transition": "t", "observer": "t",
+                          "steps": steps, "initial_probs": probs},
+    }
+    return doc, H
+
+
+def test_criterion_4_entropy_bounds(tmp_path):
     rng = np.random.default_rng(1004)
     trace_ok = 0
     for _ in range(100):
@@ -156,11 +189,27 @@ def test_criterion_4_entropy_bounds():
             # the non-decreasing postulate says entropy never drops;
             # deterministic merges drop it, so this rate is reported only
             postulate_violations += 1
-    ok = trace_ok == 100 and dpi_ok == total_pairs
+    # entropy_report.json lists the same direction findings as the oracle
+    report_ok = 0
+    total_runs = 40
+    for i in range(total_runs):
+        doc, H = _entropy_trace_scenario(rng)
+        path = tmp_path / f"trace{i}.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / f"out{i}"
+        assert cli_main(["entropy", "--scenario", str(path), "--out", str(out)]) == 0
+        report = json.loads((out / "entropy_report.json").read_text())
+        drops = [n for n in range(len(H) - 1) if H[n + 1] < H[n] - 1e-9]
+        rises = [n for n in range(len(H) - 1) if H[n + 1] > H[n] + 1e-9]
+        if report["postulate_violations"] == drops and \
+                report["contraction_violations"] == rises == []:
+            report_ok += 1
+    ok = trace_ok == 100 and dpi_ok == total_pairs and report_ok == total_runs
     _report(4, ok,
             f"step-bound oracle {trace_ok}/100, contraction {dpi_ok}/{total_pairs}; "
             f"non-decreasing postulate violated in {postulate_violations}/"
-            f"{total_pairs} pairs (reported, not asserted)")
+            f"{total_pairs} pairs (reported, not asserted); direction lists "
+            f"match the oracle in {report_ok}/{total_runs} entropy runs")
     assert ok
 
 
@@ -416,14 +465,14 @@ def test_criterion_8_stability_and_jacobians():
     radius_worst = 0.0
     for _ in range(20):
         d = rng.uniform(-1.5, 1.5, size=int(rng.integers(1, 7)))
-        rep = stability_report(LinOp(np.diag(d)))
-        radius_worst = max(radius_worst,
-                           abs(rep.spectral_radius - float(np.max(np.abs(d)))))
-        assert rep.stable == (float(np.max(np.abs(d))) < 1.0 - 1e-9)
+        radius = spectrum(LinOp(np.diag(d))).max_modulus
+        radius_worst = max(radius_worst, abs(radius - float(np.max(np.abs(d)))))
+        # stable: every eigenvalue strictly inside the unit disk
+        assert (radius < 1.0 - 1e-9) == (float(np.max(np.abs(d))) < 1.0 - 1e-9)
     for den in (3, 5, 6, 8, 12):
-        rep = stability_report(LinOp.rotation(RationalPhase(1, den)))
-        radius_worst = max(radius_worst, abs(rep.spectral_radius - 1.0))
-        assert not rep.stable
+        radius = spectrum(LinOp.rotation(RationalPhase(1, den))).max_modulus
+        radius_worst = max(radius_worst, abs(radius - 1.0))
+        assert not radius < 1.0 - 1e-9
 
     fd_worst = 0.0
     for _ in range(100):

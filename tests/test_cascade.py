@@ -12,7 +12,6 @@ from veridyn.cascade import (
     cascade_fixed_points,
     check_commuting,
     check_hull_claim,
-    compose_cascades,
     spectrum,
     spectrum_to_csv,
 )
@@ -53,7 +52,7 @@ def test_linop_validation():
         LinOp([[np.nan, 0.0], [0.0, 1.0]])
     with pytest.raises(DimensionCapError):
         LinOp(np.eye(65))
-    op = LinOp.identity(3)
+    op = LinOp(np.eye(3))
     with pytest.raises(ValueError):
         op.entries[0, 0] = 5.0  # read-only
 
@@ -80,13 +79,13 @@ def test_stage_period_validated():
     with pytest.raises(PeriodMismatchError):
         CascadeStage(0.5, LinOp([[2.0]]), 1)
     with pytest.raises(DimMismatchError):
-        CascadeStage(1.5, LinOp.identity(2), 1)
+        CascadeStage(1.5, LinOp(np.eye(2)), 1)
 
 
 def test_spec_requires_uniform_dims():
     with pytest.raises(DimMismatchError):
-        CascadeSpec((CascadeStage(1.0, LinOp.identity(2), 1),
-                     CascadeStage(1.0, LinOp.identity(3), 1)))
+        CascadeSpec((CascadeStage(1.0, LinOp(np.eye(2)), 1),
+                     CascadeStage(1.0, LinOp(np.eye(3)), 1)))
 
 
 # --- build_cascade -----------------------------------------------------------
@@ -115,9 +114,9 @@ def test_affine_in_each_stage_exact_delta():
     # dyadic damping factors keep every float operation exact
     theta = LinOp.permutation([1, 0, 2])
     base = CascadeSpec((CascadeStage(0.5, theta, 2),
-                        CascadeStage(0.25, LinOp.identity(3), 1)))
+                        CascadeStage(0.25, LinOp(np.eye(3)), 1)))
     halved = CascadeSpec((CascadeStage(0.25, theta, 2),
-                          CascadeStage(0.25, LinOp.identity(3), 1)))
+                          CascadeStage(0.25, LinOp(np.eye(3)), 1)))
     c0 = build_cascade(base)
     c1 = build_cascade(halved)
     delta = (halved.contraction - base.contraction) * np.eye(3) \
@@ -129,7 +128,7 @@ def test_affine_in_each_stage_exact_delta():
 
 
 def test_fixed_points_identity_full_space():
-    basis = cascade_fixed_points(LinOp.identity(4))
+    basis = cascade_fixed_points(LinOp(np.eye(4)))
     assert len(basis) == 4
     gram = np.array([[u @ v for v in basis] for u in basis])
     assert np.allclose(gram, np.eye(4), atol=1e-12)
@@ -251,7 +250,7 @@ def _up_to_conjugation(eigenvalues):
 
 def test_fixed_points_match_rowwise_elimination_bitwise():
     rng = np.random.default_rng(3)
-    ops = [LinOp.identity(4), LinOp(np.zeros((3, 3))), LinOp(np.diag([1.0, 0.5]))]
+    ops = [LinOp(np.eye(4)), LinOp(np.zeros((3, 3))), LinOp(np.diag([1.0, 0.5]))]
     for _ in range(25):
         n = int(rng.integers(2, 9))
         k = int(rng.integers(0, n + 1))
@@ -433,7 +432,7 @@ def test_spectrum_residuals_rechecked():
 
 
 def test_hull_identity_case():
-    spec = CascadeSpec((CascadeStage(1.0, LinOp.identity(2), 1),))
+    spec = CascadeSpec((CascadeStage(1.0, LinOp(np.eye(2)), 1),))
     rep = spectrum(build_cascade(spec))
     assert check_hull_claim(rep, spec) == [True, True]
 
@@ -446,7 +445,7 @@ def test_hull_counterexample_reported_outside():
 
 
 def test_hull_undefined_for_zero_damping():
-    spec = CascadeSpec((CascadeStage(0.0, LinOp.identity(2), 1),))
+    spec = CascadeSpec((CascadeStage(0.0, LinOp(np.eye(2)), 1),))
     rep = spectrum(build_cascade(spec))
     with pytest.raises(UndefinedClaimError):
         check_hull_claim(rep, spec)
@@ -474,8 +473,8 @@ def test_non_commuting_pair_detected():
 def test_commuting_implies_order_free_composite():
     a = build_cascade(CascadeSpec((CascadeStage(0.5, LinOp.rotation(QUARTER), 4),)))
     b = build_cascade(CascadeSpec((CascadeStage(0.25, LinOp.rotation(HALF), 2),)))
-    ab = compose_cascades(a, b)
-    ba = compose_cascades(b, a)
+    ab = b @ a
+    ba = a @ b
     assert float(np.max(np.abs(ab.entries - ba.entries))) <= 1e-6
 
 

@@ -19,7 +19,6 @@ from veridyn.category import (
     equalizer,
     identity_functor,
     identity_morphism,
-    iterate_morphism,
     validate_functor,
 )
 from veridyn.errors import (
@@ -202,9 +201,11 @@ def test_order_divides_factorial_and_power_is_identity(n, pyrandom):
     theta = FinMor(obj, obj, tuple(zip(obj.elements, perm)))
     k = automorphism_order(theta)
     assert math.factorial(n) % k == 0
-    assert iterate_morphism(theta, k) == identity_morphism(obj)
-    for m in range(1, k):
-        assert iterate_morphism(theta, m) != identity_morphism(obj)
+    power = identity_morphism(obj)
+    for m in range(1, k + 1):
+        power = compose(power, theta)
+        # theta^m is the identity first at m = k
+        assert (power == identity_morphism(obj)) == (m == k)
 
 
 # --- equalizers -------------------------------------------------------------

@@ -800,6 +800,22 @@ def test_entropy_command(tmp_path):
     assert phase_doc["cycle_zero_net"] is True
 
 
+@pytest.mark.parametrize("scenario, transition, drops", [
+    ("observer_universe", "swap", []),     # a bijection keeps the entropy
+    ("entropy_merge", "merge", [0]),       # {a: a, b: a} drops the uniform bit
+])
+def test_entropy_report_lists_the_direction_findings(tmp_path, scenario, transition,
+                                                     drops):
+    path = SCENARIOS / f"{scenario}.json"
+    assert json.loads(path.read_text())["entropy_trace"]["transition"] == transition
+    out = tmp_path / "out"
+    # findings, not verdicts: a failed postulate still exits 0
+    assert _run("entropy", str(path), out) == 0
+    report = json.loads((out / "entropy_report.json").read_text())
+    assert report["postulate_violations"] == drops
+    assert report["contraction_violations"] == []
+
+
 def test_entropy_without_sections_is_input_error(tmp_path):
     scen = _write(tmp_path, {"entropy": {"C": 1.0, "K": 1.0, "alpha": 1.0}})
     assert _run("entropy", scen, tmp_path / "o") == 2

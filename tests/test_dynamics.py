@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import point_mass, scale_map, zero_map
 from veridyn import cli, dynamics
 from veridyn.cascade import LinOp, spectrum
 from veridyn.category import FinObj
@@ -28,12 +29,9 @@ from veridyn.dynamics import (
     lyapunov_trace,
     _classify,
     perturbed_map,
-    scale_map,
     simulate_coupled,
-    stability_report,
     sweep_bifurcation,
     trajectory_to_csv,
-    zero_map,
 )
 from veridyn.entropy import ProbState, shannon_entropy
 from veridyn.errors import (
@@ -752,7 +750,7 @@ def test_lyapunov_sharpening_decreases():
     carrier = FinObj("C", ("u", "v", "w", "z"))
     seq = [ProbState.uniform(carrier),
            ProbState(carrier, (0.5, 0.5, 0.0, 0.0)),
-           ProbState.point_mass(carrier, "u")]
+           point_mass(carrier, "u")]
     h = [shannon_entropy(p) for p in seq]
     report = lyapunov_trace(_traj(3), h, h, alpha=1.0)
     assert report.monotone
@@ -761,7 +759,7 @@ def test_lyapunov_sharpening_decreases():
 
 def test_lyapunov_spreading_observer_flagged():
     carrier = FinObj("C", ("u", "v"))
-    sharp = ProbState.point_mass(carrier, "u")
+    sharp = point_mass(carrier, "u")
     wide = ProbState.uniform(carrier)
     h_state = [shannon_entropy(p) for p in (sharp, sharp, sharp)]
     h_obs = [shannon_entropy(p) for p in (sharp, wide, wide)]
@@ -781,14 +779,15 @@ def test_lyapunov_length_mismatch():
 
 
 def test_stability_known_cases():
-    rep = stability_report(LinOp(0.5 * np.eye(3)))
-    assert rep.stable and rep.spectral_radius == pytest.approx(0.5, abs=1e-9)
-    rot = stability_report(LinOp.rotation(RationalPhase(1, 6)))
-    assert not rot.stable
-    assert rot.spectral_radius == pytest.approx(1.0, abs=1e-9)
-    mixed = stability_report(LinOp(np.diag([0.9, 1.1])))
-    assert not mixed.stable
-    assert mixed.spectral_radius == pytest.approx(1.1, abs=1e-9)
+    # linearly stable: every eigenvalue strictly inside the unit disk
+    radius = spectrum(LinOp(0.5 * np.eye(3))).max_modulus
+    assert radius < 1.0 - 1e-9 and radius == pytest.approx(0.5, abs=1e-9)
+    rot = spectrum(LinOp.rotation(RationalPhase(1, 6))).max_modulus
+    assert not rot < 1.0 - 1e-9
+    assert rot == pytest.approx(1.0, abs=1e-9)
+    mixed = spectrum(LinOp(np.diag([0.9, 1.1]))).max_modulus
+    assert not mixed < 1.0 - 1e-9
+    assert mixed == pytest.approx(1.1, abs=1e-9)
 
 
 # --- trajectories and CSV ----------------------------------------------------------

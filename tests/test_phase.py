@@ -10,7 +10,6 @@ from conftest import random_permutation_mor
 from veridyn.category import FinMor, FinObj, compose, identity_morphism
 from veridyn.errors import (
     DenominatorOverflowError,
-    NonComposableError,
     NotAClosedLoopError,
     NotAutomorphismError,
     PartialPhaseMapError,
@@ -18,13 +17,10 @@ from veridyn.errors import (
 )
 from veridyn.phase import (
     ZERO_PHASE,
-    PhasedElement,
     PhasedMorphism,
     RationalPhase,
-    compose_phased,
     cycle_net_phase,
     interference_pairing,
-    lift_phi_phase,
     phase_add,
     phase_inverse,
     phase_lock_space,
@@ -93,7 +89,7 @@ def test_group_laws_exhaustive_small_denominators():
         assert phase_add(phase_add(a, b), c) == phase_add(a, phase_add(b, c))
 
 
-# --- phased morphisms --------------------------------------------------------
+# --- cycles of phased morphisms -----------------------------------------------
 
 X = FinObj("X", ("a", "b", "c"))
 Y = FinObj("Y", ("u", "v"))
@@ -101,44 +97,6 @@ Y = FinObj("Y", ("u", "v"))
 
 def _mor(src, dst, mapping, phase):
     return PhasedMorphism(FinMor.from_mapping(src, dst, mapping), phase)
-
-
-def test_compose_phased_adds_phases():
-    f = _mor(X, Y, {"a": "u", "b": "u", "c": "v"}, RationalPhase(1, 3))
-    g = _mor(Y, X, {"u": "a", "v": "b"}, RationalPhase(2, 3))
-    comp = compose_phased(f, g)
-    assert comp.phase == ZERO_PHASE
-    assert comp.base.apply("c") == "b"
-    zero = compose_phased(_mor(X, X, {x: x for x in X.elements}, ZERO_PHASE),
-                          _mor(X, X, {x: x for x in X.elements}, ZERO_PHASE))
-    assert zero.phase == ZERO_PHASE
-    h = compose_phased(_mor(X, X, {x: x for x in X.elements}, RationalPhase(1, 2)),
-                       _mor(X, X, {x: x for x in X.elements}, RationalPhase(1, 3)))
-    assert h.phase == RationalPhase(5, 6)
-
-
-def test_compose_phased_rejects_mismatch():
-    f = _mor(X, Y, {"a": "u", "b": "u", "c": "v"}, ZERO_PHASE)
-    with pytest.raises(NonComposableError):
-        compose_phased(f, f)
-
-
-def test_compose_phased_associative_and_homomorphic():
-    rng = np.random.default_rng(8)
-    for _ in range(50):
-        ms = []
-        for _ in range(3):
-            base = random_permutation_mor(rng, X)
-            ph = RationalPhase(int(rng.integers(0, 12)), 12)
-            ms.append(PhasedMorphism(base, ph))
-        left = compose_phased(compose_phased(ms[0], ms[1]), ms[2])
-        right = compose_phased(ms[0], compose_phased(ms[1], ms[2]))
-        assert left == right
-        assert left.phase == phase_add(phase_add(ms[0].phase, ms[1].phase),
-                                       ms[2].phase)
-
-
-# --- cycles -------------------------------------------------------------------
 
 
 def _loop(phases):
@@ -243,7 +201,7 @@ def test_lock_space_huge_period_is_checked_not_iterated():
         phase_lock_space(cyc, 10 ** 12 + 1)
 
 
-# --- pairing and lifting --------------------------------------------------------
+# --- pairing ------------------------------------------------------------------
 
 
 def _pairing_reference(carrier, phases):
@@ -303,24 +261,3 @@ def test_pairing_mixed_example():
 def test_pairing_requires_total_assignment():
     with pytest.raises(PartialPhaseMapError):
         interference_pairing(X, {"a": ZERO_PHASE})
-
-
-def test_lift_preserves_phases_and_commutes_with_projection():
-    update = FinMor.from_mapping(X, X, {"a": "b", "b": "c", "c": "a"})
-    states = [PhasedElement("a", RationalPhase(1, 3)),
-              PhasedElement("c", RationalPhase(1, 2))]
-    lifted = lift_phi_phase(update, states)
-    assert [s.element for s in lifted] == ["b", "a"]
-    assert [s.phase for s in lifted] == [s.phase for s in states]
-    assert [s.element for s in lifted] == [update.apply(s.element) for s in states]
-    assert lift_phi_phase(update, []) == []
-    const = FinMor.from_mapping(X, X, {"a": "a", "b": "a", "c": "a"})
-    allsame = lift_phi_phase(const, states)
-    assert {s.element for s in allsame} == {"a"}
-    assert [s.phase for s in allsame] == [s.phase for s in states]
-
-
-def test_lift_rejects_unknown_element():
-    update = identity_morphism(X)
-    with pytest.raises(ShapeMismatchError):
-        lift_phi_phase(update, [PhasedElement("zz", ZERO_PHASE)])
