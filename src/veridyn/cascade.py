@@ -62,8 +62,9 @@ class LinOp:
 
     def __post_init__(self):
         arr = np.array(self.entries, dtype=np.float64, copy=True)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise DimMismatchError(f"operator must be square, got shape {arr.shape}")
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
+            raise DimMismatchError(
+                f"operator must be square and non-empty, got shape {arr.shape}")
         _check_dim(arr.shape[0])
         if not np.all(np.isfinite(arr)):
             raise NonFiniteError("operator entries must be finite")
@@ -249,7 +250,8 @@ def _eigenvector_residual(a: np.ndarray, lam: complex) -> float:
     """Relative residual of an eigenvector extracted by inverse iteration."""
     n = a.shape[0]
     scale = max(1.0, float(np.max(np.abs(a))))
-    b = a.astype(complex) - lam * np.eye(n)
+    ac = a.astype(complex)
+    b = ac - lam * np.eye(n)
     v = np.ones(n, dtype=complex) / math.sqrt(n)
     nudge = _EPS * scale
     for _ in range(5):
@@ -265,7 +267,17 @@ def _eigenvector_residual(a: np.ndarray, lam: complex) -> float:
             nudge *= 16.0
             continue
         v = w / norm
-    return float(np.linalg.norm(a @ v - lam * v) / np.linalg.norm(v))
+    # A @ v in two halves of at most DIM_CAP / 2 rows: OpenBLAS threads a
+    # complex matvec from m*n >= 4096 (64 x 64), and its idle pool then spins
+    # a second CPU for about 0.13 s.  Each output entry is the same gemv dot
+    # product either way, so the bits do not change.  A block of one row
+    # would not do: numpy sends it to a dot routine that sums in another order.
+    if n > DIM_CAP // 2:
+        h = n // 2
+        av = np.concatenate([ac[:h] @ v, ac[h:] @ v])
+    else:
+        av = ac @ v
+    return float(np.linalg.norm(av - lam * v) / np.linalg.norm(v))
 
 
 @dataclass(frozen=True)
@@ -302,7 +314,7 @@ def spectrum(C: LinOp) -> SpectrumReport:
         raise NoConvergenceError(f"LAPACK eigenvalue solve failed: {exc}") from exc
     eigs.sort(key=lambda ev: (ev.real, ev.imag))
     residuals = []
-    scale = max(1.0, float(np.max(np.abs(C.entries))) if n else 1.0)
+    scale = max(1.0, float(np.max(np.abs(C.entries))))
     # C is real, so A v - lam v = r gives A conj(v) - conj(lam) conj(v) =
     # conj(r): an exact conjugate (or repeat) has the same residual, bit for bit
     shared: dict[complex, float] = {}
@@ -320,7 +332,7 @@ def spectrum(C: LinOp) -> SpectrumReport:
                     f"(residual {res:.3e}, |det| {detval:.3e})"
                 )
         residuals.append(res)
-    max_mod = max((abs(ev) for ev in eigs), default=0.0)
+    max_mod = max(abs(ev) for ev in eigs)
     return SpectrumReport(tuple(eigs), float(max_mod), tuple(residuals))
 
 
@@ -350,7 +362,7 @@ def check_commuting(theta_i: LinOp, theta_j: LinOp,
     if theta_i.dim != theta_j.dim:
         raise DimMismatchError("operators have different dimensions")
     comm = theta_i.entries @ theta_j.entries - theta_j.entries @ theta_i.entries
-    norm = float(np.max(np.abs(comm))) if comm.size else 0.0
+    norm = float(np.max(np.abs(comm)))
     return norm <= tol, norm
 
 

@@ -185,7 +185,8 @@ class PolynomialMap(MapSpec):
             acc = 0.0
             for term, factors in terms:
                 for j, p in factors:
-                    term *= _pow(x[j], p)
+                    # math.pow(v, 1) is v, bit for bit
+                    term *= x[j] if p == 1 else _pow(x[j], p)
                 acc += term
             out.append(acc)
         return tuple(out)
@@ -197,7 +198,9 @@ class PolynomialMap(MapSpec):
             for coeff, powers in terms:
                 term = coeff
                 for j, p in enumerate(powers):
-                    if p:
+                    if p == 1:
+                        term = term * xs[:, j]
+                    elif p:
                         term = term * _libm_pow(xs[:, j], p)
                 acc = acc + term
             out[:, i] = acc

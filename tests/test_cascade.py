@@ -48,6 +48,10 @@ def _random_orthogonal(rng, n):
 def test_linop_validation():
     with pytest.raises(DimMismatchError):
         LinOp(np.zeros((2, 3)))
+    with pytest.raises(DimMismatchError):
+        LinOp(np.zeros((0, 0)))
+    with pytest.raises(DimMismatchError):
+        LinOp.permutation([])
     with pytest.raises(NonFiniteError):
         LinOp([[np.nan, 0.0], [0.0, 1.0]])
     with pytest.raises(DimensionCapError):
@@ -281,6 +285,39 @@ def test_fixed_points_keep_negative_zero():
 # --- spectrum ------------------------------------------------------------------
 
 
+def _residual_one_matvec(a, lam):
+    """_eigenvector_residual as it stood with A @ v in one complex matvec."""
+    n = a.shape[0]
+    scale = max(1.0, float(np.max(np.abs(a))))
+    b = a.astype(complex) - lam * np.eye(n)
+    v = np.ones(n, dtype=complex) / math.sqrt(n)
+    nudge = cascade._EPS * scale
+    for _ in range(5):
+        try:
+            w = np.linalg.solve(b, v)
+        except np.linalg.LinAlgError:
+            b = b + nudge * np.eye(n)
+            nudge *= 16.0
+            continue
+        norm = float(np.linalg.norm(w))
+        if not math.isfinite(norm) or norm == 0.0:
+            b = b + nudge * np.eye(n)
+            nudge *= 16.0
+            continue
+        v = w / norm
+    return float(np.linalg.norm(a @ v - lam * v) / np.linalg.norm(v))
+
+
+@pytest.mark.parametrize("dim", [1, 31, 32, 33, 63, 64])
+def test_residual_keeps_the_one_matvec_bits(dim):
+    # around the split at 32 rows; blocks of 32 would leave 33 a lone row
+    a = np.random.default_rng(dim).standard_normal((dim, dim))
+    lams = _up_to_conjugation(complex(ev) for ev in np.linalg.eigvals(a))
+    for lam in [*lams, 0.5 + 0.25j]:
+        assert cascade._eigenvector_residual(a, lam).hex() == \
+            _residual_one_matvec(a, lam).hex()
+
+
 @pytest.mark.parametrize("group", list(SEEDED_64))
 def test_spectrum_shared_residuals_are_the_per_eigenvalue_bits(group):
     for op in SEEDED_64[group]:
@@ -288,6 +325,7 @@ def test_spectrum_shared_residuals_are_the_per_eigenvalue_bits(group):
         assert len(_up_to_conjugation(rep.eigenvalues)) < op.dim
         for ev, res in zip(rep.eigenvalues, rep.residuals):
             assert res == cascade._eigenvector_residual(op.entries, ev)
+            assert res.hex() == _residual_one_matvec(op.entries, ev).hex()
 
 
 def test_spectrum_verifies_once_per_eigenvalue_up_to_conjugation(monkeypatch):

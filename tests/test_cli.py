@@ -655,6 +655,8 @@ BAD_CASCADE = {
     "rotation turns a number": [_stage({**QUARTER_TURN, "turns": 1})],
     "permutation entry fractional": [_stage({**SWAP_PERM, "perm": [1.5, 0]})],
     "permutation entry a string": [_stage({**SWAP_PERM, "perm": ["1", "0"]})],
+    "permutation empty": [_stage({**SWAP_PERM, "perm": []})],
+    "matrix entries empty": [_stage({**SWAP_MATRIX, "entries": []})],
     "matrix period fractional": [_stage({**SWAP_MATRIX, "period": 2.9})],
     "matrix entry a string": [_stage({**SWAP_MATRIX,
                                       "entries": [["0", 1.0], [1.0, 0.0]]})],
@@ -905,6 +907,39 @@ def test_out_holds_exactly_the_manifest_outputs(tmp_path, cmd, scenario, patch, 
     assert manifest["outputs"]
     assert sorted(p.name for p in out.iterdir()) == \
         sorted([*manifest["outputs"], "run_manifest.json"])
+
+
+# every bundled (command, scenario) pair the CI runs, with its exit code
+BUNDLED_RUNS = [
+    ("check-axioms", "observer_universe", 0),
+    ("theta", "observer_universe", 0),
+    ("theta", "theta_cycle", 3),
+    ("entropy", "observer_universe", 0),
+    ("entropy", "entropy_merge", 0),
+    ("cascade", "damped_cascade", 0),
+    ("cascade", "cascade_64_pairs", 0),
+    ("simulate", "logistic_sweep", 0),
+    ("sweep", "logistic_sweep", 0),
+    ("simulate", "pipeline_ledger", 0),
+    ("sweep", "pipeline_ledger", 0),
+]
+
+
+def _cpu_while_sleeping(seconds):
+    start = time.process_time()
+    time.sleep(seconds)
+    return time.process_time() - start
+
+
+@pytest.mark.parametrize("cmd, scenario, code", BUNDLED_RUNS)
+def test_command_leaves_no_cpu_busy(tmp_path, cmd, scenario, code):
+    # a BLAS thread pool woken by a threaded call spins on after it returns;
+    # let any spin an earlier test left behind run out first
+    deadline = time.monotonic() + 2.0
+    while _cpu_while_sleeping(0.05) >= 0.002 and time.monotonic() < deadline:
+        pass
+    assert _run(cmd, str(SCENARIOS / f"{scenario}.json"), tmp_path / "out") == code
+    assert _cpu_while_sleeping(0.1) < 0.020
 
 
 def test_reused_out_drops_the_previous_runs_outputs(tmp_path):

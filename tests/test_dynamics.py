@@ -387,6 +387,35 @@ def test_evaluation_edge_cases_match_numpy_reference(spec, x):
     _assert_evaluates_as_reference(spec, [np.array(x, dtype=np.float64)])
 
 
+# every term takes a coordinate to the power 1, alone or beside a higher power
+LINEAR_FACTORS = PolynomialMap(2, (
+    ((1.5, (1, 0)), (-0.75, (0, 1)), (1.0, (1, 1))),
+    ((2.0, (2, 1)), (-1.0, (1, 2)), (0.5, (0, 1))),
+))
+# signed zeros, infinities, NaN, and subnormals down to the smallest
+BIT_SPECIAL = (0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+               2.0 ** -1040, -1.5 * 2.0 ** -1030)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_exponent_one_matches_numpy_reference_on_bit_patterns():
+    rng = np.random.default_rng(2024)
+    patterns = rng.integers(0, 2 ** 64, (400, 2), dtype=np.uint64).view(np.float64)
+    special = np.array(BIT_SPECIAL)
+    k = len(special)
+    xs = np.concatenate([
+        patterns,
+        np.array(np.meshgrid(special, special)).reshape(2, -1).T,
+        np.column_stack([special, patterns[:k, 1]]),
+        np.column_stack([patterns[:k, 0], special]),
+    ])
+    for spec, pts in [(LINEAR_FACTORS, xs), (logistic_observer(), xs[:, :1])]:
+        _assert_evaluates_as_reference(spec, pts)
+        got = spec.batch(pts)
+        for row, x in zip(got, pts):
+            assert _value_bits(row) == _value_bits(spec(x.tolist())), (spec, x)
+
+
 SWAP_SQUARES = PolynomialMap(2, (((1.0, (0, 2)),), ((1.0, (2, 0)),)))
 SQUARE_AND_CONSTANT = PolynomialMap(2, (((1.0, (0, 2)),), ((1.0, (0, 0)),)))
 
