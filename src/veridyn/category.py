@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     MissingComponentError,
@@ -78,68 +78,61 @@ class FinObj:
 
 @dataclass(frozen=True)
 class FinMor:
-    """A total map between finite carriers, stored as sorted (x, f(x)) pairs."""
+    """A total map between finite carriers, stored as target positions.
+
+    targets[i] is the position in dst.elements of the image of src.elements[i].
+    """
 
     src: FinObj
     dst: FinObj
-    pairs: tuple[tuple[str, str], ...]
-    _table: Mapping[str, str] = field(init=False, repr=False, compare=False)
+    targets: tuple[int, ...]
 
     def __post_init__(self):
-        pairs = tuple(sorted(self.pairs))
-        object.__setattr__(self, "pairs", pairs)
-        table = dict(pairs)
-        if len(table) != len(pairs):
-            raise ShapeMismatchError("morphism table has a repeated source element")
-        if table.keys() != self.src.index.keys():
+        targets = tuple(self.targets)
+        # positions lie in range(dst.size): a negative one would wrap as an index
+        if (len(targets) != self.src.size or min(targets, default=0) < 0
+                or max(targets, default=-1) >= self.dst.size):
             raise ShapeMismatchError(
-                f"morphism table is not total on source {self.src.id!r}"
-            )
-        dst_index = self.dst.index
-        for y in table.values():
-            if y not in dst_index:
-                raise ShapeMismatchError(
-                    f"morphism image {y!r} is not an element of {self.dst.id!r}"
-                )
-        object.__setattr__(self, "_table", MappingProxyType(table))
+                f"morphism targets do not map {self.src.id!r} into {self.dst.id!r}")
+        object.__setattr__(self, "targets", targets)
 
     @classmethod
     def from_mapping(cls, src: FinObj, dst: FinObj, mapping: Mapping[str, str]) -> "FinMor":
-        return cls(src, dst, tuple(mapping.items()))
-
-    @property
-    def mapping(self) -> Mapping[str, str]:
-        """Read-only source-to-image table, in sorted source order."""
-        return self._table
+        if mapping.keys() != src.index.keys():
+            raise ShapeMismatchError(f"morphism table is not total on source {src.id!r}")
+        try:
+            targets = tuple(map(dst.index.__getitem__, map(mapping.__getitem__, src.elements)))
+        except KeyError as exc:
+            raise ShapeMismatchError(
+                f"morphism image {exc.args[0]!r} is not an element of {dst.id!r}"
+            ) from None
+        return cls(src, dst, targets)
 
     def apply(self, x: str) -> str:
         try:
-            return self._table[x]
+            return self.dst.elements[self.targets[self.src.index[x]]]
         except KeyError:
             raise ShapeMismatchError(
                 f"{x!r} is not an element of {self.src.id!r}"
             ) from None
 
-    def __call__(self, x: str) -> str:
-        return self.apply(x)
-
     def is_identity(self) -> bool:
-        return self.src == self.dst and all(a == b for a, b in self.pairs)
+        return self.src == self.dst and self.targets == tuple(range(self.src.size))
 
     def is_bijection(self) -> bool:
-        images = {b for _, b in self.pairs}
-        return len(images) == len(self.pairs) and len(images) == self.dst.size
+        return len(set(self.targets)) == len(self.targets) == self.dst.size
 
     def to_dict(self) -> dict:
+        labels = self.dst.elements
         return {
             "src": self.src.id,
             "dst": self.dst.id,
-            "mapping": dict(self._table),
+            "mapping": {x: labels[j] for x, j in zip(self.src.elements, self.targets)},
         }
 
 
 def identity_morphism(obj: FinObj) -> FinMor:
-    return FinMor(obj, obj, tuple((x, x) for x in obj.elements))
+    return FinMor(obj, obj, tuple(range(obj.size)))
 
 
 def compose(f: FinMor, g: FinMor) -> FinMor:
@@ -149,8 +142,7 @@ def compose(f: FinMor, g: FinMor) -> FinMor:
             f"cannot compose: first map lands in {f.dst.id!r}, "
             f"second starts at {g.src.id!r}"
         )
-    gmap = g.mapping
-    return FinMor(f.src, g.dst, tuple((x, gmap[y]) for x, y in f.pairs))
+    return FinMor(f.src, g.dst, tuple(g.targets[j] for j in f.targets))
 
 
 @dataclass(frozen=True)
@@ -256,13 +248,12 @@ def _check_square(target: FunctorRep, trans: NatTransRep, f: FinMor,
             f"image of the morphism under {target.name!r} does not connect "
             f"the component targets"
         )
-    violations = []
-    for x in bottom.src.elements:
-        left = top.apply(t_src.apply(x))
-        right = t_dst.apply(bottom.apply(x))
-        if left != right:
-            violations.append(SquareViolation(x, left, right))
-    return SquareReport(not violations, tuple(violations))
+    left = compose(t_src, top).targets
+    right = compose(bottom, t_dst).targets
+    labels = top.dst.elements
+    violations = tuple(SquareViolation(x, labels[i], labels[j])
+                       for x, i, j in zip(bottom.src.elements, left, right) if i != j)
+    return SquareReport(not violations, violations)
 
 
 def check_observer_square(observer: FunctorRep, v: NatTransRep, f: FinMor) -> SquareReport:
@@ -280,18 +271,18 @@ def check_verification_square(verification: FunctorRep, eta: NatTransRep,
     return _check_square(verification, eta, f)
 
 
-def permutation_order(table: Mapping) -> int:
-    """Least k >= 1 with table^k = id for a bijective table, via lcm of cycle lengths."""
+def permutation_order(perm: Sequence[int]) -> int:
+    """Least k >= 1 with perm^k = id for a permutation of range(n): lcm of cycle lengths."""
     seen = set()
     order = 1
-    for start in table:
+    for start in range(len(perm)):
         if start in seen:
             continue
         length = 0
         x = start
         while True:
             seen.add(x)
-            x = table[x]
+            x = perm[x]
             length += 1
             if x == start:
                 break
@@ -305,29 +296,28 @@ def automorphism_order(theta: FinMor) -> int:
         raise NotAutomorphismError(
             f"map on {theta.src.id!r} is not a bijective endomap"
         )
-    return permutation_order(theta.mapping)
+    return permutation_order(theta.targets)
 
 
 def equalizer(f: FinMor, g: FinMor) -> tuple[FinObj, FinMor]:
     """Subobject of the common source on which f and g agree, plus its inclusion."""
     if f.src != g.src or f.dst != g.dst:
         raise ShapeMismatchError("equalizer needs a parallel pair of morphisms")
-    agree = tuple(x for x in f.src.elements if f.apply(x) == g.apply(x))
-    sub = FinObj(f"Eq({f.src.id})", agree)
-    incl = FinMor(sub, f.src, tuple((x, x) for x in agree))
-    return sub, incl
+    keep = tuple(i for i, (a, b) in enumerate(zip(f.targets, g.targets)) if a == b)
+    sub = FinObj(f"Eq({f.src.id})", tuple(f.src.elements[i] for i in keep))
+    return sub, FinMor(sub, f.src, keep)
 
 
 def canonical_bijection(a: FinObj, b: FinObj) -> FinMor | None:
     """Deterministic bijection pairing the sorted elements positionally.
 
-    Returns None when the carriers have different sizes.  This is the
-    lexicographic tie-breaking rule used everywhere "up to isomorphism"
-    has to be decided.
+    It is the identity on positions.  Returns None when the carriers have
+    different sizes.  This is the lexicographic tie-breaking rule used
+    everywhere "up to isomorphism" has to be decided.
     """
     if a.size != b.size:
         return None
-    return FinMor(a, b, tuple(zip(a.elements, b.elements)))
+    return FinMor(a, b, tuple(range(a.size)))
 
 
 @dataclass(frozen=True)

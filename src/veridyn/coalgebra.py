@@ -126,13 +126,14 @@ def verify_theta(verification: FunctorRep, update: FunctorRep,
         violations.append(SquareViolation("<witness>", f"{w.src.id}->{w.dst.id}",
                                           f"{expected.src.id}->{expected.dst.id}"))
     else:
-        for (x, got), (_, want) in zip(w.pairs, expected.pairs):
-            if got != want:
-                violations.append(SquareViolation(x, got, want))
+        labels = image.elements
+        violations.extend(SquareViolation(x, labels[got], labels[want])
+                          for x, got, want in zip(w.src.elements, w.targets,
+                                                  expected.targets) if got != want)
     return SquareReport(not violations, tuple(violations))
 
 
-# The name stays while the benchmark's tracer wraps it (ROADMAP item 5).
+# The name stays while the benchmark's tracer wraps it (ROADMAP item 2).
 def build_chain(result: ThetaResult) -> list[tuple[int, FinObj]]:
     """The (stage, carrier) rows of the chain the theta walk recorded."""
     return list(enumerate(result.stages))

@@ -88,7 +88,12 @@ class EntropyParams:
 
 
 def _entropy_bits(probs: Sequence[float]) -> float:
-    return -sum(q * math.log2(q) for q in probs if q > 0.0) + 0.0
+    # left to right: sum() of floats is compensated from Python 3.12 on
+    total = 0.0
+    for q in probs:
+        if q > 0.0:
+            total += q * math.log2(q)
+    return -total + 0.0
 
 
 def shannon_entropy(p: ProbState) -> float:
@@ -127,18 +132,17 @@ def prefix_entropies(points: Sequence[Sequence[float]], bins: int, lo: float,
 def pushforward(p: ProbState, f: FinMor) -> ProbState:
     """Image distribution q(y) = sum of p over the fiber of y.
 
-    f's table and p's probabilities both run in the sorted order of the
+    f's targets and p's probabilities both run in the sorted order of the
     common source, so they pair up positionally; each fiber is summed in
-    that order into the slot the target's index gives its image.
+    that order into its target position.
     """
     if f.src != p.carrier:
         raise ShapeMismatchError(
             f"distribution lives on {p.carrier.id!r}, map starts at {f.src.id!r}"
         )
-    index = f.dst.index
     mass = [0.0] * f.dst.size
-    for y, q in zip(f.mapping.values(), p.probs):
-        mass[index[y]] += q
+    for j, q in zip(f.targets, p.probs):
+        mass[j] += q
     return ProbState(f.dst, tuple(mass))
 
 

@@ -148,7 +148,7 @@ def phase_lock_space(theta: FinMor, k: int) -> FinObj:
             f"declared period {k} is not a multiple of the symmetry's order"
         )
     return FinObj(f"PhaseLock({theta.src.id})",
-                  tuple(x for x, y in theta.pairs if x == y))
+                  tuple(theta.src.elements[i] for i, j in enumerate(theta.targets) if i == j))
 
 
 def interference_pairing(carrier: FinObj,

@@ -217,7 +217,7 @@ def parse_theta_operator(desc: Mapping) -> tuple[LinOp, int]:
     if kind == "permutation":
         perm = [_integer(i, "permutation entry", 0)
                 for i in _list(desc.get("perm"), "permutation perm")]
-        return LinOp.permutation(perm), permutation_order(dict(enumerate(perm)))
+        return LinOp.permutation(perm), permutation_order(perm)
     if kind == "matrix":
         rows = _list(desc.get("entries"), "matrix entries")
         return (LinOp([_vector(row, len(rows), "matrix row") for row in rows]),

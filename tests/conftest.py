@@ -33,18 +33,21 @@ def random_obj(rng: np.random.Generator, oid: str, max_elems: int = 4,
     return FinObj(oid, tuple(str(x) for x in labels))
 
 
+def pairs_of(f: FinMor) -> tuple[tuple[str, str], ...]:
+    """The (x, f(x)) table of a morphism, in the sorted order of its source."""
+    return tuple((x, f.apply(x)) for x in f.src.elements)
+
+
 def random_mor(rng: np.random.Generator, src: FinObj, dst: FinObj) -> FinMor:
     if dst.size == 0:
         raise ValueError("cannot map into an empty object")
     images = rng.integers(0, dst.size, size=src.size)
-    return FinMor(src, dst, tuple(
-        (x, dst.elements[i]) for x, i in zip(src.elements, images)))
+    return FinMor(src, dst, tuple(int(i) for i in images))
 
 
 def random_permutation_mor(rng: np.random.Generator, obj: FinObj) -> FinMor:
     perm = rng.permutation(obj.size)
-    return FinMor(obj, obj, tuple(
-        (obj.elements[i], obj.elements[int(j)]) for i, j in enumerate(perm)))
+    return FinMor(obj, obj, tuple(int(j) for j in perm))
 
 
 def random_square_setup(rng: np.random.Generator):

@@ -15,6 +15,7 @@ import numpy as np
 
 from conftest import (
     make_theta_system,
+    pairs_of,
     random_mor,
     random_obj,
     random_square_setup,
@@ -95,7 +96,7 @@ def test_criterion_2_equalizer_oracle():
         theta = random_mor(rng, src, dst)
         sub, incl = equalizer(eta, theta)
         brute = tuple(x for x in src.elements if eta.apply(x) == theta.apply(x))
-        if sub.elements == brute and incl.pairs == tuple((x, x) for x in brute):
+        if sub.elements == brute and pairs_of(incl) == tuple((x, x) for x in brute):
             agree += 1
     ok = agree == total
     _report(2, ok, f"equalizer vs brute-force filter {agree}/{total}")
@@ -150,7 +151,7 @@ def _entropy_trace_scenario(rng) -> tuple[dict, list[float]]:
         "universe": {
             "objects": [{"id": "X", "elements": list(carrier.elements)}],
             "morphisms": [{"id": "t", "src": "X", "dst": "X",
-                           "mapping": dict(step.pairs)}],
+                           "mapping": dict(pairs_of(step))}],
             "functors": [], "transformations": []},
         "entropy": {"C": 1.0, "K": 1.0},
         "entropy_trace": {"start": "X", "transition": "t", "observer": "t",
@@ -299,7 +300,7 @@ def _all_permutation_lock_spaces() -> tuple[bool, int]:
         obj = FinObj("P", tuple(f"e{i}" for i in range(size)))
         for images in itertools.permutations(obj.elements):
             from veridyn.category import FinMor
-            theta = FinMor(obj, obj, tuple(zip(obj.elements, images)))
+            theta = FinMor.from_mapping(obj, obj, dict(zip(obj.elements, images)))
             k = automorphism_order(theta)
             locked = phase_lock_space(theta, k)
             fixed = tuple(x for x, y in zip(obj.elements, images) if x == y)

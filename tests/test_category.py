@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_mor, random_obj, random_square_setup
+from conftest import pairs_of, random_mor, random_obj, random_square_setup
 from veridyn.category import (
     FinMor,
     FinObj,
@@ -46,14 +46,31 @@ def test_empty_object_allowed():
     empty = FinObj("E", ())
     assert empty.size == 0
     incl = FinMor(empty, X, ())
-    assert compose(incl, identity_morphism(X)).pairs == ()
+    assert pairs_of(compose(incl, identity_morphism(X))) == ()
 
 
 def test_morphism_totality_and_image_checked():
     with pytest.raises(ShapeMismatchError):
         FinMor.from_mapping(X, Y, {"a": "c"})  # missing b
     with pytest.raises(ShapeMismatchError):
+        FinMor.from_mapping(X, Y, {"a": "c", "b": "c", "z": "c"})  # z not in X
+    with pytest.raises(ShapeMismatchError):
         FinMor.from_mapping(X, Y, {"a": "c", "b": "z"})  # z not in Y
+
+
+@pytest.mark.parametrize("targets", [(0,), (0, 0, 0), (0, -1), (0, 1)],
+                         ids=["short", "long", "negative", "past-the-end"])
+def test_morphism_targets_checked(targets):
+    # Y = {c}: position 1 lies past its end, and -1 would wrap to c
+    with pytest.raises(ShapeMismatchError):
+        FinMor(X, Y, targets)
+
+
+def test_morphism_targets_are_positions_in_the_sorted_carriers():
+    f = FinMor.from_mapping(FinObj("P", ("q", "p")), FinObj("R", ("s", "r")),
+                            {"p": "s", "q": "r"})
+    assert f.targets == (1, 0)
+    assert f.apply("p") == "s" and f.apply("q") == "r"
 
 
 def test_compose_identity_is_neutral():
@@ -167,6 +184,10 @@ def test_square_checks_agree_with_two_path_enumeration():
                     if ff.apply(vx.apply(x)) != vy.apply(f.apply(x))}
         assert report.holds == (not expected)
         assert {viol.element for viol in report.violations} == expected
+        for viol in report.violations:
+            x = viol.element
+            assert (viol.left_path, viol.right_path) == (ff.apply(vx.apply(x)),
+                                                         vy.apply(f.apply(x)))
 
 
 # --- automorphism order -----------------------------------------------------
@@ -198,7 +219,7 @@ def test_order_divides_factorial_and_power_is_identity(n, pyrandom):
     obj = FinObj("P", tuple(f"e{i}" for i in range(n)))
     perm = list(obj.elements)
     pyrandom.shuffle(perm)
-    theta = FinMor(obj, obj, tuple(zip(obj.elements, perm)))
+    theta = FinMor.from_mapping(obj, obj, dict(zip(obj.elements, perm)))
     k = automorphism_order(theta)
     assert math.factorial(n) % k == 0
     power = identity_morphism(obj)
@@ -227,7 +248,7 @@ def test_equalizer_examples():
     cyc = FinMor.from_mapping(abc, abc, {"a": "b", "b": "c", "c": "a"})
     empty, incl = equalizer(ident, cyc)
     assert empty.elements == ()
-    assert incl.pairs == ()
+    assert pairs_of(incl) == ()
 
 
 def test_equalizer_shape_mismatch():
@@ -267,7 +288,7 @@ def _closed_universe(rng):
                     if comp not in mors and comp not in nxt:
                         nxt.append(comp)
         frontier = [m for m in nxt if m not in mors]
-    return obj, sorted(mors, key=lambda m: m.pairs)
+    return obj, sorted(mors, key=pairs_of)
 
 
 def test_identity_functor_is_accepted_on_closed_universe():
@@ -295,8 +316,8 @@ def test_relabeling_functor_is_accepted_and_mutation_rejected():
     image = FinObj("R", tuple(table[x] for x in obj.elements))
 
     def relabel(m):
-        return FinMor(image, image,
-                      tuple((table[a], table[b]) for a, b in m.pairs))
+        return FinMor.from_mapping(image, image,
+                                   dict((table[a], table[b]) for a, b in pairs_of(m)))
 
     functor = FunctorRep("R", {obj: image}, {m: relabel(m) for m in mors})
     assert validate_functor(functor) == []
@@ -331,8 +352,8 @@ def test_multi_object_closed_universe_validation():
               for obj in (X, y, z)}
 
     def relabel(m):
-        return FinMor(images[m.src], images[m.dst],
-                      tuple((table[p], table[q]) for p, q in m.pairs))
+        return FinMor.from_mapping(images[m.src], images[m.dst],
+                                   dict((table[p], table[q]) for p, q in pairs_of(m)))
 
     functor = FunctorRep("R", images, {m: relabel(m) for m in mors})
     assert validate_functor(functor) == []
@@ -354,7 +375,7 @@ def test_canonical_bijection_pairs_sorted_elements():
     a = FinObj("A", ("u", "t"))
     b = FinObj("B", ("y", "x"))
     w = canonical_bijection(a, b)
-    assert w.pairs == (("t", "x"), ("u", "y"))
+    assert pairs_of(w) == (("t", "x"), ("u", "y"))
     assert canonical_bijection(a, Y) is None
 
 

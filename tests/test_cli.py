@@ -553,6 +553,11 @@ BAD_UNIVERSE = {
     "morphism mapping a list": _set_first("morphisms", "mapping", [["a", "b"]]),
     "morphism image not a name": _set_first("morphisms", "mapping",
                                             {"a": ["b"], "b": "a"}),
+    "morphism key outside source": _set_first("morphisms", "mapping",
+                                              {"a": "b", "b": "a", "z": "a"}),
+    "morphism mapping not total": _set_first("morphisms", "mapping", {"a": "b"}),
+    "morphism image outside target": _set_first("morphisms", "mapping",
+                                                {"a": "z", "b": "a"}),
     "functors not a list": lambda uni: uni.update(functors={"V": {}}),
     "functor obj_map a list": _set_first("functors", "obj_map", [["X", "VX"]]),
     "functor mor_map a list": _set_first("functors", "mor_map", ["swap"]),
@@ -816,6 +821,63 @@ def test_entropy_report_lists_the_direction_findings(tmp_path, scenario, transit
     report = json.loads((out / "entropy_report.json").read_text())
     assert report["postulate_violations"] == drops
     assert report["contraction_violations"] == []
+
+
+# exit code and sha256 of every artifact but the manifest; a change of the
+# finite-set layer's representation that moves a byte fails here
+GOLDEN_FINITE_SET_RUNS = {
+    ("observer_universe", "check-axioms"): (0, {
+        "axioms_report.json":
+            "be259f78b9e7e5cb36a16193e466cee5a852bf62a29b92a319a8389df499bd50"}),
+    ("observer_universe", "theta"): (0, {
+        "theta_chain.csv":
+            "bb634b194676561275ed8bb5292a69fef9ef97542c2de014ecf7fa9a299a40d0",
+        "theta_result.json":
+            "1443a4e72764d671b22e4923bb8b71b82ad87cb5c5632dbd8217329f2495e760"}),
+    ("observer_universe", "entropy"): (0, {
+        "entropy_report.json":
+            "ec5dba794bf305103fd162589a8cc4f419043db914f90df846d73842098223df",
+        "entropy_trace.csv":
+            "050c30987d1de0635b8f3c845449b7788fa10f23117bb8aada0ea40c98358574",
+        "phase_report.json":
+            "f0a6452203fe5b986499b1e9823bcc06e0921ee1261f4ba1f73a6ad146559564"}),
+    ("entropy_merge", "check-axioms"): (0, {
+        "axioms_report.json":
+            "a5aac0a6e5d926a511af3b5c20bca915da57121d28b9a2c841d9307251471a5f"}),
+    ("entropy_merge", "theta"): (0, {
+        "theta_chain.csv":
+            "bb634b194676561275ed8bb5292a69fef9ef97542c2de014ecf7fa9a299a40d0",
+        "theta_result.json":
+            "1443a4e72764d671b22e4923bb8b71b82ad87cb5c5632dbd8217329f2495e760"}),
+    ("entropy_merge", "entropy"): (0, {
+        "entropy_report.json":
+            "0f98505f8f580398235416f703475df8109dea4f135cf256ba793f7af53c9c1a",
+        "entropy_trace.csv":
+            "5ef22095c23c0151606eec18c2615166a514736544c0e174fddd282671a9ed72",
+        "phase_report.json":
+            "f0a6452203fe5b986499b1e9823bcc06e0921ee1261f4ba1f73a6ad146559564"}),
+    ("theta_cycle", "check-axioms"): (0, {
+        "axioms_report.json":
+            "6a7fc01a604b8d0092de029854b00d8dd59df2a2cc7e2da1d91e575e4c59cfee"}),
+    ("theta_cycle", "theta"): (3, {
+        "theta_chain.csv":
+            "e0688cd2aa49a908cf1ff000cb1bf8b2058234c4be6f8bb605add31af5a82a82",
+        "theta_result.json":
+            "27da0ac8651745b00949839368926308dc3385bfc03dc9ef7b12308e6d0e76e7"}),
+    ("theta_cycle", "entropy"): (2, {}),   # no entropy section
+}
+
+
+@pytest.mark.parametrize("scenario, cmd", list(GOLDEN_FINITE_SET_RUNS),
+                         ids=[f"{s}-{c}" for s, c in GOLDEN_FINITE_SET_RUNS])
+def test_finite_set_artifacts_keep_their_digests(tmp_path, scenario, cmd):
+    code, digests = GOLDEN_FINITE_SET_RUNS[scenario, cmd]
+    out = tmp_path / "out"
+    assert _run(cmd, str(SCENARIOS / f"{scenario}.json"), out) == code
+    found = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+             for p in (out.iterdir() if out.is_dir() else ())
+             if p.name != "run_manifest.json"}
+    assert found == digests
 
 
 def test_entropy_without_sections_is_input_error(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_theta_system, relabel_obj
+from conftest import make_theta_system, pairs_of, relabel_obj
 from veridyn.category import FinMor, FinObj, FunctorRep, identity_functor
 from veridyn.coalgebra import (
     apply_F,
@@ -113,7 +113,7 @@ def test_theta_equal_size_step_counts_as_isomorphic():
     ident = identity_functor([A, B])
     result = iterate_to_theta(ident, update, A)
     assert result.converged and result.iterations == 0
-    assert result.witness.pairs == (("a1", "b1"), ("a2", "b2"))
+    assert pairs_of(result.witness) == (("a1", "b1"), ("a2", "b2"))
     assert verify_theta(ident, update, result).holds
 
 
@@ -161,9 +161,9 @@ def test_corrupted_witness_detected():
         if not result.converged or result.carrier.size < 2:
             continue
         w = result.witness
-        (x1, y1), (x2, y2) = w.pairs[0], w.pairs[1]
-        tampered = FinMor(w.src, w.dst,
-                          ((x1, y2), (x2, y1)) + w.pairs[2:])
+        (x1, y1), (x2, y2) = pairs_of(w)[0], pairs_of(w)[1]
+        tampered = FinMor.from_mapping(w.src, w.dst,
+                                       dict(((x1, y2), (x2, y1)) + pairs_of(w)[2:]))
         from dataclasses import replace
         bad = replace(result, witness=tampered)
         report = verify_theta(verification, update, bad)

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import point_mass, random_mor, random_obj
+from conftest import pairs_of, point_mass, random_mor, random_obj
 from veridyn.category import FinMor, FinObj, FunctorRep, compose, identity_functor
 from veridyn.coalgebra import iterate_to_theta
 from veridyn.entropy import (
     EntropyParams,
     ProbState,
+    _entropy_bits,
     build_trace,
     check_observation_bound,
     entropy_direction_report,
@@ -61,6 +62,12 @@ def test_entropy_known_values():
         1.5, abs=1e-12)
 
 
+def test_entropy_sum_runs_left_to_right():
+    # ten terms of 0.1: a compensated sum (as sum() of floats is from
+    # Python 3.12 on) ends in ...372p+1
+    assert _entropy_bits([0.1] * 10) == float.fromhex("0x1.a934f0979a371p+1")
+
+
 def test_pushforward_identity_and_collapse():
     p = _random_dist(np.random.default_rng(1), THREE)
     ident = FinMor.from_mapping(THREE, THREE, {x: x for x in THREE.elements})
@@ -83,7 +90,7 @@ def _pushforward_reference(p, f):
     """Label-keyed fiber sums: the mass of each image, summed in source order."""
     by_label = dict(zip(p.carrier.elements, p.probs))
     mass = {y: 0.0 for y in f.dst.elements}
-    for x, y in f.pairs:
+    for x, y in pairs_of(f):
         mass[y] += by_label[x]
     return ProbState(f.dst, tuple(mass[y] for y in f.dst.elements))
 
@@ -312,7 +319,7 @@ def test_filtration_inclusions_compose_exactly():
     assert result.inclusion_chain
 
     def inclusion(a, b):
-        return FinMor(a, b, tuple((x, x) for x in a.elements))
+        return FinMor.from_mapping(a, b, dict((x, x) for x in a.elements))
 
     layers = result.stages
     assert compose(inclusion(layers[0], layers[1]), inclusion(layers[1], layers[2])) == \

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_permutation_mor
+from conftest import pairs_of, random_permutation_mor
 from veridyn.category import FinMor, FinObj, compose, identity_morphism
 from veridyn.errors import (
     DenominatorOverflowError,
@@ -168,7 +168,7 @@ def test_lock_space_equals_fixed_set_on_random_permutations():
             theta = random_permutation_mor(rng, obj)
             k = automorphism_order(theta)
             locked = phase_lock_space(theta, k)
-            fixed = tuple(x for x, y in theta.pairs if x == y)
+            fixed = tuple(x for x, y in pairs_of(theta) if x == y)
             assert locked.elements == fixed
 
 
@@ -177,7 +177,7 @@ def _lock_space_reference(theta, k):
     locked = set(theta.src.elements)
     power = identity_morphism(theta.src)
     for _ in range(k):
-        locked &= {x for x, y in power.pairs if x == y}
+        locked &= {x for x, y in pairs_of(power) if x == y}
         power = compose(power, theta)
     return tuple(sorted(locked))
 
@@ -188,7 +188,7 @@ def _lock_space_reference(theta, k):
 def test_lock_space_matches_k_fold_reference(perm, multiple):
     from veridyn.category import automorphism_order
     obj = FinObj("P", tuple(f"e{i}" for i in range(len(perm))))
-    theta = FinMor(obj, obj, tuple((f"e{i}", f"e{j}") for i, j in enumerate(perm)))
+    theta = FinMor.from_mapping(obj, obj, dict((f"e{i}", f"e{j}") for i, j in enumerate(perm)))
     k = automorphism_order(theta) * multiple
     assert phase_lock_space(theta, k).elements == _lock_space_reference(theta, k)
 
