@@ -300,19 +300,30 @@ class SpectrumReport:
 
 
 def spectrum(C: LinOp) -> SpectrumReport:
-    """Full spectrum of C from LAPACK (numpy.linalg.eigvals, i.e. geev).
+    """Full spectrum of C from LAPACK (numpy.linalg.eigvals, i.e. geev);
+    a 1x1 operator is its own eigenvalue.
 
     Every eigenvalue is re-verified after the solve: an eigenvector is
-    extracted by inverse iteration and must satisfy the relative residual
-    bound, with a determinant fallback for extreme cases.  Verification
-    failure raises NoConvergenceError rather than returning silently.
+    extracted by inverse iteration (1 for a 1x1 operator) and must satisfy
+    the relative residual bound, with a determinant fallback for extreme
+    cases.  Verification failure raises NoConvergenceError rather than
+    returning silently.
     """
     n = C.dim
-    try:
-        eigs = [complex(ev) for ev in np.linalg.eigvals(C.entries)]
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"LAPACK eigenvalue solve failed: {exc}") from exc
-    eigs.sort(key=lambda ev: (ev.real, ev.imag))
+    a = float(C.entries[0, 0])
+    # [a] has the eigenpair (a, 1), and its residual |a - lam| is checked
+    # below like any other.  geev returns a itself unless it scales the
+    # matrix, which it does for |a| outside [2**-459, 2**459] (sqrt(safe
+    # minimum) / eps and its inverse); there the solve keeps LAPACK's bits
+    closed_form = n == 1 and (a == 0.0 or 2.0 ** -459 <= abs(a) <= 2.0 ** 459)
+    if closed_form:
+        eigs = [complex(a)]
+    else:
+        try:
+            eigs = [complex(ev) for ev in np.linalg.eigvals(C.entries)]
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergenceError(f"LAPACK eigenvalue solve failed: {exc}") from exc
+        eigs.sort(key=lambda ev: (ev.real, ev.imag))
     residuals = []
     scale = max(1.0, float(np.max(np.abs(C.entries))))
     # C is real, so A v - lam v = r gives A conj(v) - conj(lam) conj(v) =
@@ -322,7 +333,8 @@ def spectrum(C: LinOp) -> SpectrumReport:
         key = ev.conjugate() if ev.imag < 0.0 else ev
         res = shared.get(key)
         if res is None:
-            res = shared[key] = _eigenvector_residual(C.entries, ev)
+            res = shared[key] = (abs(a - ev) if closed_form
+                                 else _eigenvector_residual(C.entries, ev))
         if res > RESIDUAL_TOL:
             detval = abs(np.linalg.det(C.entries.astype(complex)
                                        - ev * np.eye(n)))

@@ -51,6 +51,8 @@ from .dynamics import (
 from .entropy import (
     build_trace,
     entropy_direction_report,
+    histogram_cells,
+    ledger_work,
     prefix_entropies,
     pushforward,
     shannon_entropy,
@@ -64,6 +66,8 @@ from .errors import (
 )
 from .phase import cycle_net_phase, interference_pairing, phase_lock_space
 from .scenario import (
+    LEDGER_WORK_CAP,
+    SimulateSettings,
     SquareCheck,
     load_scenario,
     parse_cascade_spec,
@@ -139,12 +143,34 @@ def cmd_theta(doc: dict) -> tuple[int, dict]:
                   "theta_result.json": doc_out}
 
 
+# the steps a long ledger is first binned on, to bound its work from below
+LEDGER_PROBE_STEPS = 4096
+
+
+def _ledger_cells(ledgers: tuple, sim: SimulateSettings) -> list[list[tuple[int, ...]]]:
+    """Each ledger's cells, once the work of summing them is within
+    LEDGER_WORK_CAP; beyond it, ScenarioParseError before any sum.
+
+    A long run is first checked on the bound that its first
+    LEDGER_PROBE_STEPS steps give, so a runaway ledger is rejected without
+    binning the rest.
+    """
+    steps = len(ledgers[0])
+    for k in ((LEDGER_PROBE_STEPS, steps) if steps > LEDGER_PROBE_STEPS else (steps,)):
+        cells = [histogram_cells(points[:k], sim.bins, sim.lo, sim.hi) for points in ledgers]
+        work = sum(ledger_work(c, steps - k) for c in cells)
+        if work > LEDGER_WORK_CAP:
+            raise ScenarioParseError(
+                f"ledger work of at least {work} (distinct cells seen so far, summed "
+                f"over the steps of both ledgers) exceeds cap {LEDGER_WORK_CAP}")
+    return cells
+
+
 def cmd_simulate(doc: dict) -> tuple[int, dict]:
     sim = parse_simulate_settings(doc)
     traj = simulate_coupled(sim.update, sim.observer, sim.x0, sim.steps, r=sim.r,
                             schedule=sim.schedule)
-    h_state = prefix_entropies([s.x for s in traj.states], sim.bins, sim.lo, sim.hi)
-    h_obs = prefix_entropies([s.o for s in traj.states], sim.bins, sim.lo, sim.hi)
+    h_state, h_obs = map(prefix_entropies, _ledger_cells((traj.xs, traj.os), sim))
     report = lyapunov_trace(traj, h_state, h_obs, sim.alpha)
     return EXIT_OK, {
         "trajectory.csv": trajectory_to_csv(traj, report),

@@ -32,7 +32,6 @@ __all__ = [
     "PolynomialMap",
     "PipelineMap",
     "WeightedSumMap",
-    "CoupledState",
     "Trajectory",
     "DiagramRow",
     "BifurcationDiagram",
@@ -298,23 +297,20 @@ class WeightedSumMap(MapSpec):
 
 
 @dataclass(frozen=True)
-class CoupledState:
-    x: np.ndarray
-    o: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.array(self.x, dtype=np.float64, copy=True))
-        object.__setattr__(self, "o", np.array(self.o, dtype=np.float64, copy=True))
-
-
-@dataclass(frozen=True)
 class Trajectory:
-    states: tuple[CoupledState, ...]
+    """States x_n and observer readings o_n for n = 0..steps, each a tuple
+    of Python floats as the map calls return them."""
+
+    xs: tuple[tuple[float, ...], ...]
+    os: tuple[tuple[float, ...], ...]
     r: float
 
     def __post_init__(self):
-        if not self.states:
+        if not self.xs:
             raise LengthMismatchError("trajectory must contain at least one state")
+        if len(self.xs) != len(self.os):
+            raise LengthMismatchError(
+                f"{len(self.xs)} states and {len(self.os)} observer readings")
 
 
 def perturbed_map(update: MapSpec, observer: MapSpec, r: float) -> MapSpec:
@@ -754,15 +750,16 @@ def simulate_coupled(update: MapSpec, observer: MapSpec, x0: Sequence[float],
     fr = perturbed_map(update, observer, r) if r != 0.0 else update
     x = tuple(map(float, x0))
     o = observe(x, 0)
-    states = [CoupledState(x, o)]
+    xs, os_ = [x], [o]
     for n in range(1, steps + 1):
         x = fr(x)
         if not all(map(math.isfinite, x)):
             raise NonFiniteError(f"trajectory left the finite range at step {n}")
         if n % schedule == 0:
             o = observe(x, n)
-        states.append(CoupledState(x, o))
-    return Trajectory(tuple(states), r=float(r))
+        xs.append(x)
+        os_.append(o)
+    return Trajectory(tuple(xs), tuple(os_), r=float(r))
 
 
 @dataclass(frozen=True)
@@ -780,10 +777,10 @@ def lyapunov_trace(traj: Trajectory, h_state: Sequence[float],
     The verdict is non-increase up to tolerance at every step; violating
     step indices are listed so a spreading observation can be located.
     """
-    if not len(h_state) == len(h_obs) == len(traj.states):
+    if not len(h_state) == len(h_obs) == len(traj.xs):
         raise LengthMismatchError(
             f"{len(h_state)} state and {len(h_obs)} observer entropies "
-            f"for {len(traj.states)} states"
+            f"for {len(traj.xs)} states"
         )
     values = [hx + alpha * ho for hx, ho in zip(h_state, h_obs)]
     violations = [n for n in range(len(values) - 1)
@@ -820,18 +817,23 @@ def diagram_to_csv(diagram: BifurcationDiagram, dim: int) -> str:
 
 def trajectory_to_csv(traj: Trajectory,
                       lyapunov: LyapunovReport | None = None) -> str:
-    dim_x = traj.states[0].x.shape[0]
-    dim_o = traj.states[0].o.shape[0]
+    dim_x, dim_o = len(traj.xs[0]), len(traj.os[0])
     header = ["n"] + [f"x{j}" for j in range(dim_x)] \
         + [f"o{j}" for j in range(dim_o)] + ["L"]
     lines = [",".join(header)]
-    for n, s in enumerate(traj.states):
-        cells = [str(n)]
-        cells.extend(fmt_real(v) for v in s.x)
-        cells.extend(fmt_real(v) for v in s.o)
-        if lyapunov is not None:
-            cells.append(fmt_real(lyapunov.values[n]))
-        else:
-            cells.append("")
-        lines.append(",".join(cells))
+    # fmt_real's 17 significant digits; a settled orbit repeats its states,
+    # so each distinct (x, o) is formatted once.  -0.0 == 0.0 as a key, so a
+    # state with a zero coordinate is formatted on its own.
+    state_fmt = "{:.17g}," * (dim_x + dim_o)
+    memo: dict[tuple, str] = {}
+    l_cells = (map("{:.17g}".format, lyapunov.values) if lyapunov is not None
+               else [""] * len(traj.xs))
+    for n, (x, o, l_cell) in enumerate(zip(traj.xs, traj.os, l_cells)):
+        key = (*x, *o)
+        state = memo.get(key)
+        if state is None:
+            state = state_fmt.format(*key)
+            if all(key):
+                memo[key] = state
+        lines.append(f"{n},{state}{l_cell}")
     return "\n".join(lines) + "\n"

@@ -11,7 +11,7 @@ either direction, for `entropy_report.json` to report, never to enforce.
 from __future__ import annotations
 
 import math
-from bisect import insort
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -30,6 +30,8 @@ __all__ = [
     "TraceStep",
     "EntropyTrace",
     "shannon_entropy",
+    "histogram_cells",
+    "ledger_work",
     "prefix_entropies",
     "pushforward",
     "check_observation_bound",
@@ -101,28 +103,55 @@ def shannon_entropy(p: ProbState) -> float:
     return _entropy_bits(p.probs)
 
 
-def prefix_entropies(points: Sequence[Sequence[float]], bins: int, lo: float,
-                     hi: float) -> list[float]:
-    """Entropy of the histogram of the points seen so far, after each point.
+def histogram_cells(points: Sequence[Sequence[float]], bins: int, lo: float,
+                    hi: float) -> list[tuple[int, ...]]:
+    """The ledger cell of each point, one coordinate at a time.
 
     Each coordinate is cut into `bins` equal cells on [lo, hi], the end
-    cells taking what lies outside.  Only visited cells are stored; summed
-    in sorted cell order they give `shannon_entropy` of the ProbState over
-    all bins**dim cells bit for bit.
+    cells taking what lies outside.
     """
     span = hi - lo
-    counts: dict[tuple[int, ...], int] = {}
-    cells: list[tuple[int, ...]] = []
+    top = bins - 1
+    # in Python floats, which overflow to inf without a warning.  The cell is
+    # int(min(top, max(0.0, q))) written as one comparison chain: an
+    # overflowing or NaN quotient never reaches int()
+    return list(zip(*[
+        [int(q) if 0.0 < (q := (float(v) - lo) / span * bins) < top
+         else top if q > 0.0 else 0 for v in coord]
+        for coord in zip(*points)]))
+
+
+def ledger_work(cells: Sequence[tuple[int, ...]], later: int = 0) -> int:
+    """The terms prefix_entropies sums over `cells`: after each cell, the
+    number of distinct cells seen so far.
+
+    With `later` cells still to come, a lower bound of the work over all of
+    them: each later step sums at least the cells seen by now.
+    """
+    n = len(cells)
+    # each cell's first step i, kept over its later ones by walking backwards;
+    # from there on it is one of the terms at each of the n + later - i steps
+    first = dict(zip(reversed(cells), range(n - 1, -1, -1)))
+    return len(first) * (n + later) - sum(first.values())
+
+
+def prefix_entropies(cells: Sequence[tuple[int, ...]]) -> list[float]:
+    """Entropy of the histogram of the cells seen so far, after each cell.
+
+    Only visited cells are stored; summed in sorted cell order they give
+    `shannon_entropy` of the ProbState over all bins**dim cells bit for bit.
+    """
+    visited: list[tuple[int, ...]] = []  # sorted
+    counts: list[int] = []  # counts[i] is the count of visited[i]
     out = []
-    for n, vec in enumerate(points, start=1):
-        # in Python floats, which overflow to inf without a warning; clamped
-        # before int(), so an overflowing quotient lands in the end cell
-        cell = tuple(int(min(bins - 1, max(0.0, (float(v) - lo) / span * bins)))
-                     for v in vec)
-        if cell not in counts:
-            insort(cells, cell)
-        counts[cell] = counts.get(cell, 0) + 1
-        probs = [counts[c] / n for c in cells]
+    for n, cell in enumerate(cells, start=1):
+        i = bisect_left(visited, cell)
+        if i < len(visited) and visited[i] == cell:
+            counts[i] += 1
+        else:
+            visited.insert(i, cell)
+            counts.insert(i, 1)
+        probs = [c / n for c in counts]
         if not abs(sum(probs) - 1.0) <= NORMALIZATION_TOL:
             raise InvalidDistributionError(f"probabilities sum to {sum(probs)!r}, not 1")
         out.append(_entropy_bits(probs))

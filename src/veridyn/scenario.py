@@ -87,6 +87,9 @@ SWEEP_GRID_CAP = 10 ** 3  # r_grid steps, each with its own critical-scan solves
 SWEEP_ROW_CAP = 10 ** 5  # transient + sample, the batch's map steps per row
 SWEEP_WORK_CAP = 10 ** 7  # r_grid steps x (transient + sample)
 SIMULATE_STEPS_CAP = 10 ** 5
+# distinct cells seen so far, summed over the steps of both simulate ledgers;
+# known only after the rollout, and checked before any entropy is summed
+LEDGER_WORK_CAP = 2 * 10 ** 7
 ENTROPY_STEPS_CAP = 10 ** 4
 
 

@@ -356,6 +356,34 @@ def test_spectrum_diagonal():
     assert rep.max_modulus == pytest.approx(0.7, abs=1e-15)
 
 
+@pytest.mark.filterwarnings("ignore:overflow")  # the residual's norm near the float max
+def test_spectrum_1x1_is_lapacks_eigenpair_without_lapack(monkeypatch):
+    # geev scales an operator whose max-norm lies outside [2**-459, 2**459],
+    # and returns an entry below 2**-459 one bit off; those keep the solve
+    rng = np.random.default_rng(1)
+    unscaled = [0.0, -0.0, 0.3, -2.5, 2.0 ** -459, -(2.0 ** 459), 7e-139, 1.4e138,
+                *(rng.standard_normal(40) * 10.0 ** rng.integers(-130, 130, 40))]
+    scaled = [5e-324, 1e-300, -6.6e-139, 1.5e138, -1.7e308,
+              *(rng.standard_normal(20) * 10.0 ** rng.integers(140, 300, 20)),
+              *(rng.standard_normal(20) * 10.0 ** rng.integers(-300, -140, 20))]
+    entries = unscaled + scaled
+    want = {}
+    for a in entries:
+        ev = complex(np.linalg.eigvals(np.array([[a]]))[0])
+        want[a.hex()] = (ev.real.hex(), ev.imag.hex(),
+                         cascade._eigenvector_residual(np.array([[a]]), ev).hex())
+    calls = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a) or eigvals(a))
+    for a in entries:
+        rep = spectrum(LinOp([[a]]))
+        (ev,), (res,) = rep.eigenvalues, rep.residuals
+        assert (ev.real.hex(), ev.imag.hex(), res.hex()) == want[a.hex()]
+    assert len(calls) == len(scaled)
+    spectrum(LinOp(np.diag([0.3, 0.7])))
+    assert len(calls) == len(scaled) + 1
+
+
 def test_spectrum_damped_quarter_rotation():
     spec = CascadeSpec((CascadeStage(0.5, LinOp.rotation(QUARTER), 4),))
     rep = spectrum(build_cascade(spec))

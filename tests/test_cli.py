@@ -16,9 +16,12 @@ from hypothesis import strategies as st
 from veridyn import cli
 from veridyn.cascade import RESIDUAL_TOL
 from veridyn.cli import main
+from veridyn.dynamics import simulate_coupled
+from veridyn.entropy import histogram_cells, ledger_work
 from veridyn.errors import ScenarioParseError
 from veridyn.scenario import (
     ENTROPY_STEPS_CAP,
+    LEDGER_WORK_CAP,
     SIMULATE_STEPS_CAP,
     SWEEP_GRID_CAP,
     SWEEP_ROW_CAP,
@@ -284,6 +287,51 @@ def test_simulate_ledger_bins_state_near_float_max(tmp_path):
     rows = (out / "trajectory.csv").read_text().splitlines()[1:]
     assert [[float(v) for v in row.split(",")[1:]] for row in rows] == \
         [[1.7e308, 0.0, 0.0]] * 4
+
+
+def _chaotic_ledger(steps):
+    """F(x) = 4x(1 - x) with 10**9 ledger cells on [0, 1]: a new cell almost
+    every step, so the ledger work grows as steps squared."""
+    doc = json.loads((SCENARIOS / "chaotic_ledger.json").read_text())
+    doc["steps"] = steps
+    return doc
+
+
+def test_ledger_work_beyond_the_cap_exits_2_before_any_sum(tmp_path, capsys,
+                                                           monkeypatch):
+    # summed, this ledger would take tens of minutes
+    out = tmp_path / "out"
+    assert _run("simulate", str(SCENARIOS / "logistic_sweep.json"), out) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+
+    def summed(cells):
+        raise AssertionError("an entropy was summed")
+
+    monkeypatch.setattr(cli, "prefix_entropies", summed)
+    scen = _write(tmp_path, _chaotic_ledger(SIMULATE_STEPS_CAP))
+    start = time.perf_counter()
+    assert _run("simulate", scen, out) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ledger work ")
+    assert err[0].endswith(f"exceeds cap {LEDGER_WORK_CAP}")
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_ledger_work_just_under_the_cap_runs(tmp_path):
+    steps = 4470
+    doc = _chaotic_ledger(steps + 1)
+    sim = parse_simulate_settings(doc)
+    traj = simulate_coupled(sim.update, sim.observer, sim.x0, sim.steps)
+    cells = [histogram_cells(points, sim.bins, sim.lo, sim.hi)
+             for points in (traj.xs, traj.os)]
+    # one step more would pass the cap
+    assert sum(ledger_work(c[:steps + 1]) for c in cells) <= LEDGER_WORK_CAP \
+        < sum(map(ledger_work, cells))
+    out = tmp_path / "out"
+    assert _run("simulate", _write(tmp_path, _chaotic_ledger(steps)), out) == 0
+    assert len((out / "trajectory.csv").read_text().splitlines()) == steps + 2
 
 
 def test_sweep_deterministic_and_transition(tmp_path):
@@ -984,6 +1032,7 @@ BUNDLED_RUNS = [
     ("sweep", "logistic_sweep", 0),
     ("simulate", "pipeline_ledger", 0),
     ("sweep", "pipeline_ledger", 0),
+    ("simulate", "chaotic_ledger", 0),
 ]
 
 

@@ -1,6 +1,9 @@
 import contextlib
 import json
+import math
+from bisect import insort
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,13 +12,13 @@ from hypothesis import strategies as st
 
 from conftest import point_mass, scale_map, zero_map
 from veridyn import cli, dynamics
+from veridyn._formats import fmt_real
 from veridyn.cascade import LinOp, spectrum
 from veridyn.category import FinObj
 from veridyn.dynamics import (
     AffineMap,
     PERIOD_TOL,
     REPRESENTATIVE_SLOTS,
-    CoupledState,
     DiagramRow,
     PipelineMap,
     PolynomialMap,
@@ -41,6 +44,7 @@ from veridyn.errors import (
     NonFiniteError,
 )
 from veridyn.phase import RationalPhase
+from veridyn.scenario import parse_simulate_settings
 
 
 def logistic_observer():
@@ -83,7 +87,8 @@ def test_pipeline_and_sum_eval():
 
 def _coupled_step(update, observer, x):
     """The state after one step of simulate_coupled, observed on that step."""
-    return simulate_coupled(update, observer, x, steps=1).states[1]
+    traj = simulate_coupled(update, observer, x, steps=1)
+    return SimpleNamespace(x=np.array(traj.xs[1]), o=np.array(traj.os[1]))
 
 
 def test_coupled_step_examples():
@@ -741,6 +746,63 @@ def test_sweep_and_simulate_artifacts_match_numpy_reference(scenario, monkeypatc
     assert artifacts() == got
 
 
+def _array_state_simulate(doc):
+    """cmd_simulate's artifacts as computed with numpy-array states: each
+    step's ledger cell from float(v), a sorted cell list and a count dict
+    summed every step, and every CSV real through fmt_real on its own."""
+    sim = parse_simulate_settings(doc)
+    fr = perturbed_map(sim.update, sim.observer, sim.r) if sim.r != 0.0 else sim.update
+    x = tuple(map(float, sim.x0))
+    o = sim.observer(x)
+    states = [(np.array(x, dtype=np.float64), np.array(o, dtype=np.float64))]
+    for n in range(1, sim.steps + 1):
+        x = fr(x)
+        if n % sim.schedule == 0:
+            o = sim.observer(x)
+        states.append((np.array(x, dtype=np.float64), np.array(o, dtype=np.float64)))
+
+    def ledger(points):
+        span = sim.hi - sim.lo
+        counts, cells, out = {}, [], []
+        for n, vec in enumerate(points, start=1):
+            cell = tuple(int(min(sim.bins - 1, max(0.0, (float(v) - sim.lo) / span * sim.bins)))
+                         for v in vec)
+            if cell not in counts:
+                insort(cells, cell)
+            counts[cell] = counts.get(cell, 0) + 1
+            total = 0.0
+            for c in cells:
+                total += counts[c] / n * math.log2(counts[c] / n)
+            out.append(-total + 0.0)
+        return out
+
+    h_x, h_o = ledger([s[0] for s in states]), ledger([s[1] for s in states])
+    values = [hx + sim.alpha * ho for hx, ho in zip(h_x, h_o)]
+    violations = [n for n in range(len(values) - 1)
+                  if values[n + 1] > values[n] + dynamics.LYAPUNOV_TOL]
+    dim_x, dim_o = len(states[0][0]), len(states[0][1])
+    lines = [",".join(["n", *(f"x{j}" for j in range(dim_x)),
+                       *(f"o{j}" for j in range(dim_o)), "L"])]
+    for n, (xs, os_) in enumerate(states):
+        lines.append(",".join([str(n), *(fmt_real(v) for v in xs),
+                               *(fmt_real(v) for v in os_), fmt_real(values[n])]))
+    return {"trajectory.csv": "\n".join(lines) + "\n",
+            "lyapunov.json": {"alpha": sim.alpha, "schedule": sim.schedule,
+                              "monotone": not violations, "violations": violations}}
+
+
+@pytest.mark.parametrize("scenario", ["pipeline_ledger", "logistic_sweep", "chaotic_ledger"])
+def test_simulate_float_path_matches_array_states(scenario):
+    # chaotic_ledger occupies a new cell at almost every step, below the work cap
+    doc = json.loads((SCENARIOS / f"{scenario}.json").read_text())
+    code, got = cli.cmd_simulate(doc)
+    want = _array_state_simulate(doc)
+    assert code == 0
+    assert got["trajectory.csv"] == want["trajectory.csv"]
+    assert json.dumps(got["lyapunov.json"], sort_keys=True) == \
+        json.dumps(want["lyapunov.json"], sort_keys=True)
+
+
 def test_sweep_validates_settings():
     with pytest.raises(DomainError):
         sweep_bifurcation(zero_map(1), zero_map(1), [0.1], transient=0, sample=8)
@@ -762,9 +824,8 @@ def test_coupled_fixed_point_residuals():
 
 
 def _traj(n):
-    states = tuple(CoupledState(np.array([0.0]), np.array([0.0]))
-                   for _ in range(n))
-    return Trajectory(states, r=0.0)
+    states = ((0.0,),) * n
+    return Trajectory(states, states, r=0.0)
 
 
 def test_lyapunov_constant_is_monotone():
@@ -826,10 +887,18 @@ def test_simulate_schedule_holds_observer():
     phi = scale_map(1, 0.5)
     obs = scale_map(1, 1.0)
     traj = simulate_coupled(phi, obs, [1.0], steps=4, schedule=2)
-    xs = [s.x[0] for s in traj.states]
-    os_ = [s.o[0] for s in traj.states]
+    xs = [x[0] for x in traj.xs]
+    os_ = [o[0] for o in traj.os]
     assert xs == pytest.approx([1.0, 0.5, 0.25, 0.125, 0.0625])
     assert os_ == pytest.approx([1.0, 1.0, 0.25, 0.25, 0.0625])
+
+
+def test_trajectory_csv_keeps_signed_zeros():
+    # -0.0 == 0.0, so a state with a zero coordinate is never looked up as another
+    zeros = ((-0.0,), (0.0,), (-0.0,), (0.5,), (0.5,))
+    text = trajectory_to_csv(Trajectory(zeros, ((1.0,),) * 5, r=0.0))
+    assert text.splitlines()[1:] == ["0,-0,1,", "1,0,1,", "2,-0,1,",
+                                     "3,0.5,1,", "4,0.5,1,"]
 
 
 def test_csv_outputs_deterministic():

@@ -16,6 +16,7 @@ from veridyn.entropy import (
     build_trace,
     check_observation_bound,
     entropy_direction_report,
+    histogram_cells,
     prefix_entropies,
     pushforward,
     shannon_entropy,
@@ -264,17 +265,18 @@ def test_prefix_entropies_match_dense_ledger_bitwise(dim, bins):
     points += [np.array([edges[(k + j) % len(edges)] for j in range(dim)])
                for k in range(len(edges))]
     points += points[:20] + [points[3]] * 5
-    got = prefix_entropies(points, bins, lo, hi)
+    got = prefix_entropies(histogram_cells(points, bins, lo, hi))
     assert got == _dense_prefix_entropies(points, bins, lo, hi)
 
 
 def test_prefix_entropies_known_values():
-    assert prefix_entropies([], 4, 0.0, 1.0) == []
+    assert prefix_entropies(histogram_cells([], 4, 0.0, 1.0)) == []
     third = -(1 / 3 * math.log2(1 / 3) + 2 / 3 * math.log2(2 / 3))
-    got = prefix_entropies([[0.1], [0.9], [0.6], [0.95]], 2, 0.0, 1.0)
+    got = prefix_entropies(histogram_cells([[0.1], [0.9], [0.6], [0.95]], 2, 0.0, 1.0))
     assert got == [0.0, 1.0, third, 0.8112781244591328]
     # the cell quotient overflows to +-inf: the point takes the end cell
-    huge = prefix_entropies([[1.7e308], [1.9], [-1.7e308], [-1.9]], 16, -2.0, 2.0)
+    huge = prefix_entropies(histogram_cells([[1.7e308], [1.9], [-1.7e308], [-1.9]],
+                                           16, -2.0, 2.0))
     assert huge == [0.0, 0.0, third, 1.0]
 
 
