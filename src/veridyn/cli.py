@@ -41,6 +41,7 @@ from .category import (
 )
 from .coalgebra import build_chain, chain_to_csv, iterate_to_theta, verify_theta
 from .dynamics import (
+    Trajectory,
     diagram_to_csv,
     find_critical_r,
     lyapunov_trace,
@@ -143,34 +144,39 @@ def cmd_theta(doc: dict) -> tuple[int, dict]:
                   "theta_result.json": doc_out}
 
 
-# the steps a long ledger is first binned on, to bound its work from below
+# the states a long ledger is first rolled out and binned on, to bound its
+# work from below
 LEDGER_PROBE_STEPS = 4096
 
 
-def _ledger_cells(ledgers: tuple, sim: SimulateSettings) -> list[list[tuple[int, ...]]]:
-    """Each ledger's cells, once the work of summing them is within
-    LEDGER_WORK_CAP; beyond it, ScenarioParseError before any sum.
+def _rollout_within_ledger_cap(sim: SimulateSettings) -> tuple[Trajectory, list]:
+    """The trajectory and each ledger's cells, once the work of summing
+    them is within LEDGER_WORK_CAP; beyond it, ScenarioParseError before
+    any sum.
 
-    A long run is first checked on the bound that its first
-    LEDGER_PROBE_STEPS steps give, so a runaway ledger is rejected without
-    binning the rest.
+    A long run is first rolled out and checked over its first
+    LEDGER_PROBE_STEPS states, on the bound those give for the whole run,
+    so a runaway ledger is rejected before the rest is rolled out.
     """
-    steps = len(ledgers[0])
-    for k in ((LEDGER_PROBE_STEPS, steps) if steps > LEDGER_PROBE_STEPS else (steps,)):
-        cells = [histogram_cells(points[:k], sim.bins, sim.lo, sim.hi) for points in ledgers]
-        work = sum(ledger_work(c, steps - k) for c in cells)
+    points = sim.steps + 1
+    traj = None
+    for k in ((LEDGER_PROBE_STEPS, points) if points > LEDGER_PROBE_STEPS else (points,)):
+        traj = simulate_coupled(sim.update, sim.observer, sim.x0, k - 1, r=sim.r,
+                                schedule=sim.schedule, prefix=traj)
+        cells = [histogram_cells(states, sim.bins, sim.lo, sim.hi)
+                 for states in (traj.xs, traj.os)]
+        work = sum(ledger_work(c, points - k) for c in cells)
         if work > LEDGER_WORK_CAP:
             raise ScenarioParseError(
                 f"ledger work of at least {work} (distinct cells seen so far, summed "
                 f"over the steps of both ledgers) exceeds cap {LEDGER_WORK_CAP}")
-    return cells
+    return traj, cells
 
 
 def cmd_simulate(doc: dict) -> tuple[int, dict]:
     sim = parse_simulate_settings(doc)
-    traj = simulate_coupled(sim.update, sim.observer, sim.x0, sim.steps, r=sim.r,
-                            schedule=sim.schedule)
-    h_state, h_obs = map(prefix_entropies, _ledger_cells((traj.xs, traj.os), sim))
+    traj, cells = _rollout_within_ledger_cap(sim)
+    h_state, h_obs = map(prefix_entropies, cells)
     report = lyapunov_trace(traj, h_state, h_obs, sim.alpha)
     return EXIT_OK, {
         "trajectory.csv": trajectory_to_csv(traj, report),

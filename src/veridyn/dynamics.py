@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import FunctionType
 from typing import Callable, Sequence
 
 import numpy as np
@@ -85,21 +86,99 @@ def _libm_pow(col: np.ndarray, p: int) -> np.ndarray:
         return np.array([_pow(v, p) for v in col.tolist()])
 
 
+# statements of at most this many summands, so that a long polynomial or a
+# wide sum never nests one expression deeper than the compiler allows
+_TERMS_PER_STATEMENT = 64
+
+
+class _Source:
+    """The statements of one generated evaluator.
+
+    Constants are named c0, c1, ... in the order the `_emit` methods ask
+    for them, which is the order of the map's `_consts`; values are named
+    v0, v1, ... in the order they are computed.
+    """
+
+    def __init__(self):
+        self.lines: list[str] = []
+        self.consts = 0
+        self.values = 0
+
+    def const(self) -> str:
+        self.consts += 1
+        return f"c{self.consts - 1}"
+
+    def unpack(self, expr: str, n: int) -> list[str]:
+        names = [f"v{self.values + k}" for k in range(n)]
+        self.values += n
+        self.lines.append(f"{', '.join(names)}, = {expr}")
+        return names
+
+    def value(self, expr: str) -> str:
+        name = f"v{self.values}"
+        self.values += 1
+        self.lines.append(f"{name} = {expr}")
+        return name
+
+    def total(self, terms: list[str]) -> str:
+        """0.0 + terms[0] + terms[1] + ..., added left to right."""
+        k = _TERMS_PER_STATEMENT
+        name = self.value(" + ".join(["0.0", *terms[:k]]))
+        for i in range(k, len(terms), k):
+            self.lines.append(f"{name} = {' + '.join([name, *terms[i:i + k]])}")
+        return name
+
+
+# map shapes, numbered in order of first sight; a part enters its parent's
+# shape by number, so no shape is hashed deeper than its own node
+_SHAPES: dict[tuple, int] = {}
+# the generated evaluator of each shape number
+_GENERATED: dict[int, FunctionType] = {}
+
+
+def _generate(node: MapSpec) -> FunctionType:
+    """Compile an evaluator for `node`'s shape.
+
+    It is a function of one sequence x that unpacks x, runs straight-line
+    statements and returns the output tuple.  The constants are parameters
+    c0, c1, ... after x, so each map of the shape binds its own as their
+    defaults.  (Closure cells would be as fast to read, but the compiler
+    takes time quadratic in their number.)
+    """
+    src = _Source()
+    ins = [f"x{j}" for j in range(node.dim)]
+    outs = node._emit(src, ins)
+    params = "".join(f", c{k}=None" for k in range(src.consts))
+    text = "\n".join([
+        f"def _eval(x{params}):",
+        f"    {', '.join(ins)}, = x",
+        *(f"    {line}" for line in src.lines),
+        f"    return ({', '.join(outs)},)",
+    ])
+    namespace = {"_pow": _pow, "_array": np.array, "_f64": np.float64}
+    exec(compile(text, f"<{type(node).__name__} evaluator>", "exec"), namespace)
+    return namespace["_eval"]
+
+
 class MapSpec:
     """Interface for the state-update maps: evaluate and differentiate.
 
     Calling a map takes a sequence of `dim` floats and returns a tuple of
     `dim` Python floats, with the bits the numpy evaluation of the same
-    map gives.  Scalar solves run on these tuples, because numpy's
-    per-call dispatch costs far more than the arithmetic at these sizes.
-    `batch`, `jacobian_analytic` and everything downstream of them stay
-    on numpy arrays.
+    map gives.  At its first call a map is compiled into one generated
+    function: straight-line statements over the whole map tree, with no
+    loops and no calls into its parts.  The source depends on the map's
+    shape only (kinds, dimensions, which powers are 1), so it is compiled
+    once per shape; coefficients, exponents and weights are bound as
+    constants, never written into the source, and each coupling value r
+    only binds its own.  `batch`, `jacobian_analytic` and everything
+    downstream of them stay on numpy arrays.
     """
 
     dim: int
 
     def __call__(self, x: Sequence[float]) -> tuple[float, ...]:
-        raise NotImplementedError
+        return self._eval(x)
 
     def batch(self, xs: np.ndarray) -> np.ndarray:
         """Evaluate every row of a (B, dim) array; row i is self(xs[i]) bit for bit."""
@@ -108,6 +187,27 @@ class MapSpec:
     def jacobian_analytic(self, x: np.ndarray) -> np.ndarray | None:
         """Exact Jacobian when the map's form supports one, else None."""
         raise NotImplementedError
+
+    def _emit(self, src: _Source, ins: list[str]) -> list[str]:
+        """Add this map's statements on the values named `ins`; the output names."""
+        raise NotImplementedError
+
+    def _bind(self, shape: tuple, consts: tuple) -> None:
+        """Record the map's shape, which fixes its generated source, and
+        `consts`, the values that source names, in `_emit` order."""
+        object.__setattr__(self, "_shape", _SHAPES.setdefault(shape, len(_SHAPES)))
+        object.__setattr__(self, "_consts", consts)
+        object.__setattr__(self, "_eval", self._first_eval)
+
+    def _first_eval(self, x):
+        # a map that is only ever a part, or only batched, is never compiled
+        generated = _GENERATED.get(self._shape)
+        if generated is None:
+            generated = _GENERATED[self._shape] = _generate(self)
+        evaluate = FunctionType(generated.__code__, generated.__globals__, "_eval",
+                                self._consts)
+        object.__setattr__(self, "_eval", evaluate)
+        return evaluate(x)
 
 
 @dataclass(frozen=True)
@@ -128,20 +228,24 @@ class AffineMap(MapSpec):
         b.setflags(write=False)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "_scalar", (float(a[0, 0]), float(b[0]))
-                           if a.shape == (1, 1) else None)
+        self._bind((AffineMap, self.dim),
+                   (float(a[0, 0]), float(b[0])) if self.dim == 1 else (a, b))
 
     @property
     def dim(self) -> int:
         return self.a.shape[0]
 
-    def __call__(self, x):
-        if self._scalar is None:
-            # a Python sum cannot match the order OpenBLAS sums a small matvec in
-            return tuple((self.a @ np.array(x, dtype=np.float64) + self.b).tolist())
-        a, b = self._scalar
-        # A @ x accumulates onto +0.0, which turns a -0.0 product into +0.0
-        return (0.0 + a * x[0] + b,)
+    # each map class holds __call__ itself, so it can be wrapped per class
+    __call__ = MapSpec.__call__
+
+    def _emit(self, src, ins):
+        a, b = src.const(), src.const()
+        if self.dim == 1:
+            # A @ x accumulates onto +0.0, which turns a -0.0 product into +0.0
+            return [src.value(f"0.0 + {a} * {ins[0]} + {b}")]
+        # a Python sum cannot match the order OpenBLAS sums a small matvec in
+        return src.unpack(f"({a} @ _array(({', '.join(ins)},), _f64) + {b}).tolist()",
+                          self.dim)
 
     def batch(self, xs):
         # one A @ x product per row: a single (B, dim) @ A.T product sums
@@ -173,22 +277,30 @@ class PolynomialMap(MapSpec):
                 if not math.isfinite(coeff):
                     raise NonFiniteError("polynomial coefficient must be finite")
         # each term as (coeff, ((j, p), ...)) over its nonzero powers, in order
-        object.__setattr__(self, "_terms", tuple(
-            tuple((coeff, tuple((j, p) for j, p in enumerate(powers) if p))
-                  for coeff, powers in terms)
-            for terms in self.coords))
+        terms = tuple(tuple((coeff, tuple((j, p) for j, p in enumerate(powers) if p))
+                            for coeff, powers in coord)
+                      for coord in self.coords)
+        object.__setattr__(self, "_terms", terms)
+        self._bind(
+            (PolynomialMap, self.dim, tuple(
+                tuple(tuple((j, p == 1) for j, p in factors) for _, factors in coord)
+                for coord in terms)),
+            tuple(v for coord in terms for coeff, factors in coord
+                  for v in (coeff, *(p for _, p in factors if p != 1))))
 
-    def __call__(self, x):
-        out = []
-        for terms in self._terms:
-            acc = 0.0
-            for term, factors in terms:
-                for j, p in factors:
-                    # math.pow(v, 1) is v, bit for bit
-                    term *= x[j] if p == 1 else _pow(x[j], p)
-                acc += term
-            out.append(acc)
-        return tuple(out)
+    __call__ = MapSpec.__call__
+
+    def _emit(self, src, ins):
+        outs = []
+        for coord in self._terms:
+            exprs = []
+            for _, factors in coord:
+                # coeff * x_j for a power of 1: math.pow(v, 1) is v, bit for bit
+                exprs.append(" * ".join([src.const(), *(
+                    ins[j] if p == 1 else f"_pow({ins[j]}, {src.const()})"
+                    for j, p in factors)]))
+            outs.append(src.total(exprs))
+        return outs
 
     def batch(self, xs):
         out = np.zeros(xs.shape)
@@ -234,15 +346,19 @@ class PipelineMap(MapSpec):
         dims = {p.dim for p in self.parts}
         if len(dims) != 1:
             raise DimMismatchError("pipeline parts must share one dimension")
+        self._bind((PipelineMap, *(p._shape for p in self.parts)),
+                   tuple(v for p in self.parts for v in p._consts))
 
     @property
     def dim(self) -> int:
         return self.parts[0].dim
 
-    def __call__(self, x):
+    __call__ = MapSpec.__call__
+
+    def _emit(self, src, ins):
         for p in self.parts:
-            x = p(x)
-        return x
+            ins = p._emit(src, ins)
+        return ins
 
     def batch(self, xs):
         out = xs
@@ -267,16 +383,23 @@ class WeightedSumMap(MapSpec):
         dims = {p.dim for p in self.parts}
         if len(dims) != 1:
             raise DimMismatchError("summed maps must share one dimension")
+        self._bind((WeightedSumMap, *(p._shape for p in self.parts)),
+                   (*(v for p in self.parts for v in p._consts), *self.weights))
 
     @property
     def dim(self) -> int:
         return self.parts[0].dim
 
-    def __call__(self, x):
-        out = [0.0] * len(x)
-        for w, p in zip(self.weights, self.parts):
-            out = [o + w * v for o, v in zip(out, p(x))]
-        return tuple(out)
+    __call__ = MapSpec.__call__
+
+    def _emit(self, src, ins):
+        outs = []
+        for p in self.parts:
+            outs.append(p._emit(src, ins))
+        weights = [src.const() for _ in self.parts]
+        # 0.0 + w_0 v_0 + w_1 v_1 + ..., as a sum of the parts' arrays adds
+        return [src.total([f"{w} * {out[i]}" for w, out in zip(weights, outs)])
+                for i in range(len(ins))]
 
     def batch(self, xs, weights=None):
         """Rows of the sum; `weights` may replace self.weights, each entry a
@@ -730,13 +853,15 @@ def sweep_bifurcation(update: MapSpec, observer: MapSpec,
 # raises; only a dim > 1 affine node evaluates in numpy
 @np.errstate(over="ignore", invalid="ignore")
 def simulate_coupled(update: MapSpec, observer: MapSpec, x0: Sequence[float],
-                     steps: int, r: float = 0.0, schedule: int = 1) -> Trajectory:
+                     steps: int, r: float = 0.0, schedule: int = 1,
+                     prefix: Trajectory | None = None) -> Trajectory:
     """Roll out the coupled system, observing every `schedule`-th step.
 
     The state advances under F_r = update + r * observer back-action; the
     observer coordinate refreshes only on scheduled steps and holds its
     last reading in between.  A non-finite state or observer reading
-    raises NonFiniteError.
+    raises NonFiniteError.  `prefix`, a rollout of the same system over
+    fewer steps, is extended from its last state instead of starting over.
     """
     if schedule < 1:
         raise DomainError("schedule must be >= 1")
@@ -748,10 +873,14 @@ def simulate_coupled(update: MapSpec, observer: MapSpec, x0: Sequence[float],
         return o
 
     fr = perturbed_map(update, observer, r) if r != 0.0 else update
-    x = tuple(map(float, x0))
-    o = observe(x, 0)
-    xs, os_ = [x], [o]
-    for n in range(1, steps + 1):
+    if prefix is None:
+        x = tuple(map(float, x0))
+        o = observe(x, 0)
+        xs, os_ = [x], [o]
+    else:
+        xs, os_ = list(prefix.xs), list(prefix.os)
+        x, o = xs[-1], os_[-1]
+    for n in range(len(xs), steps + 1):
         x = fr(x)
         if not all(map(math.isfinite, x)):
             raise NonFiniteError(f"trajectory left the finite range at step {n}")

@@ -16,7 +16,13 @@ from hypothesis import strategies as st
 from veridyn import cli
 from veridyn.cascade import RESIDUAL_TOL
 from veridyn.cli import main
-from veridyn.dynamics import simulate_coupled
+from veridyn.dynamics import (
+    AffineMap,
+    PipelineMap,
+    PolynomialMap,
+    WeightedSumMap,
+    simulate_coupled,
+)
 from veridyn.entropy import histogram_cells, ledger_work
 from veridyn.errors import ScenarioParseError
 from veridyn.scenario import (
@@ -317,6 +323,49 @@ def test_ledger_work_beyond_the_cap_exits_2_before_any_sum(tmp_path, capsys,
     assert len(err) == 1 and err[0].startswith("error: ledger work ")
     assert err[0].endswith(f"exceeds cap {LEDGER_WORK_CAP}")
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_runaway_ledger_is_rejected_after_the_probe_rollout(tmp_path, capsys,
+                                                           monkeypatch):
+    out = tmp_path / "out"
+    assert _run("simulate", str(SCENARIOS / "logistic_sweep.json"), out) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    # outermost map calls, counted through each class's __call__
+    depth, calls = [0], [0]
+    for cls in (AffineMap, PolynomialMap, PipelineMap, WeightedSumMap):
+        def counted(self, x, _call=cls.__dict__["__call__"]):
+            calls[0] += depth[0] == 0
+            depth[0] += 1
+            try:
+                return _call(self, x)
+            finally:
+                depth[0] -= 1
+        monkeypatch.setattr(cls, "__call__", counted)
+    scen = SCENARIOS / "runaway_ledger.json"
+    assert json.loads(scen.read_text())["steps"] == SIMULATE_STEPS_CAP
+    assert _run("simulate", str(scen), out) == 2
+    # F_r and the observer once per state of the probe's rollout
+    assert 0 < calls[0] <= 2 * (cli.LEDGER_PROBE_STEPS + 1)
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ledger work ")
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("steps", [4094, 4095, 4096, 4097])
+def test_ledger_probe_rollout_keeps_every_byte(tmp_path, steps):
+    # the probe rolls out the first LEDGER_PROBE_STEPS states, and the rest
+    # continues from its last one, as one rollout would
+    doc = json.loads((SCENARIOS / "pipeline_ledger.json").read_text())
+    doc["steps"] = steps
+    sim = parse_simulate_settings(doc)
+    whole = simulate_coupled(sim.update, sim.observer, sim.x0, sim.steps, r=sim.r,
+                             schedule=sim.schedule)
+    out = tmp_path / "out"
+    assert _run("simulate", _write(tmp_path, doc), out) == 0
+    rows = (out / "trajectory.csv").read_text().splitlines()[1:]
+    assert [[float(v) for v in row.split(",")[1:-1]] for row in rows] == \
+        [[*x, *o] for x, o in zip(whole.xs, whole.os)]
 
 
 def test_ledger_work_just_under_the_cap_runs(tmp_path):
@@ -916,16 +965,46 @@ GOLDEN_FINITE_SET_RUNS = {
 }
 
 
-@pytest.mark.parametrize("scenario, cmd", list(GOLDEN_FINITE_SET_RUNS),
-                         ids=[f"{s}-{c}" for s, c in GOLDEN_FINITE_SET_RUNS])
-def test_finite_set_artifacts_keep_their_digests(tmp_path, scenario, cmd):
-    code, digests = GOLDEN_FINITE_SET_RUNS[scenario, cmd]
+# the same for the dim-1 dynamical layer, where no BLAS summation order
+# enters; a change of the map evaluation that moves a bit fails here
+GOLDEN_DYNAMICS_RUNS = {
+    ("logistic_sweep", "sweep"): (0, {
+        "critical_report.json":
+            "aad0d97c08784ad6762c2124b803f366358e6ca74fc13ecc7dff8fbd6a310383",
+        "diagram.csv":
+            "93537d95a69947753fd6a3d3951c3537508066245b947d5112d15be556f7c709"}),
+    ("logistic_sweep", "simulate"): (0, {
+        "lyapunov.json":
+            "9361d2225ba0a2d22bfe698b41712234188a753ab2ae3fc394b9cedb0b99517a",
+        "trajectory.csv":
+            "9cd557e08bcbb2b1d28ec9ec6b22b7aacd6f72ebf00285edb0b30d688cbcc33e"}),
+    ("chaotic_ledger", "simulate"): (0, {
+        "lyapunov.json":
+            "13eef67463c56a53ac644333b962a3f331a502f36c384d1d62783e69e8b6592b",
+        "trajectory.csv":
+            "da6610052b5fd4da7ce50bbf42278ce70f75c2f88e4d236c83a45c8ecea405fe"}),
+}
+
+
+def _check_digests(tmp_path, scenario, cmd, code, digests):
     out = tmp_path / "out"
     assert _run(cmd, str(SCENARIOS / f"{scenario}.json"), out) == code
     found = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
              for p in (out.iterdir() if out.is_dir() else ())
              if p.name != "run_manifest.json"}
     assert found == digests
+
+
+@pytest.mark.parametrize("scenario, cmd", list(GOLDEN_FINITE_SET_RUNS),
+                         ids=[f"{s}-{c}" for s, c in GOLDEN_FINITE_SET_RUNS])
+def test_finite_set_artifacts_keep_their_digests(tmp_path, scenario, cmd):
+    _check_digests(tmp_path, scenario, cmd, *GOLDEN_FINITE_SET_RUNS[scenario, cmd])
+
+
+@pytest.mark.parametrize("scenario, cmd", list(GOLDEN_DYNAMICS_RUNS),
+                         ids=[f"{s}-{c}" for s, c in GOLDEN_DYNAMICS_RUNS])
+def test_dynamics_artifacts_keep_their_digests(tmp_path, scenario, cmd):
+    _check_digests(tmp_path, scenario, cmd, *GOLDEN_DYNAMICS_RUNS[scenario, cmd])
 
 
 def test_entropy_without_sections_is_input_error(tmp_path):
@@ -1033,6 +1112,7 @@ BUNDLED_RUNS = [
     ("simulate", "pipeline_ledger", 0),
     ("sweep", "pipeline_ledger", 0),
     ("simulate", "chaotic_ledger", 0),
+    ("simulate", "runaway_ledger", 2),
 ]
 
 

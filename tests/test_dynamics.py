@@ -421,6 +421,130 @@ def test_exponent_one_matches_numpy_reference_on_bit_patterns():
             assert _value_bits(row) == _value_bits(spec(x.tolist())), (spec, x)
 
 
+# --- generated evaluators: the run-time loops as oracle -----------------------
+#
+# Each map's __call__ as it stood before maps were compiled into one
+# straight-line function: loops over the terms and parts at run time, on
+# Python floats.  The generated evaluator must return the same bits.
+
+
+def _loop_call(spec, x):
+    if isinstance(spec, AffineMap):
+        if spec.dim != 1:
+            return tuple((spec.a @ np.array(x, dtype=np.float64) + spec.b).tolist())
+        a, b = float(spec.a[0, 0]), float(spec.b[0])
+        return (0.0 + a * x[0] + b,)
+    if isinstance(spec, PolynomialMap):
+        out = []
+        for terms in spec.coords:
+            acc = 0.0
+            for term, powers in terms:
+                for j, p in enumerate(powers):
+                    if p:
+                        term *= x[j] if p == 1 else dynamics._pow(x[j], p)
+                acc += term
+            out.append(acc)
+        return tuple(out)
+    if isinstance(spec, PipelineMap):
+        for p in spec.parts:
+            x = _loop_call(p, x)
+        return x
+    out = [0.0] * len(x)
+    for w, p in zip(spec.weights, spec.parts):
+        out = [o + w * v for o, v in zip(out, _loop_call(p, x))]
+    return tuple(out)
+
+
+def _assert_evaluates_as_loops(spec, x):
+    got = spec(x)
+    assert type(got) is tuple and all(type(v) is float for v in got)
+    assert _value_bits(got) == _value_bits(_loop_call(spec, x)), (spec, x)
+
+
+# coefficients and weights: finite, with signed zeros and units often
+FINITE = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                   st.floats(allow_nan=False, allow_infinity=False))
+# any float, with signed zeros, infinities, NaN and bases whose cube overflows
+INPUTS = st.one_of(st.floats(), st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, math.nan, 1e200, -1e200, 1e120, -1e120]))
+
+
+@st.composite
+def _leaf_maps(draw, dim):
+    if draw(st.booleans()):
+        return AffineMap(draw(st.lists(st.lists(FINITE, min_size=dim, max_size=dim),
+                                       min_size=dim, max_size=dim)),
+                         draw(st.lists(FINITE, min_size=dim, max_size=dim)))
+    # powers 0-3 of total degree at most 3; all zero makes a constant term
+    powers = st.lists(st.integers(0, 3), min_size=dim, max_size=dim).filter(
+        lambda ps: sum(ps) <= 3).map(tuple)
+    terms = st.lists(st.tuples(FINITE, powers), max_size=4).map(tuple)
+    return PolynomialMap(dim, tuple(draw(terms) for _ in range(dim)))
+
+
+@st.composite
+def _map_trees(draw, dim, depth):
+    """A pipeline or sum with a `depth - 1` tree among its parts."""
+    if depth == 0:
+        return draw(_leaf_maps(dim))
+    parts = [draw(_map_trees(dim, depth - 1)), *draw(st.lists(_leaf_maps(dim), max_size=2))]
+    parts = tuple(draw(st.permutations(parts)))
+    if draw(st.booleans()):
+        return PipelineMap(parts)
+    return WeightedSumMap(parts, tuple(draw(st.lists(FINITE, min_size=len(parts),
+                                                     max_size=len(parts)))))
+
+
+# a single node shows its own signed zeros, which a part in a sum cannot
+@pytest.mark.parametrize("depth", [0, 3])
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_generated_evaluator_matches_loop_oracle(depth, data):
+    dim = data.draw(st.integers(1, 3))
+    spec = data.draw(_map_trees(dim, depth))
+    for _ in range(3):
+        _assert_evaluates_as_loops(
+            spec, data.draw(st.lists(INPUTS, min_size=dim, max_size=dim)))
+
+
+def test_long_polynomial_and_long_pipeline_build_and_evaluate():
+    rng = np.random.default_rng(18)
+    powers = [(int(p), int(q)) for p, q in rng.integers(0, 2, (5000, 2))]
+    long_poly = PolynomialMap(2, tuple(
+        tuple((float(c), ps) for c, ps in zip(rng.uniform(-1, 1, 5000), powers))
+        for _ in range(2)))
+    for x in ([0.5, -0.25], [1e200, -0.0], [math.nan, 2.0]):
+        _assert_evaluates_as_loops(long_poly, x)
+    long_pipe = PipelineMap(tuple(
+        AffineMap([[0.5]], [0.125]) if k % 2 else
+        PolynomialMap(1, (((0.5, (0,)), (0.9, (1,)), (-0.25, (3,))),))
+        for k in range(300)))
+    for x in ([0.3], [-1e120], [math.inf]):
+        _assert_evaluates_as_loops(long_pipe, x)
+
+
+def test_coupling_values_share_one_compiled_evaluator(monkeypatch):
+    update = PipelineMap((AffineMap([[0.25]], [0.125]),
+                          PolynomialMap(1, (((0.5, (0,)), (-1.0, (3,))),))))
+    observer = PolynomialMap(1, (((1.0, (1,)), (-1.0, (2,)), (0.75, (0,))),))
+    compiles = []
+
+    def counted(*args, **kwargs):
+        compiles.append(args)
+        return compile(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "compile", counted, raising=False)
+    rs = np.linspace(-2.0, 2.0, 100)
+    family = [perturbed_map(update, observer, float(r)) for r in rs]
+    for f in family:
+        _assert_evaluates_as_loops(f, [0.3])
+    assert len(compiles) <= 1
+    assert len({f._eval.__code__ for f in family}) == 1
+    # each value binds its own r
+    assert len({f((0.3,)) for f in family}) == len(rs)
+
+
 SWAP_SQUARES = PolynomialMap(2, (((1.0, (0, 2)),), ((1.0, (2, 0)),)))
 SQUARE_AND_CONSTANT = PolynomialMap(2, (((1.0, (0, 2)),), ((1.0, (0, 0)),)))
 
