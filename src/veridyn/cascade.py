@@ -12,9 +12,11 @@ never asserted).
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -246,38 +248,125 @@ def cascade_fixed_points(C: LinOp, tol: float = PIVOT_RTOL) -> list[np.ndarray]:
 # --- spectrum: LAPACK eigenvalues, each one re-verified ------------------
 
 
-def _eigenvector_residual(a: np.ndarray, lam: complex) -> float:
-    """Relative residual of an eigenvector extracted by inverse iteration."""
+_INT = ctypes.c_int64
+_ONE = (ctypes.c_double * 2)(1.0, 0.0)  # trsm's complex alpha
+
+
+@functools.cache
+def _lapack():
+    """(getrf, laswp, trsm) for complex doubles with 64-bit integers, from
+    the LAPACK that numpy's linalg links (scipy-openblas64's names), or
+    None where this numpy or BLAS build does not export them."""
+    try:
+        from numpy.linalg import _umath_linalg
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+        routines = tuple(lib[f"scipy_z{name}_64_"]
+                         for name in ("getrf", "laswp", "trsm"))
+    except (ImportError, OSError, AttributeError):
+        return None
+    getrf, laswp, trsm = routines
+    # Fortran takes every argument by reference: each integer as a pointer to
+    # a 64-bit int (a bare Python int would go as a 32-bit C int), each
+    # array as its address
+    num, ptr, char = ctypes.POINTER(_INT), ctypes.c_void_p, ctypes.c_char_p
+    getrf.argtypes = [num, num, ptr, num, ptr, num]  # m n a lda ipiv info
+    laswp.argtypes = [num, ptr, num, num, num, ptr, num]  # n a lda k1 k2 ipiv incx
+    # side uplo trans diag m n alpha a lda b ldb
+    trsm.argtypes = [char, char, char, char, num, num, ptr, ptr, num, ptr, num]
+    for routine in routines:
+        routine.restype = None
+    return routines
+
+
+def _factor(b: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """solve(v) = b^-1 v for a square complex b, with b factored once.
+
+    getrf factors b as numpy's gesv does; each solve then applies its row
+    swaps (laswp) and two trsm, the unit lower factor and then the upper
+    one, which gives np.linalg.solve's bits.  getrs does not: its
+    one-column path differs in the last bits.  An exactly singular
+    b raises LinAlgError, as np.linalg.solve does.  Without the binding,
+    solve is np.linalg.solve itself.
+    """
+    lapack = _lapack()
+    if lapack is None:
+        return lambda v: np.linalg.solve(b, v)
+    getrf, laswp, trsm = lapack
+    lu = np.array(b, dtype=complex, order="F")
+    if lu.ndim != 2 or lu.shape[0] != lu.shape[1]:
+        raise ValueError(f"b must be a square matrix, got shape {lu.shape}")
+    piv = np.empty(len(lu), dtype=np.int64)
+    x = np.empty(len(lu), dtype=complex)
+    # data_as pointers hold a reference to their array
+    lu_p, piv_p, x_p = (arr.ctypes.data_as(ctypes.c_void_p) for arr in (lu, piv, x))
+    n, one, info = _INT(len(lu)), _INT(1), _INT()
+    getrf(n, n, lu_p, n, piv_p, info)
+    if info.value > 0:
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    def solve(v: np.ndarray) -> np.ndarray:
+        x[:] = v
+        laswp(one, x_p, n, one, n, piv_p, one)
+        trsm(b"L", b"L", b"N", b"U", n, one, _ONE, lu_p, n, x_p, n)
+        trsm(b"L", b"U", b"N", b"N", n, one, _ONE, lu_p, n, x_p, n)
+        return x.copy()
+
+    return solve
+
+
+def _residuals(a: np.ndarray) -> Callable[[complex], float]:
+    """lam -> relative residual of an eigenvector of the real operator a,
+    extracted by inverse iteration.  What does not depend on lam (the
+    complex copy of a, its scale and the identity) is built once."""
     n = a.shape[0]
     scale = max(1.0, float(np.max(np.abs(a))))
     ac = a.astype(complex)
-    b = ac - lam * np.eye(n)
-    v = np.ones(n, dtype=complex) / math.sqrt(n)
-    nudge = _EPS * scale
-    for _ in range(5):
-        try:
-            w = np.linalg.solve(b, v)
-        except np.linalg.LinAlgError:
-            b = b + nudge * np.eye(n)
-            nudge *= 16.0
-            continue
-        norm = float(np.linalg.norm(w))
-        if not math.isfinite(norm) or norm == 0.0:
-            b = b + nudge * np.eye(n)
-            nudge *= 16.0
-            continue
-        v = w / norm
-    # A @ v in two halves of at most DIM_CAP / 2 rows: OpenBLAS threads a
-    # complex matvec from m*n >= 4096 (64 x 64), and its idle pool then spins
-    # a second CPU for about 0.13 s.  Each output entry is the same gemv dot
-    # product either way, so the bits do not change.  A block of one row
-    # would not do: numpy sends it to a dot routine that sums in another order.
-    if n > DIM_CAP // 2:
-        h = n // 2
-        av = np.concatenate([ac[:h] @ v, ac[h:] @ v])
-    else:
-        av = ac @ v
-    return float(np.linalg.norm(av - lam * v) / np.linalg.norm(v))
+    eye = np.eye(n)
+    start = np.ones(n, dtype=complex) / math.sqrt(n)
+
+    def residual(lam: complex) -> float:
+        # B = A - lam I is factored once, and again only when a nudge
+        # changes it
+        b = ac - lam * eye
+        solve = None
+        v = start
+        nudge = _EPS * scale
+        for _ in range(5):
+            try:
+                if solve is None:
+                    solve = _factor(b)
+                w = solve(v)
+            except np.linalg.LinAlgError:
+                b = b + nudge * eye
+                solve = None
+                nudge *= 16.0
+                continue
+            norm = float(np.linalg.norm(w))
+            if not math.isfinite(norm) or norm == 0.0:
+                b = b + nudge * eye
+                solve = None
+                nudge *= 16.0
+                continue
+            v = w / norm
+        # A @ v in two halves of at most DIM_CAP / 2 rows: OpenBLAS threads
+        # a complex matvec from m*n >= 4096 (64 x 64), and its idle pool then
+        # spins a second CPU for about 0.13 s.  Each output entry is the same
+        # gemv dot product either way, so the bits do not change.  A block of
+        # one row would not do: numpy sends it to a dot routine that sums in
+        # another order.
+        if n > DIM_CAP // 2:
+            h = n // 2
+            av = np.concatenate([ac[:h] @ v, ac[h:] @ v])
+        else:
+            av = ac @ v
+        return float(np.linalg.norm(av - lam * v) / np.linalg.norm(v))
+
+    return residual
+
+
+def _eigenvector_residual(a: np.ndarray, lam: complex) -> float:
+    """Relative residual of an eigenvector extracted by inverse iteration."""
+    return _residuals(a)(lam)
 
 
 @dataclass(frozen=True)
@@ -329,12 +418,12 @@ def spectrum(C: LinOp) -> SpectrumReport:
     # C is real, so A v - lam v = r gives A conj(v) - conj(lam) conj(v) =
     # conj(r): an exact conjugate (or repeat) has the same residual, bit for bit
     shared: dict[complex, float] = {}
+    residual = None if closed_form else _residuals(C.entries)
     for ev in eigs:
         key = ev.conjugate() if ev.imag < 0.0 else ev
         res = shared.get(key)
         if res is None:
-            res = shared[key] = (abs(a - ev) if closed_form
-                                 else _eigenvector_residual(C.entries, ev))
+            res = shared[key] = abs(a - ev) if closed_form else residual(ev)
         if res > RESIDUAL_TOL:
             detval = abs(np.linalg.det(C.entries.astype(complex)
                                        - ev * np.eye(n)))

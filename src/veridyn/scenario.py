@@ -91,6 +91,10 @@ SIMULATE_STEPS_CAP = 10 ** 5
 # known only after the rollout, and checked before any entropy is summed
 LEDGER_WORK_CAP = 2 * 10 ** 7
 ENTROPY_STEPS_CAP = 10 ** 4
+# the size of one map tree: each node (the map and every part below it)
+# counts its dim and each polynomial term one more; a map is compiled at its
+# first call in time and memory linear in its size
+MAP_SIZE_CAP = 10 ** 4
 
 
 def load_scenario(path: str) -> tuple[dict, str]:
@@ -177,6 +181,21 @@ def parse_entropy_params(doc: Mapping) -> EntropyParams:
 
 
 def parse_map_spec(desc) -> MapSpec:
+    spec = _map_spec(desc)
+    _within_cap(_map_size(spec), "map size", MAP_SIZE_CAP)
+    return spec
+
+
+def _map_size(spec: MapSpec) -> int:
+    size = spec.dim
+    if isinstance(spec, PolynomialMap):
+        size += sum(map(len, spec.coords))
+    if isinstance(spec, (PipelineMap, WeightedSumMap)):
+        size += sum(map(_map_size, spec.parts))
+    return size
+
+
+def _map_spec(desc) -> MapSpec:
     kind = _mapping(desc, "map descriptor").get("kind")
     if kind == "affine":
         rows = _list(desc.get("A"), "affine A")
@@ -189,10 +208,10 @@ def parse_map_spec(desc) -> MapSpec:
         return PolynomialMap(dim, coords)
     if kind == "pipeline":
         return PipelineMap(tuple(
-            parse_map_spec(p) for p in _list(desc.get("parts"), "pipeline parts")))
+            _map_spec(p) for p in _list(desc.get("parts"), "pipeline parts")))
     if kind == "sum":
         parts = _list(desc.get("parts"), "sum parts")
-        return WeightedSumMap(tuple(parse_map_spec(p) for p in parts),
+        return WeightedSumMap(tuple(_map_spec(p) for p in parts),
                               _vector(desc.get("weights"), len(parts), "sum weights"))
     raise ScenarioParseError(f"unknown map kind {kind!r}")
 

@@ -328,26 +328,104 @@ def test_spectrum_shared_residuals_are_the_per_eigenvalue_bits(group):
             assert res.hex() == _residual_one_matvec(op.entries, ev).hex()
 
 
+def _counted_factorizations(monkeypatch):
+    """Patch cascade._factor to record each call: "factored" or "singular"."""
+    factor, outcomes = cascade._factor, []
+
+    def counted(b):
+        try:
+            solve = factor(b)
+        except np.linalg.LinAlgError:
+            outcomes.append("singular")
+            raise
+        outcomes.append("factored")
+        return solve
+
+    monkeypatch.setattr(cascade, "_factor", counted)
+    return outcomes
+
+
 def test_spectrum_verifies_once_per_eigenvalue_up_to_conjugation(monkeypatch):
-    verify = cascade._eigenvector_residual
+    residuals = cascade._residuals
     calls = []
 
-    def counted(a, lam):
-        calls.append(lam)
-        return verify(a, lam)
+    def counted(a):
+        residual = residuals(a)
+        return lambda lam: calls.append(lam) or residual(lam)
 
-    monkeypatch.setattr(cascade, "_eigenvector_residual", counted)
+    monkeypatch.setattr(cascade, "_residuals", counted)
+    factorizations = _counted_factorizations(monkeypatch)
     for group in SEEDED_64.values():
         for op in group:
             calls.clear()
+            factorizations.clear()
             rep = spectrum(op)
             assert len(rep.residuals) == op.dim
             assert len(calls) == len(_up_to_conjugation(rep.eigenvalues))
+            # B = C - lam I is factored once for the five inverse-iteration
+            # steps, and once more after a nudge of an exactly singular B
+            assert factorizations.count("factored") == len(calls)
     calls.clear()
+    factorizations.clear()
     rep = spectrum(SEEDED_64["one 64-cycle, two rotations"][0])
-    # two real eigenvalues and 31 conjugate pairs
+    # two real eigenvalues and 31 conjugate pairs, none of them nudged
     assert sum(ev.imag != 0.0 for ev in rep.eigenvalues) == 62
     assert len(calls) == 33
+    assert factorizations == ["factored"] * 33
+
+
+SOLVE_PATHS = ["lapack", "fallback"]
+
+
+def _use_solve_path(path, monkeypatch):
+    """Count np.linalg.solve calls, with the LAPACK binding or without it."""
+    if path == "fallback":
+        monkeypatch.setattr(cascade, "_lapack", lambda: None)
+    elif cascade._lapack() is None:
+        pytest.skip("numpy's LAPACK exports no scipy_z*_64_ routines")
+    solve, calls = np.linalg.solve, []
+    monkeypatch.setattr(np.linalg, "solve", lambda b, v: calls.append(b) or solve(b, v))
+    return calls
+
+
+@pytest.mark.parametrize("path", SOLVE_PATHS)
+@pytest.mark.parametrize("dim", [2, 31, 32, 33, 63, 64])
+def test_factored_residual_keeps_the_one_matvec_bits(dim, path, monkeypatch):
+    a = np.random.default_rng(100 + dim).standard_normal((dim, dim))
+    lams = [*_up_to_conjugation(complex(ev) for ev in np.linalg.eigvals(a)), 0.5 + 0.25j]
+    want = [_residual_one_matvec(a, lam).hex() for lam in lams]
+    solves = _use_solve_path(path, monkeypatch)
+    assert [cascade._eigenvector_residual(a, lam).hex() for lam in lams] == want
+    # the fallback is np.linalg.solve at each of the five steps
+    assert len(solves) == (5 * len(lams) if path == "fallback" else 0)
+
+
+# operator, eigenvalue, and the LU path's factorizations: a shift that is
+# exactly singular (zgetrf's info > 0) or whose solve has a non-finite or zero
+# norm is nudged, and the nudged matrix is factored again
+NUDGED = {
+    "identity, exactly singular": (np.eye(3), 1.0, ["singular", "factored"]),
+    "nilpotent, exactly singular": (np.diag(np.ones(3), 1), 0.0, ["singular", "factored"]),
+    "subnormal entry, infinite norm": (np.array([[1e-320]]), 0.0, ["factored"] * 2),
+    "tiny entries, infinite norm": (
+        1e-170 * np.random.default_rng(0).standard_normal((4, 4)), 0.0, ["factored"] * 2),
+    "huge entries, zero norm": (1e170 * np.eye(4), 0.0, ["factored"] * 5),
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow")  # the norms near the float max
+@pytest.mark.parametrize("path", SOLVE_PATHS)
+@pytest.mark.parametrize("case", list(NUDGED))
+def test_nudged_shift_is_factored_again(case, path, monkeypatch):
+    a, lam, want = NUDGED[case]
+    res = _residual_one_matvec(a, lam).hex()
+    _use_solve_path(path, monkeypatch)
+    factorizations = _counted_factorizations(monkeypatch)
+    assert cascade._eigenvector_residual(a, lam).hex() == res
+    if path == "lapack":
+        assert factorizations == want
+    else:  # np.linalg.solve raises when it is called, not when it is chosen
+        assert factorizations == ["factored"] * len(want)
 
 
 def test_spectrum_diagonal():

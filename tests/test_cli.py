@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from veridyn import cli
+from veridyn import cli, dynamics
 from veridyn.cascade import RESIDUAL_TOL
 from veridyn.cli import main
 from veridyn.dynamics import (
@@ -28,6 +28,7 @@ from veridyn.errors import ScenarioParseError
 from veridyn.scenario import (
     ENTROPY_STEPS_CAP,
     LEDGER_WORK_CAP,
+    MAP_SIZE_CAP,
     SIMULATE_STEPS_CAP,
     SWEEP_GRID_CAP,
     SWEEP_ROW_CAP,
@@ -544,6 +545,32 @@ def _assert_rejected(capsys, out):
     assert len(err) == 1 and err[0].startswith("error: ")
     assert not out.exists()
     return err[0]
+
+
+def _map_of_size(kind, size):
+    """A dim-1 map tree of `size`: the map and each part count 1 (their dim),
+    each polynomial term 1."""
+    if kind == "polynomial":
+        return {"kind": "polynomial", "dim": 1,
+                "coords": [[{"coeff": 0.5, "powers": [1]}] * (size - 1)]}
+    return {"kind": "sum", "parts": [{"kind": "affine", "A": [[0.5]], "b": [0.0]}] * (size - 1),
+            "weights": [1.0] * (size - 1)}
+
+
+@pytest.mark.parametrize("kind", ["polynomial", "sum"])
+def test_map_at_its_size_cap_is_accepted_and_one_more_exits_2_uncompiled(
+        tmp_path, capsys, monkeypatch, kind):
+    # parsed only at the cap, since a run at the cap takes seconds (README, "Caps")
+    assert parse_simulate_settings(
+        {**LOGISTIC, "observer": _map_of_size(kind, MAP_SIZE_CAP)}).observer.dim == 1
+    compiled = []
+    monkeypatch.setattr(dynamics, "_generate", compiled.append)
+    out = tmp_path / "out"
+    scen = _write(tmp_path, {**LOGISTIC, "observer": _map_of_size(kind, MAP_SIZE_CAP + 1)})
+    assert _run("simulate", scen, out) == 2
+    assert _assert_rejected(capsys, out).endswith(
+        f"map size {MAP_SIZE_CAP + 1} exceeds cap {MAP_SIZE_CAP}")
+    assert compiled == []
 
 
 SCENARIOS = Path(__file__).parents[1] / "scenarios"
