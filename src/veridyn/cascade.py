@@ -364,11 +364,6 @@ def _residuals(a: np.ndarray) -> Callable[[complex], float]:
     return residual
 
 
-def _eigenvector_residual(a: np.ndarray, lam: complex) -> float:
-    """Relative residual of an eigenvector extracted by inverse iteration."""
-    return _residuals(a)(lam)
-
-
 @dataclass(frozen=True)
 class SpectrumReport:
     """Eigenvalues with multiplicity, sorted by (real, imaginary) part."""

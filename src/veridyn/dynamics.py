@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import FunctionType
+from types import CodeType, FunctionType
 from typing import Callable, Sequence
 
 import numpy as np
@@ -74,16 +74,31 @@ def _pow(x: float, p: int) -> float:
 _math_pow = np.frompyfunc(math.pow, 2, 1)
 
 
-def _libm_pow(col: np.ndarray, p: int) -> np.ndarray:
-    """col ** p through libm pow, as _pow and the scalar evaluation take it.
-
+def _libm_pow(col, p: int) -> np.ndarray:
+    """col ** p, for an array or a float, through libm pow as _pow takes it:
     numpy's array power takes SIMD paths (x * x for p = 2) that round
-    differently, so batched rows would drift from the scalar ones.
-    """
+    differently, so batched rows would drift from the scalar ones."""
     try:
-        return _math_pow(col, p).astype(np.float64)
+        return np.asarray(_math_pow(col, p), dtype=np.float64)
     except OverflowError:
-        return np.array([_pow(v, p) for v in col.tolist()])
+        return np.asarray(np.frompyfunc(_pow, 2, 1)(col, p), dtype=np.float64)
+
+
+def _affine(a: np.ndarray, b: np.ndarray, x: tuple) -> list[float]:
+    # a Python sum cannot match the order OpenBLAS sums a small matvec in
+    return (a @ np.array(x, np.float64) + b).tolist()
+
+
+def _affine_rows(a: np.ndarray, b: np.ndarray, cols: tuple) -> np.ndarray:
+    # one A @ x product per row: a single (B, dim) @ A.T product sums in
+    # another order and differs in the last bits; a constant column is a float
+    xs = np.column_stack(np.broadcast_arrays(*cols))
+    return (np.matmul(a, xs[:, :, None])[:, :, 0] + b).T
+
+
+# the names a generated evaluator calls: on floats, and on the columns of a batch
+_SCALAR = {"_pow": _pow, "_affine": _affine}
+_COLUMNS = {"_pow": _libm_pow, "_affine": _affine_rows}
 
 
 # statements of at most this many summands, so that a long polynomial or a
@@ -132,12 +147,12 @@ class _Source:
 # map shapes, numbered in order of first sight; a part enters its parent's
 # shape by number, so no shape is hashed deeper than its own node
 _SHAPES: dict[tuple, int] = {}
-# the generated evaluator of each shape number
-_GENERATED: dict[int, FunctionType] = {}
+# the code of the generated evaluator of each shape number
+_GENERATED: dict[int, CodeType] = {}
 
 
-def _generate(node: MapSpec) -> FunctionType:
-    """Compile an evaluator for `node`'s shape.
+def _generate(node: MapSpec) -> CodeType:
+    """The code of an evaluator for `node`'s shape, compiled at its first use.
 
     It is a function of one sequence x that unpacks x, runs straight-line
     statements and returns the output tuple.  The constants are parameters
@@ -145,6 +160,8 @@ def _generate(node: MapSpec) -> FunctionType:
     defaults.  (Closure cells would be as fast to read, but the compiler
     takes time quadratic in their number.)
     """
+    if node._shape in _GENERATED:
+        return _GENERATED[node._shape]
     src = _Source()
     ins = [f"x{j}" for j in range(node.dim)]
     outs = node._emit(src, ins)
@@ -155,9 +172,10 @@ def _generate(node: MapSpec) -> FunctionType:
         *(f"    {line}" for line in src.lines),
         f"    return ({', '.join(outs)},)",
     ])
-    namespace = {"_pow": _pow, "_array": np.array, "_f64": np.float64}
-    exec(compile(text, f"<{type(node).__name__} evaluator>", "exec"), namespace)
-    return namespace["_eval"]
+    scope: dict = {}
+    exec(compile(text, f"<{type(node).__name__} evaluator>", "exec"), scope)
+    code = _GENERATED[node._shape] = scope["_eval"].__code__
+    return code
 
 
 class MapSpec:
@@ -171,8 +189,8 @@ class MapSpec:
     shape only (kinds, dimensions, which powers are 1), so it is compiled
     once per shape; coefficients, exponents and weights are bound as
     constants, never written into the source, and each coupling value r
-    only binds its own.  `batch`, `jacobian_analytic` and everything
-    downstream of them stay on numpy arrays.
+    only binds its own.  `batch` runs the same code on numpy columns;
+    `jacobian_analytic` and everything downstream of it stay on arrays.
     """
 
     dim: int
@@ -180,9 +198,20 @@ class MapSpec:
     def __call__(self, x: Sequence[float]) -> tuple[float, ...]:
         return self._eval(x)
 
-    def batch(self, xs: np.ndarray) -> np.ndarray:
-        """Evaluate every row of a (B, dim) array; row i is self(xs[i]) bit for bit."""
-        raise NotImplementedError
+    def batch(self) -> Callable[..., np.ndarray]:
+        """The map over the rows of a (B, dim) array: its generated code run on
+        the array's columns, so row i is self(xs[i]) bit for bit.  An optional
+        second argument gives the map's last constant, one value per row."""
+        run = FunctionType(_generate(self), _COLUMNS, "_batch", self._consts)
+        last = f"c{len(self._consts) - 1}"
+
+        def evaluate(xs: np.ndarray, per_row: np.ndarray | None = None) -> np.ndarray:
+            out = np.empty(xs.shape)
+            cols = run(xs.T) if per_row is None else run(xs.T, **{last: per_row})
+            for i, col in enumerate(cols):
+                out[:, i] = col
+            return out
+        return evaluate
 
     def jacobian_analytic(self, x: np.ndarray) -> np.ndarray | None:
         """Exact Jacobian when the map's form supports one, else None."""
@@ -200,12 +229,8 @@ class MapSpec:
         object.__setattr__(self, "_eval", self._first_eval)
 
     def _first_eval(self, x):
-        # a map that is only ever a part, or only batched, is never compiled
-        generated = _GENERATED.get(self._shape)
-        if generated is None:
-            generated = _GENERATED[self._shape] = _generate(self)
-        evaluate = FunctionType(generated.__code__, generated.__globals__, "_eval",
-                                self._consts)
+        # a map that is only ever a part is never compiled
+        evaluate = FunctionType(_generate(self), _SCALAR, "_eval", self._consts)
         object.__setattr__(self, "_eval", evaluate)
         return evaluate(x)
 
@@ -243,14 +268,7 @@ class AffineMap(MapSpec):
         if self.dim == 1:
             # A @ x accumulates onto +0.0, which turns a -0.0 product into +0.0
             return [src.value(f"0.0 + {a} * {ins[0]} + {b}")]
-        # a Python sum cannot match the order OpenBLAS sums a small matvec in
-        return src.unpack(f"({a} @ _array(({', '.join(ins)},), _f64) + {b}).tolist()",
-                          self.dim)
-
-    def batch(self, xs):
-        # one A @ x product per row: a single (B, dim) @ A.T product sums
-        # in another order and differs in the last bits for dim > 1
-        return np.matmul(self.a, xs[:, :, None])[:, :, 0] + self.b
+        return src.unpack(f"_affine({a}, {b}, ({', '.join(ins)},))", self.dim)
 
     def jacobian_analytic(self, x):
         return np.array(self.a, copy=True)
@@ -302,21 +320,6 @@ class PolynomialMap(MapSpec):
             outs.append(src.total(exprs))
         return outs
 
-    def batch(self, xs):
-        out = np.zeros(xs.shape)
-        for i, terms in enumerate(self.coords):
-            acc = 0.0
-            for coeff, powers in terms:
-                term = coeff
-                for j, p in enumerate(powers):
-                    if p == 1:
-                        term = term * xs[:, j]
-                    elif p:
-                        term = term * _libm_pow(xs[:, j], p)
-                acc = acc + term
-            out[:, i] = acc
-        return out
-
     def jacobian_analytic(self, x):
         x = np.asarray(x, dtype=np.float64)
         jac = np.zeros((self.dim, self.dim))
@@ -360,12 +363,6 @@ class PipelineMap(MapSpec):
             ins = p._emit(src, ins)
         return ins
 
-    def batch(self, xs):
-        out = xs
-        for p in self.parts:
-            out = p.batch(out)
-        return out
-
     def jacobian_analytic(self, x):
         return None
 
@@ -401,14 +398,6 @@ class WeightedSumMap(MapSpec):
         return [src.total([f"{w} * {out[i]}" for w, out in zip(weights, outs)])
                 for i in range(len(ins))]
 
-    def batch(self, xs, weights=None):
-        """Rows of the sum; `weights` may replace self.weights, each entry a
-        scalar or one value per row."""
-        out = np.zeros(xs.shape)
-        for w, p in zip(self.weights if weights is None else weights, self.parts):
-            out = out + np.reshape(w, (-1, 1)) * p.batch(xs)
-        return out
-
     def jacobian_analytic(self, x):
         total = np.zeros((self.dim, self.dim))
         for w, p in zip(self.weights, self.parts):
@@ -437,7 +426,10 @@ class Trajectory:
 
 
 def perturbed_map(update: MapSpec, observer: MapSpec, r: float) -> MapSpec:
-    """Observer back-action family F_r(x) = update(x) + r * observer(x)."""
+    """Observer back-action family F_r(x) = update(x) + r * observer(x).
+
+    r is F_r's last constant, so a batch of F_r can take one r per row.
+    """
     if update.dim != observer.dim:
         raise DimMismatchError("update and observer dimensions differ")
     return WeightedSumMap((update, observer), (1.0, float(r)))
@@ -827,7 +819,7 @@ def sweep_bifurcation(update: MapSpec, observer: MapSpec,
         raise DomainError("sample must be >= 2")
     start = np.zeros(update.dim) if x0 is None else np.asarray(x0, dtype=np.float64)
     rs = np.array([float(r) for r in r_grid])
-    family = perturbed_map(update, observer, 0.0)
+    batch = perturbed_map(update, observer, 0.0).batch()
     samples = np.empty((rs.size, sample, update.dim))
     divergent = np.zeros(rs.size, dtype=bool)
     live = np.arange(rs.size)
@@ -835,7 +827,7 @@ def sweep_bifurcation(update: MapSpec, observer: MapSpec,
     for step in range(transient + sample):
         if not live.size:
             break
-        x = family.batch(x, (1.0, rs[live]))
+        x = batch(x, rs[live])
         bad = ~np.all(np.isfinite(x), axis=1) \
             | (np.max(np.abs(x), axis=1, initial=0.0) > DIVERGENCE_THRESHOLD)
         if step >= transient:

@@ -86,6 +86,13 @@ __all__ = [
 SWEEP_GRID_CAP = 10 ** 3  # r_grid steps, each with its own critical-scan solves
 SWEEP_ROW_CAP = 10 ** 5  # transient + sample, the batch's map steps per row
 SWEEP_WORK_CAP = 10 ** 7  # r_grid steps x (transient + sample)
+# F_r's size (both maps and its dim) x (r_grid steps + SWEEP_STEP_ROWS) x
+# (transient + sample + SWEEP_SOLVE_CALLS): a batch step's own cost is that of
+# about 30 rows, and the critical scan and row solves make 89
+# (logistic_sweep.json) to 850 (pipeline_ledger.json) F_r calls per grid value
+SWEEP_STEP_ROWS = 64
+SWEEP_SOLVE_CALLS = 4096
+SWEEP_MAP_WORK_CAP = 10 ** 8
 SIMULATE_STEPS_CAP = 10 ** 5
 # distinct cells seen so far, summed over the steps of both simulate ledgers;
 # known only after the rollout, and checked before any entropy is summed
@@ -410,6 +417,10 @@ def parse_sweep_settings(doc: Mapping) -> SweepSettings:
     sample = _integer(doc.get("sample", DEFAULT_SAMPLE), "sample", 2)
     per_row = _within_cap(transient + sample, "transient + sample", SWEEP_ROW_CAP)
     _within_cap(steps * per_row, "r_grid steps x (transient + sample)", SWEEP_WORK_CAP)
+    size = _map_size(update) + _map_size(observer) + update.dim
+    _within_cap(size * (steps + SWEEP_STEP_ROWS) * (per_row + SWEEP_SOLVE_CALLS),
+                f"F_r size x (r_grid steps + {SWEEP_STEP_ROWS}) x "
+                f"(transient + sample + {SWEEP_SOLVE_CALLS})", SWEEP_MAP_WORK_CAP)
     x0 = doc.get("x0")
     return SweepSettings(
         update, observer,

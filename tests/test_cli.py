@@ -31,7 +31,10 @@ from veridyn.scenario import (
     MAP_SIZE_CAP,
     SIMULATE_STEPS_CAP,
     SWEEP_GRID_CAP,
+    SWEEP_MAP_WORK_CAP,
     SWEEP_ROW_CAP,
+    SWEEP_SOLVE_CALLS,
+    SWEEP_STEP_ROWS,
     SWEEP_WORK_CAP,
     parse_entropy_trace,
     parse_simulate_settings,
@@ -466,6 +469,8 @@ BAD_SWEEP = {
                                        "steps": SWEEP_GRID_CAP + 1}},
     "grid beyond the work cap": {"r_grid": {"lo": 2.8, "hi": 3.2, "steps": SWEEP_GRID_CAP},
                                  "transient": SWEEP_WORK_CAP // SWEEP_GRID_CAP},
+    "map work beyond the cap": {"observer": {"kind": "polynomial", "dim": 1, "coords": [
+        [{"coeff": 0.5, "powers": [2]}] * 9999]}},
 }
 OVERFLOWING_OBSERVER = {  # phi = identity, observer x^3 overflows at every step
     "phi": {"kind": "affine", "A": [[1.0]], "b": [0.0]},
@@ -512,9 +517,15 @@ def test_overflowing_sweep_exits_0_with_empty_stderr(tmp_path, capsys, observer)
     assert capsys.readouterr().err == ""
 
 
-def _sweep_with(steps, per_row):
+def _sweep_with(steps, per_row, observer_size=3):
+    # F_r's size is the observer's plus 2: the affine phi and the dim
     return {**LOGISTIC, "r_grid": {"lo": 2.8, "hi": 3.2, "steps": steps},
-            "transient": per_row - 32, "sample": 32}
+            "transient": per_row - 32, "sample": 32,
+            "observer": _map_of_size("polynomial", observer_size)}
+
+
+# the longest rows a 91-point sweep with an F_r of size 104 may have
+MAP_WORK_ROW = SWEEP_MAP_WORK_CAP // (104 * (91 + SWEEP_STEP_ROWS)) - SWEEP_SOLVE_CALLS
 
 
 @pytest.mark.parametrize("at_cap, beyond", [
@@ -522,10 +533,11 @@ def _sweep_with(steps, per_row):
     ((2, SWEEP_ROW_CAP), (2, SWEEP_ROW_CAP + 1)),
     ((SWEEP_GRID_CAP, SWEEP_WORK_CAP // SWEEP_GRID_CAP),
      (SWEEP_GRID_CAP, SWEEP_WORK_CAP // SWEEP_GRID_CAP + 1)),
-], ids=["grid", "row", "work"])
+    ((91, MAP_WORK_ROW, 102), (91, MAP_WORK_ROW + 1, 102)),
+], ids=["grid", "row", "work", "map work"])
 def test_sweep_at_its_caps_is_accepted_and_one_more_is_not(at_cap, beyond):
-    # (r_grid steps, transient + sample); parsed only, since a run at a cap
-    # takes seconds (README, "Caps")
+    # (r_grid steps, transient + sample[, observer size]); parsed only,
+    # since a run at a cap takes seconds (README, "Caps")
     assert parse_sweep_settings(_sweep_with(*at_cap)).steps == at_cap[0]
     with pytest.raises(ScenarioParseError, match="exceeds cap"):
         parse_sweep_settings(_sweep_with(*beyond))
@@ -1140,6 +1152,7 @@ BUNDLED_RUNS = [
     ("sweep", "pipeline_ledger", 0),
     ("simulate", "chaotic_ledger", 0),
     ("simulate", "runaway_ledger", 2),
+    ("sweep", "runaway_sweep", 2),
 ]
 
 

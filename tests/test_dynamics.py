@@ -129,13 +129,22 @@ def _random_spec(rng, dim, depth):
     if kind == 0:
         return AffineMap(rng.uniform(-1, 1, (dim, dim)), rng.uniform(-1, 1, dim))
     if kind == 1:
-        # every coordinate also gets a cube, the power whose SIMD path
-        # rounds differently from the scalar one most often
-        j = int(rng.integers(0, dim))
-        cube = tuple(3 if k == j else 0 for k in range(dim))
-        poly = _random_polynomial(rng, dim)
-        return PolynomialMap(dim, tuple(terms + ((float(rng.uniform(-1, 1)), cube),)
-                                        for terms in poly.coords))
+        # a coordinate gets a cube, the power whose SIMD path rounds
+        # differently from the scalar one most often, or is constant: no
+        # term at all, or a constant term alone, which a batch holds as a
+        # float until a later power or affine part takes it
+        coords = []
+        for terms in _random_polynomial(rng, dim).coords:
+            form = int(rng.integers(0, 4))
+            if form == 0:
+                coords.append(())
+            elif form == 1:
+                coords.append(((float(rng.uniform(-1, 1)), (0,) * dim),))
+            else:
+                j = int(rng.integers(0, dim))
+                cube = tuple(3 if k == j else 0 for k in range(dim))
+                coords.append(terms + ((float(rng.uniform(-1, 1)), cube),))
+        return PolynomialMap(dim, tuple(coords))
     parts = tuple(_random_spec(rng, dim, depth - 1)
                   for _ in range(int(rng.integers(1, 4))))
     if kind == 2:
@@ -154,16 +163,16 @@ def test_batch_rows_match_scalar_bitwise(dim, rows, seed):
     rng = np.random.default_rng(seed)
     xs = rng.uniform(-2, 2, (rows, dim))
     spec = _random_spec(rng, dim, depth=2)
-    got = spec.batch(xs)
+    got = spec.batch()(xs)
     assert got.shape == (rows, dim)
     for i in range(rows):
         assert _same_bits(got[i], spec(xs[i]))
-    # per-row weights, as the sweep runs F_r for every r at once
+    # one last weight per row, as the sweep runs F_r for every r at once
     family = WeightedSumMap((spec, _random_spec(rng, dim, depth=1)), (1.0, 1.0))
-    weights = (1.0, rng.uniform(-2, 2, rows))
-    got = family.batch(xs, weights)
+    weights = rng.uniform(-2, 2, rows)
+    got = family.batch()(xs, weights)
     for i in range(rows):
-        row_map = WeightedSumMap(family.parts, (1.0, float(weights[1][i])))
+        row_map = WeightedSumMap(family.parts, (1.0, float(weights[i])))
         assert _same_bits(got[i], row_map(xs[i]))
 
 
@@ -171,7 +180,7 @@ def test_batch_rows_match_scalar_bitwise(dim, rows, seed):
 def test_batch_power_overflow_matches_scalar():
     cube = PolynomialMap(1, (((1.0, (3,)), (0.5, (1,))),))
     xs = np.array([[1e200], [-1e200], [2.0]])
-    got = cube.batch(xs)
+    got = cube.batch()(xs)
     for i in range(3):
         assert _same_bits(got[i], cube(xs[i]))
     assert got[0, 0] == np.inf and got[1, 0] == -np.inf
@@ -416,7 +425,7 @@ def test_exponent_one_matches_numpy_reference_on_bit_patterns():
     ])
     for spec, pts in [(LINEAR_FACTORS, xs), (logistic_observer(), xs[:, :1])]:
         _assert_evaluates_as_reference(spec, pts)
-        got = spec.batch(pts)
+        got = spec.batch()(pts)
         for row, x in zip(got, pts):
             assert _value_bits(row) == _value_bits(spec(x.tolist())), (spec, x)
 
