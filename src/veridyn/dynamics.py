@@ -41,7 +41,6 @@ __all__ = [
     "LyapunovReport",
     "perturbed_map",
     "jacobian",
-    "jacobian_fd",
     "find_fixed_point",
     "find_critical_r",
     "sweep_bifurcation",
@@ -189,8 +188,9 @@ class MapSpec:
     shape only (kinds, dimensions, which powers are 1), so it is compiled
     once per shape; coefficients, exponents and weights are bound as
     constants, never written into the source, and each coupling value r
-    only binds its own.  `batch` runs the same code on numpy columns;
-    `jacobian_analytic` and everything downstream of it stay on arrays.
+    only binds its own.  `batch` runs the same code on numpy columns.
+    Every map has an exact `jacobian_analytic`; it and everything
+    downstream of it stay on arrays.
     """
 
     dim: int
@@ -213,8 +213,8 @@ class MapSpec:
             return out
         return evaluate
 
-    def jacobian_analytic(self, x: np.ndarray) -> np.ndarray | None:
-        """Exact Jacobian when the map's form supports one, else None."""
+    def jacobian_analytic(self, x: np.ndarray) -> np.ndarray:
+        """The exact (dim, dim) Jacobian at x."""
         raise NotImplementedError
 
     def _emit(self, src: _Source, ins: list[str]) -> list[str]:
@@ -339,7 +339,7 @@ class PolynomialMap(MapSpec):
 
 @dataclass(frozen=True)
 class PipelineMap(MapSpec):
-    """Sequential composition of endomaps; differentiated numerically."""
+    """Sequential composition of endomaps; differentiated by the chain rule."""
 
     parts: tuple[MapSpec, ...]
 
@@ -364,12 +364,21 @@ class PipelineMap(MapSpec):
         return ins
 
     def jacobian_analytic(self, x):
-        return None
+        # the chain rule, J_k(x_k-1) ... J_1(x_0) with x_0 = x and x_i the point
+        # part i leaves; a part's own evaluator runs the pipeline's statements
+        # for it, so x_i has the pipeline's bits
+        jac = np.eye(self.dim)
+        point = tuple(map(float, x))
+        for i, p in enumerate(self.parts):
+            if i:
+                point = self.parts[i - 1](point)
+            jac = p.jacobian_analytic(np.array(point)) @ jac
+        return jac
 
 
 @dataclass(frozen=True)
 class WeightedSumMap(MapSpec):
-    """Pointwise weighted sum of maps; analytic iff all parts are."""
+    """Pointwise weighted sum of maps; its Jacobian is the weighted sum of theirs."""
 
     parts: tuple[MapSpec, ...]
     weights: tuple[float, ...]
@@ -401,10 +410,7 @@ class WeightedSumMap(MapSpec):
     def jacobian_analytic(self, x):
         total = np.zeros((self.dim, self.dim))
         for w, p in zip(self.weights, self.parts):
-            jac = p.jacobian_analytic(x)
-            if jac is None:
-                return None
-            total += w * jac
+            total += w * p.jacobian_analytic(x)
         return total
 
 
@@ -435,26 +441,9 @@ def perturbed_map(update: MapSpec, observer: MapSpec, r: float) -> MapSpec:
     return WeightedSumMap((update, observer), (1.0, float(r)))
 
 
-def jacobian_fd(F: MapSpec, x: np.ndarray) -> np.ndarray:
-    """Central finite differences with per-coordinate step 1e-6 max(1, |x_i|)."""
-    x = np.asarray(x, dtype=np.float64)
-    n = F.dim
-    jac = np.zeros((n, n))
-    for j in range(n):
-        h = 1e-6 * max(1.0, abs(x[j]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[j] += h
-        xm[j] -= h
-        jac[:, j] = np.subtract(F(xp.tolist()), F(xm.tolist())) / (2.0 * h)
-    return jac
-
-
 def jacobian(F: MapSpec, x: np.ndarray) -> LinOp:
-    """Jacobian at x: analytic where the map supports it, else central FD."""
+    """F's exact Jacobian at x, which must be finite."""
     jac = F.jacobian_analytic(np.asarray(x, dtype=np.float64))
-    if jac is None:
-        jac = jacobian_fd(F, x)
     if not np.all(np.isfinite(jac)):
         raise NonFiniteError("Jacobian contains non-finite entries")
     return LinOp(jac)

@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .cascade import CascadeSpec, CascadeStage, LinOp
+from .cascade import DIM_CAP, CascadeSpec, CascadeStage, LinOp
 from .category import (
     FinMor,
     FinObj,
@@ -408,6 +408,8 @@ def parse_simulate_settings(doc: Mapping) -> SimulateSettings:
 def parse_sweep_settings(doc: Mapping) -> SweepSettings:
     """The sweep command's sections, checked before anything runs."""
     update, observer = _coupled_maps(doc)
+    # each row's Jacobian is an operator, which DIM_CAP bounds
+    _within_cap(update.dim, "dimension", DIM_CAP)
     grid = _mapping(require_section(doc, "r_grid"), "r_grid")
     lo, hi = _real(grid.get("lo"), "r_grid lo"), _real(grid.get("hi"), "r_grid hi")
     if not lo < hi:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from veridyn.category import FinMor, FinObj, FunctorRep, NatTransRep
-from veridyn.dynamics import AffineMap
+from veridyn.dynamics import AffineMap, MapSpec
 from veridyn.entropy import ProbState
 
 
@@ -19,6 +19,21 @@ def zero_map(dim: int) -> AffineMap:
 
 def scale_map(dim: int, c: float) -> AffineMap:
     return AffineMap(c * np.eye(dim), np.zeros(dim))
+
+
+def jacobian_fd(F: MapSpec, x: np.ndarray) -> np.ndarray:
+    """Central finite differences with per-coordinate step 1e-6 max(1, |x_i|)."""
+    x = np.asarray(x, dtype=np.float64)
+    n = F.dim
+    jac = np.zeros((n, n))
+    for j in range(n):
+        h = 1e-6 * max(1.0, abs(x[j]))
+        xp = x.copy()
+        xm = x.copy()
+        xp[j] += h
+        xm[j] -= h
+        jac[:, j] = np.subtract(F(xp.tolist()), F(xm.tolist())) / (2.0 * h)
+    return jac
 
 
 def point_mass(carrier: FinObj, element: str) -> ProbState:

@@ -14,6 +14,7 @@ from math import gcd
 import numpy as np
 
 from conftest import (
+    jacobian_fd,
     make_theta_system,
     pairs_of,
     random_mor,
@@ -36,7 +37,6 @@ from veridyn.coalgebra import apply_F, iterate_to_theta, verify_theta
 from veridyn.dynamics import (
     PolynomialMap,
     find_critical_r,
-    jacobian_fd,
     sweep_bifurcation,
 )
 from veridyn.entropy import (

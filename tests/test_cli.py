@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from veridyn import cli, dynamics
-from veridyn.cascade import RESIDUAL_TOL
+from veridyn.cascade import DIM_CAP, RESIDUAL_TOL
 from veridyn.cli import main
 from veridyn.dynamics import (
     AffineMap,
@@ -589,6 +589,21 @@ SCENARIOS = Path(__file__).parents[1] / "scenarios"
 UNIVERSE_SCENARIO = SCENARIOS / "observer_universe.json"
 
 
+def test_sweep_beyond_the_dimension_cap_exits_2_uncompiled(tmp_path, capsys, monkeypatch):
+    # the bundled dim-100 sweep is inside every other sweep cap
+    doc = json.loads((SCENARIOS / "oversized_sweep.json").read_text())
+    assert doc["phi"]["dim"] == 100
+    at_cap = {"kind": "polynomial", "dim": DIM_CAP, "coords": [[]] * DIM_CAP}
+    assert parse_sweep_settings({**doc, "phi": at_cap, "observer": at_cap}).update.dim \
+        == DIM_CAP
+    compiled = []
+    monkeypatch.setattr(dynamics, "_generate", compiled.append)
+    out = tmp_path / "out"
+    assert _run("sweep", str(SCENARIOS / "oversized_sweep.json"), out) == 2
+    assert _assert_rejected(capsys, out).endswith(f"dimension 100 exceeds cap {DIM_CAP}")
+    assert compiled == []
+
+
 # scenario files that do not decode to a JSON document
 UNDECODABLE = {
     "invalid UTF-8": b'{"seed": "\xff"}',
@@ -1153,6 +1168,7 @@ BUNDLED_RUNS = [
     ("simulate", "chaotic_ledger", 0),
     ("simulate", "runaway_ledger", 2),
     ("sweep", "runaway_sweep", 2),
+    ("sweep", "oversized_sweep", 2),
 ]
 
 

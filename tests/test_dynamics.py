@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import point_mass, scale_map, zero_map
+from conftest import jacobian_fd, point_mass, scale_map, zero_map
 from veridyn import cli, dynamics
 from veridyn._formats import fmt_real
 from veridyn.cascade import LinOp, spectrum
@@ -28,7 +28,6 @@ from veridyn.dynamics import (
     find_critical_r,
     find_fixed_point,
     jacobian,
-    jacobian_fd,
     lyapunov_trace,
     _classify,
     perturbed_map,
@@ -698,11 +697,76 @@ def test_fd_vs_analytic_on_random_polynomials():
         assert float(np.max(np.abs(ja - jf))) / denom <= 1e-5
 
 
-def test_pipeline_uses_fd():
+def test_pipeline_jacobian_is_the_chain_rule():
     pipe = PipelineMap((scale_map(1, 2.0), PolynomialMap(1, (((1.0, (2,)),),))))
-    assert pipe.jacobian_analytic(np.array([1.0])) is None
     # d/dx (2x)^2 = 8x
-    assert jacobian(pipe, np.array([1.0])).entries[0, 0] == pytest.approx(8.0, rel=1e-6)
+    assert jacobian(pipe, np.array([1.0])).entries[0, 0] == 8.0
+
+
+def _chain_rule(spec, x):
+    """The closed form: a pipeline's Jacobian is the product of its parts'
+    at the points the parts before them leave, a sum's the weighted sum."""
+    if isinstance(spec, PipelineMap):
+        points = [x.tolist()]
+        for p in spec.parts[:-1]:
+            points.append(p(points[-1]))
+        factors = [_chain_rule(p, np.array(pt)) for p, pt in zip(spec.parts, points)]
+        jac = factors[0]
+        for factor in factors[1:]:
+            jac = factor @ jac
+        return jac
+    if isinstance(spec, WeightedSumMap):
+        return sum(w * _chain_rule(p, x) for w, p in zip(spec.weights, spec.parts))
+    return spec.jacobian_analytic(x)
+
+
+UNIT = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def _unit_leaves(draw, dim):
+    """A polynomial or affine map with coefficients in [-1, 1]."""
+    if draw(st.booleans()):
+        return AffineMap(draw(st.lists(st.lists(UNIT, min_size=dim, max_size=dim),
+                                       min_size=dim, max_size=dim)),
+                         draw(st.lists(UNIT, min_size=dim, max_size=dim)))
+    powers = st.lists(st.integers(0, 3), min_size=dim, max_size=dim).filter(
+        lambda ps: sum(ps) <= 3).map(tuple)
+    terms = st.lists(st.tuples(UNIT, powers), max_size=3).map(tuple)
+    return PolynomialMap(dim, tuple(draw(terms) for _ in range(dim)))
+
+
+@st.composite
+def _pipelines(draw, dim):
+    """A pipeline of leaves, and at times a pipeline among its parts, or a
+    sum with a pipeline among its parts, or the pipeline inside a sum."""
+    parts = draw(st.lists(_unit_leaves(dim), min_size=1, max_size=3))
+    nested = PipelineMap(tuple(draw(st.lists(_unit_leaves(dim), min_size=1,
+                                             max_size=2))))
+    form = draw(st.sampled_from(["flat", "pipeline of pipelines", "sum inside",
+                                 "inside a sum"]))
+    if form == "pipeline of pipelines":
+        parts.insert(draw(st.integers(0, len(parts))), nested)
+    elif form == "sum inside":
+        parts.insert(draw(st.integers(0, len(parts))),
+                     WeightedSumMap((nested, draw(_unit_leaves(dim))),
+                                    (draw(UNIT), draw(UNIT))))
+    pipe = PipelineMap(tuple(parts))
+    if form == "inside a sum":
+        return WeightedSumMap((pipe, draw(_unit_leaves(dim))), (draw(UNIT), draw(UNIT)))
+    return pipe
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_pipeline_jacobian_is_the_product_of_its_parts(data):
+    dim = data.draw(st.integers(1, 4))
+    spec = data.draw(_pipelines(dim))
+    x = np.array(data.draw(st.lists(UNIT, min_size=dim, max_size=dim)))
+    jac = jacobian(spec, x).entries
+    assert np.array_equal(jac, _chain_rule(spec, x))
+    fd = jacobian_fd(spec, x)
+    assert float(np.max(np.abs(jac - fd))) / max(1.0, float(np.max(np.abs(jac)))) <= 1e-5
 
 
 # --- fixed points -------------------------------------------------------------
