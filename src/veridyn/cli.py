@@ -8,6 +8,10 @@ write that fails, leaves --out as it was. Files that the manifest already
 in --out listed and this run did not write are then deleted; no other file
 is. Identical scenario and seed produce byte-identical CSV/JSON artifacts
 (the manifest itself carries wall time and is exempt).
+
+The matrix layer (numpy, dynamics, cascade) is imported inside simulate,
+sweep and cascade, the commands that run it, so check-axioms, theta and
+entropy start without it.
 """
 
 from __future__ import annotations
@@ -20,19 +24,10 @@ import tempfile
 import time
 from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
 from ._formats import write_json, write_text
-from .cascade import (
-    build_cascade,
-    cascade_fixed_points,
-    check_commuting,
-    check_hull_claim,
-    spectrum,
-    spectrum_to_csv,
-)
 from .category import (
     check_observer_square,
     check_verification_square,
@@ -40,15 +35,6 @@ from .category import (
     validate_functor,
 )
 from .coalgebra import build_chain, chain_to_csv, iterate_to_theta, verify_theta
-from .dynamics import (
-    Trajectory,
-    diagram_to_csv,
-    find_critical_r,
-    lyapunov_trace,
-    simulate_coupled,
-    sweep_bifurcation,
-    trajectory_to_csv,
-)
 from .entropy import (
     build_trace,
     entropy_direction_report,
@@ -80,6 +66,9 @@ from .scenario import (
     parse_universe,
     scenario_seed,
 )
+
+if TYPE_CHECKING:
+    from .dynamics import Trajectory
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -158,6 +147,7 @@ def _rollout_within_ledger_cap(sim: SimulateSettings) -> tuple[Trajectory, list]
     LEDGER_PROBE_STEPS states, on the bound those give for the whole run,
     so a runaway ledger is rejected before the rest is rolled out.
     """
+    from .dynamics import simulate_coupled
     points = sim.steps + 1
     traj = None
     for k in ((LEDGER_PROBE_STEPS, points) if points > LEDGER_PROBE_STEPS else (points,)):
@@ -174,6 +164,7 @@ def _rollout_within_ledger_cap(sim: SimulateSettings) -> tuple[Trajectory, list]
 
 
 def cmd_simulate(doc: dict) -> tuple[int, dict]:
+    from .dynamics import lyapunov_trace, trajectory_to_csv
     sim = parse_simulate_settings(doc)
     traj, cells = _rollout_within_ledger_cap(sim)
     h_state, h_obs = map(prefix_entropies, cells)
@@ -190,6 +181,8 @@ def cmd_simulate(doc: dict) -> tuple[int, dict]:
 
 
 def cmd_sweep(doc: dict) -> tuple[int, dict]:
+    import numpy as np
+    from .dynamics import diagram_to_csv, find_critical_r, sweep_bifurcation
     sw = parse_sweep_settings(doc)
     r_grid = np.linspace(sw.lo, sw.hi, sw.steps)
     diagram = sweep_bifurcation(sw.update, sw.observer, r_grid,
@@ -201,6 +194,8 @@ def cmd_sweep(doc: dict) -> tuple[int, dict]:
 
 
 def cmd_cascade(doc: dict) -> tuple[int, dict]:
+    from .cascade import (build_cascade, cascade_fixed_points, check_commuting,
+                          check_hull_claim, spectrum, spectrum_to_csv)
     spec = parse_cascade_spec(doc)
     op = build_cascade(spec)
     report = spectrum(op)

@@ -1,7 +1,9 @@
 """Scenario files: one JSON document driving every CLI command.
 
 No other module reads scenario JSON: the parsers check and resolve the
-sections a command needs before anything runs.
+sections a command needs before anything runs. The parsers of maps and
+operators import the matrix layer (dynamics, cascade) when they run, so
+the finite-set parsers load no numpy.
 
 Top-level keys (all optional; each command names the sections it needs):
 
@@ -29,9 +31,8 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
-from .cascade import DIM_CAP, CascadeSpec, CascadeStage, LinOp
 from .category import (
     FinMor,
     FinObj,
@@ -42,18 +43,13 @@ from .category import (
     identity_functor,
     permutation_order,
 )
-from .dynamics import (
-    DEFAULT_SAMPLE,
-    DEFAULT_TRANSIENT,
-    AffineMap,
-    MapSpec,
-    PipelineMap,
-    PolynomialMap,
-    WeightedSumMap,
-)
 from .entropy import EntropyParams, ProbState
 from .errors import MissingSectionError, ScenarioParseError
 from .phase import PhasedMorphism, RationalPhase
+
+if TYPE_CHECKING:
+    from .cascade import CascadeSpec, LinOp
+    from .dynamics import MapSpec
 
 __all__ = [
     "load_scenario",
@@ -194,6 +190,7 @@ def parse_map_spec(desc) -> MapSpec:
 
 
 def _map_size(spec: MapSpec) -> int:
+    from .dynamics import PipelineMap, PolynomialMap, WeightedSumMap
     size = spec.dim
     if isinstance(spec, PolynomialMap):
         size += sum(map(len, spec.coords))
@@ -203,6 +200,7 @@ def _map_size(spec: MapSpec) -> int:
 
 
 def _map_spec(desc) -> MapSpec:
+    from .dynamics import AffineMap, PipelineMap, PolynomialMap, WeightedSumMap
     kind = _mapping(desc, "map descriptor").get("kind")
     if kind == "affine":
         rows = _list(desc.get("A"), "affine A")
@@ -232,6 +230,7 @@ def _poly_term(value) -> tuple[float, tuple[int, ...]]:
 
 def parse_theta_operator(desc: Mapping) -> tuple[LinOp, int]:
     """Build a finite-order operator plus its declared period."""
+    from .cascade import LinOp
     kind = _mapping(desc, "cascade stage theta").get("kind")
     if kind == "rotation":
         turns = _phase(desc.get("turns", "0"), "rotation turns")
@@ -255,6 +254,7 @@ def parse_theta_operator(desc: Mapping) -> tuple[LinOp, int]:
 
 
 def parse_cascade_spec(doc: Mapping) -> CascadeSpec:
+    from .cascade import CascadeSpec, CascadeStage
     section = _mapping(require_section(doc, "cascade"), "cascade")
     stages = []
     for st in _entries(section, "stages", "cascade"):
@@ -407,6 +407,8 @@ def parse_simulate_settings(doc: Mapping) -> SimulateSettings:
 
 def parse_sweep_settings(doc: Mapping) -> SweepSettings:
     """The sweep command's sections, checked before anything runs."""
+    from .cascade import DIM_CAP
+    from .dynamics import DEFAULT_SAMPLE, DEFAULT_TRANSIENT
     update, observer = _coupled_maps(doc)
     # each row's Jacobian is an operator, which DIM_CAP bounds
     _within_cap(update.dim, "dimension", DIM_CAP)

@@ -4,6 +4,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -419,13 +422,13 @@ def test_sweep_flip_at_observer_scale_098(tmp_path):
 
 
 def test_sweep_failure_leaves_no_diagram(tmp_path, monkeypatch):
-    import veridyn.cli as cli
     from veridyn.errors import NoConvergenceError
 
     def stalled(*args, **kwargs):
         raise NoConvergenceError("stalled")
 
-    monkeypatch.setattr(cli, "find_critical_r", stalled)
+    # cmd_sweep imports find_critical_r from dynamics when it runs
+    monkeypatch.setattr(dynamics, "find_critical_r", stalled)
     out = tmp_path / "stalled"
     assert _run("sweep", _write(tmp_path, LOGISTIC), out) == 3
     assert not (out / "diagram.csv").exists()
@@ -1040,13 +1043,16 @@ GOLDEN_DYNAMICS_RUNS = {
 }
 
 
+def _digests(out):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in (out.iterdir() if out.is_dir() else ())
+            if p.name != "run_manifest.json"}
+
+
 def _check_digests(tmp_path, scenario, cmd, code, digests):
     out = tmp_path / "out"
     assert _run(cmd, str(SCENARIOS / f"{scenario}.json"), out) == code
-    found = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-             for p in (out.iterdir() if out.is_dir() else ())
-             if p.name != "run_manifest.json"}
-    assert found == digests
+    assert _digests(out) == digests
 
 
 @pytest.mark.parametrize("scenario, cmd", list(GOLDEN_FINITE_SET_RUNS),
@@ -1059,6 +1065,61 @@ def test_finite_set_artifacts_keep_their_digests(tmp_path, scenario, cmd):
                          ids=[f"{s}-{c}" for s, c in GOLDEN_DYNAMICS_RUNS])
 def test_dynamics_artifacts_keep_their_digests(tmp_path, scenario, cmd):
     _check_digests(tmp_path, scenario, cmd, *GOLDEN_DYNAMICS_RUNS[scenario, cmd])
+
+
+# Runs each argument list through veridyn.cli.main in one fresh interpreter in
+# which any import of numpy raises, and prints one JSON line: for each run its
+# exit code, or "ImportError" if it raised one, its stdout and its stderr.
+NUMPY_BLOCKED = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+from veridyn.cli import main
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except ImportError:
+            code = "ImportError"
+    runs.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(runs))
+"""
+
+
+def test_finite_set_commands_run_without_numpy(tmp_path, capsys):
+    # check-axioms, theta and entropy load neither numpy nor the matrix layer
+    doc = json.loads(UNIVERSE_SCENARIO.read_text())
+    BAD_UNIVERSE["morphism mapping not total"](doc["universe"])
+    runs = [*((str(SCENARIOS / f"{s}.json"), cmd) for s, cmd in GOLDEN_FINITE_SET_RUNS),
+            (_write(tmp_path, doc), "check-axioms")]
+    outs = [tmp_path / "blocked" / str(i) for i in range(len(runs))]
+    argvs = [[cmd, "--scenario", scen, "--out", str(out)]
+             for (scen, cmd), out in zip(runs, outs)]
+    sweep = ["sweep", "--scenario", str(SCENARIOS / "logistic_sweep.json"),
+             "--out", str(tmp_path / "sweep")]
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", NUMPY_BLOCKED, json.dumps([*argvs, sweep])],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    blocked = json.loads(proc.stdout)
+    # the negative control: sweep runs the matrix layer, which needs numpy
+    assert blocked.pop() == ["ImportError", "", ""]
+    assert not (tmp_path / "sweep").exists()
+    for (_, digests), out in zip(GOLDEN_FINITE_SET_RUNS.values(), outs):
+        assert _digests(out) == digests
+    # exit code, stdout and stderr as with numpy loaded
+    for (scen, cmd), run in zip(runs, blocked):
+        code = _run(cmd, scen, tmp_path / "ref")
+        captured = capsys.readouterr()
+        assert run == [code, captured.out, captured.err]
+    assert [run[0] for run in blocked] == \
+        [code for code, _ in GOLDEN_FINITE_SET_RUNS.values()] + [2]
+    err = blocked[-1][2].splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not outs[-1].exists()
 
 
 def test_entropy_without_sections_is_input_error(tmp_path):
