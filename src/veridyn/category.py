@@ -359,10 +359,7 @@ def validate_functor(functor: FunctorRep) -> list[FunctorDefect]:
         for g in doms:
             if f.dst != g.src:
                 continue
-            try:
-                comp = compose(f, g)
-            except NonComposableError:  # pragma: no cover - guarded above
-                continue
+            comp = compose(f, g)
             if comp not in functor.mor_map and not comp.is_identity():
                 defects.append(FunctorDefect(
                     "closure",
@@ -383,6 +380,13 @@ def validate_functor(functor: FunctorRep) -> list[FunctorDefect]:
 # --- declared universes -------------------------------------------------
 
 
+def _lookup(table: dict, key: str, what: str):
+    try:
+        return table[key]
+    except KeyError:
+        raise UnresolvedReferenceError(f"unknown {what} {key!r}") from None
+
+
 @dataclass
 class Universe:
     """A declared finite universe: objects, morphisms, functors, transformations.
@@ -396,34 +400,16 @@ class Universe:
     transformations: dict[str, NatTransRep] = field(default_factory=dict)
 
     def object(self, oid: str) -> FinObj:
-        try:
-            return self.objects[oid]
-        except KeyError:
-            raise UnresolvedReferenceError(f"unknown object id {oid!r}") from None
+        return _lookup(self.objects, oid, "object id")
 
     def morphism(self, mid: str) -> FinMor:
-        try:
-            return self.morphisms[mid]
-        except KeyError:
-            raise UnresolvedReferenceError(f"unknown morphism id {mid!r}") from None
+        return _lookup(self.morphisms, mid, "morphism id")
 
     def functor(self, name: str) -> FunctorRep:
-        try:
-            return self.functors[name]
-        except KeyError:
-            raise UnresolvedReferenceError(f"unknown functor {name!r}") from None
+        return _lookup(self.functors, name, "functor")
 
     def transformation(self, name: str) -> NatTransRep:
-        try:
-            return self.transformations[name]
-        except KeyError:
-            raise UnresolvedReferenceError(f"unknown transformation {name!r}") from None
-
-    def _resolve_functor_name(self, name: str) -> FunctorRep | None:
-        """None encodes the identity functor (names "Id" or empty)."""
-        if name in ("Id", "", None):
-            return None
-        return self.functor(name)
+        return _lookup(self.transformations, name, "transformation")
 
     def all_square_checks(self) -> list[dict]:
         """Naturality of every declared transformation against every morphism.
@@ -436,7 +422,9 @@ class Universe:
         for tname, trans in sorted(self.transformations.items()):
             try:
                 target = self.functor(trans.target)
-                source = self._resolve_functor_name(trans.source)
+                # None is the identity functor, named "Id" or left empty
+                source = (None if trans.source in ("Id", "", None)
+                          else self.functor(trans.source))
             except UnresolvedReferenceError as exc:
                 results.append({"transformation": tname, "morphism": None,
                                 "status": "skipped", "reason": str(exc)})

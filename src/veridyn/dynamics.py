@@ -436,8 +436,6 @@ def perturbed_map(update: MapSpec, observer: MapSpec, r: float) -> MapSpec:
 
     r is F_r's last constant, so a batch of F_r can take one r per row.
     """
-    if update.dim != observer.dim:
-        raise DimMismatchError("update and observer dimensions differ")
     return WeightedSumMap((update, observer), (1.0, float(r)))
 
 

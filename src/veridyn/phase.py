@@ -77,32 +77,14 @@ class RationalPhase:
 ZERO_PHASE = RationalPhase(0, 1)
 
 
-def _make_canonical(num: int, den: int) -> RationalPhase:
-    # fast path for values already in canonical residue form
-    p = object.__new__(RationalPhase)
-    object.__setattr__(p, "numerator", num)
-    object.__setattr__(p, "denominator", den)
-    return p
-
-
 def phase_add(a: RationalPhase, b: RationalPhase) -> RationalPhase:
     """Exact sum of two phases, reduced mod one full turn."""
-    den = a.denominator * b.denominator
-    num = (a.numerator * b.denominator + b.numerator * a.denominator) % den
-    g = math.gcd(num, den)
-    num //= g
-    den //= g
-    if den > DENOMINATOR_CAP:
-        raise DenominatorOverflowError(
-            f"reduced denominator {den} exceeds cap {DENOMINATOR_CAP}"
-        )
-    return _make_canonical(num, den)
+    return RationalPhase(a.numerator * b.denominator + b.numerator * a.denominator,
+                         a.denominator * b.denominator)
 
 
 def phase_inverse(a: RationalPhase) -> RationalPhase:
-    if a.numerator == 0:
-        return a
-    return _make_canonical(a.denominator - a.numerator, a.denominator)
+    return RationalPhase(-a.numerator, a.denominator)
 
 
 @dataclass(frozen=True)

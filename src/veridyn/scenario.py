@@ -77,19 +77,20 @@ __all__ = [
 ]
 
 
-# Caps on the counts that set a command's work (DIM_CAP bounds operators);
-# a count beyond its cap exits 2 before anything runs.
-SWEEP_GRID_CAP = 10 ** 3  # r_grid steps, each with its own critical-scan solves
-SWEEP_ROW_CAP = 10 ** 5  # transient + sample, the batch's map steps per row
-SWEEP_WORK_CAP = 10 ** 7  # r_grid steps x (transient + sample)
-# F_r's size (both maps and its dim) x (r_grid steps + SWEEP_STEP_ROWS) x
-# (transient + sample + SWEEP_SOLVE_CALLS): a batch step's own cost is that of
-# about 30 rows, and the critical scan and row solves make 89
-# (logistic_sweep.json) to 850 (pipeline_ledger.json) F_r calls per grid value
-SWEEP_STEP_ROWS = 64
-SWEEP_SOLVE_CALLS = 4096
-SWEEP_MAP_WORK_CAP = 10 ** 8
-SIMULATE_STEPS_CAP = 10 ** 5
+# simulate and sweep are priced in float operations of a generated map
+# evaluator (20 to 40 ns on a shared 2-core Xeon) before any map compiles;
+# at WORK_CAP, each shape of tests/conftest.py takes 2 to 5 s
+WORK_CAP = 10 ** 8
+# a numpy call, about 1 us: a dim-2 affine node on floats (two) takes 2.1 us,
+# and a batched map step 0.9 us per float operation (one each)
+CALL_WORK = 40
+# F_r calls of the critical scan and row solve per grid value: 13 to 103 on
+# the shapes' 91-value grids, 89 on logistic_sweep.json, 840 on
+# pipeline_ledger.json
+SOLVE_CALLS = 1024
+# a simulate row per state coordinate, plus two: 9.6, 12.8 and 212 us at dim
+# 1, 2 and 64 to roll out, bin, sum entropies and write when no state repeats
+ROW_WORK = 128
 # distinct cells seen so far, summed over the steps of both simulate ledgers;
 # known only after the rollout, and checked before any entropy is summed
 LEDGER_WORK_CAP = 2 * 10 ** 7
@@ -185,18 +186,32 @@ def parse_entropy_params(doc: Mapping) -> EntropyParams:
 
 def parse_map_spec(desc) -> MapSpec:
     spec = _map_spec(desc)
-    _within_cap(_map_size(spec), "map size", MAP_SIZE_CAP)
+    _within_cap(_map_cost(spec)[0], "map size", MAP_SIZE_CAP)
     return spec
 
 
-def _map_size(spec: MapSpec) -> int:
-    from .dynamics import PipelineMap, PolynomialMap, WeightedSumMap
-    size = spec.dim
+def _map_cost(spec: MapSpec) -> tuple[int, int, int]:
+    """Size of `spec` (each node's dim, plus one per polynomial term), and
+    the float operations of one call on floats and batched.
+
+    On floats a polynomial term costs 1, 1 per factor and 2 more per power
+    other than 1 (libm); a dim-1 affine node 3; a dim-d one two numpy calls,
+    2d outputs and d^2 / CALL_WORK for BLAS; a sum 2 per part and coordinate.
+    Batched, each is a numpy call, and a dim-d affine node makes 6 + 2d.
+    """
+    from .dynamics import AffineMap, PolynomialMap, WeightedSumMap
+    d = spec.dim
+    if isinstance(spec, AffineMap):
+        if d == 1:
+            return 1, 3, 3 * CALL_WORK
+        return d, 2 * CALL_WORK + 2 * d + d * d // CALL_WORK, CALL_WORK * (6 + 2 * d)
     if isinstance(spec, PolynomialMap):
-        size += sum(map(len, spec.coords))
-    if isinstance(spec, (PipelineMap, WeightedSumMap)):
-        size += sum(map(_map_size, spec.parts))
-    return size
+        ops = sum(1 + sum(1 + 2 * (p > 1) for p in powers if p)
+                  for terms in spec.coords for _, powers in terms)
+        return d + sum(map(len, spec.coords)), ops, CALL_WORK * ops
+    size, ops, batched = map(sum, zip(*map(_map_cost, spec.parts)))
+    own = 2 * len(spec.parts) * d if isinstance(spec, WeightedSumMap) else 0
+    return d + size, ops + own, batched + CALL_WORK * own
 
 
 def _map_spec(desc) -> MapSpec:
@@ -280,12 +295,12 @@ def _real(value, what: str) -> float:
     return out
 
 
-def _integer(value, what: str, minimum: int, cap: int | None = None) -> int:
+def _integer(value, what: str, minimum: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ScenarioParseError(f"{what} must be an integer, got {value!r}")
     if value < minimum:
         raise ScenarioParseError(f"{what} must be >= {minimum}, got {value}")
-    return value if cap is None else _within_cap(value, what, cap)
+    return value
 
 
 def _within_cap(count: int, what: str, cap: int) -> int:
@@ -382,6 +397,27 @@ class SweepSettings:
     sample: int
 
 
+def _within_work_cap(run: SimulateSettings | SweepSettings):
+    """`run`, once its work in float operations is within WORK_CAP.
+
+    F_r = update + r * observer adds 2 per map and coordinate. simulate
+    calls F_r and the observer per step and writes a row per state; sweep
+    steps one batch of a row per grid value (15 calls of loop checks, an F_r
+    call per row), then takes SOLVE_CALLS solver steps per grid value.
+    """
+    (_, u_float, u_batch), (_, o_float, o_batch) = map(_map_cost, (run.update, run.observer))
+    dim = run.update.dim
+    f_r = u_float + o_float + 4 * dim
+    if isinstance(run, SimulateSettings):
+        what, work = "simulate", (run.steps + 1) * (f_r + o_float + ROW_WORK * (dim + 2))
+    else:
+        step = u_batch + o_batch + CALL_WORK * (4 * dim + 15) + run.steps * f_r
+        what, work = "sweep", ((run.transient + run.sample) * step
+                               + run.steps * SOLVE_CALLS * (f_r + CALL_WORK))
+    _within_cap(work, f"{what} work", WORK_CAP)
+    return run
+
+
 def parse_simulate_settings(doc: Mapping) -> SimulateSettings:
     """The simulate command's sections, checked before anything runs."""
     update, observer = _coupled_maps(doc)
@@ -395,14 +431,14 @@ def parse_simulate_settings(doc: Mapping) -> SimulateSettings:
         float(bins)  # the ledger scales by bins in floating point
     except OverflowError:
         raise ScenarioParseError(f"ledger bins {bins} exceeds the float range") from None
-    return SimulateSettings(
+    return _within_work_cap(SimulateSettings(
         update, observer,
         x0=_vector(require_section(doc, "x0"), update.dim, "x0"),
-        steps=_integer(require_section(doc, "steps"), "steps", 0, SIMULATE_STEPS_CAP),
+        steps=_integer(require_section(doc, "steps"), "steps", 0),
         r=_real(doc.get("r", 0.0), "r"),
         schedule=_integer(doc.get("schedule", 1), "schedule", 1),
         bins=bins, lo=lo, hi=hi,
-        alpha=parse_entropy_params(doc).alpha if "entropy" in doc else 1.0)
+        alpha=parse_entropy_params(doc).alpha if "entropy" in doc else 1.0))
 
 
 def parse_sweep_settings(doc: Mapping) -> SweepSettings:
@@ -416,20 +452,14 @@ def parse_sweep_settings(doc: Mapping) -> SweepSettings:
     lo, hi = _real(grid.get("lo"), "r_grid lo"), _real(grid.get("hi"), "r_grid hi")
     if not lo < hi:
         raise ScenarioParseError(f"r_grid needs lo < hi, got {lo} and {hi}")
-    steps = _integer(grid.get("steps"), "r_grid steps", 2, SWEEP_GRID_CAP)
+    steps = _integer(grid.get("steps"), "r_grid steps", 2)
     transient = _integer(doc.get("transient", DEFAULT_TRANSIENT), "transient", 1)
     sample = _integer(doc.get("sample", DEFAULT_SAMPLE), "sample", 2)
-    per_row = _within_cap(transient + sample, "transient + sample", SWEEP_ROW_CAP)
-    _within_cap(steps * per_row, "r_grid steps x (transient + sample)", SWEEP_WORK_CAP)
-    size = _map_size(update) + _map_size(observer) + update.dim
-    _within_cap(size * (steps + SWEEP_STEP_ROWS) * (per_row + SWEEP_SOLVE_CALLS),
-                f"F_r size x (r_grid steps + {SWEEP_STEP_ROWS}) x "
-                f"(transient + sample + {SWEEP_SOLVE_CALLS})", SWEEP_MAP_WORK_CAP)
     x0 = doc.get("x0")
-    return SweepSettings(
+    return _within_work_cap(SweepSettings(
         update, observer,
         x0=None if x0 is None else _vector(x0, update.dim, "x0"),
-        lo=lo, hi=hi, steps=steps, transient=transient, sample=sample)
+        lo=lo, hi=hi, steps=steps, transient=transient, sample=sample))
 
 
 # --- finite-set layer: theta, entropy traces and phases ----------------------
@@ -520,8 +550,8 @@ def parse_entropy_trace(doc: Mapping, uni: Universe) -> EntropyTraceSettings:
     observer = uni.morphism(_name(section, "observer", "entropy_trace"))
     if transition.src != transition.dst:
         raise ScenarioParseError("entropy_trace transition must be an endomap")
-    steps = _integer(section.get("steps", 16), "entropy_trace steps", 0,
-                     ENTROPY_STEPS_CAP)
+    steps = _within_cap(_integer(section.get("steps", 16), "entropy_trace steps", 0),
+                        "entropy_trace steps", ENTROPY_STEPS_CAP)
     probs = section.get("initial_probs")
     k_schedule = _mapping(doc.get("entropy", {}), "entropy").get("k_schedule")
     if k_schedule is not None:

@@ -6,11 +6,17 @@ failures reproduce exactly.
 
 from __future__ import annotations
 
+import json
+import math
+from pathlib import Path
+
 import numpy as np
 
 from veridyn.category import FinMor, FinObj, FunctorRep, NatTransRep
 from veridyn.dynamics import AffineMap, MapSpec
 from veridyn.entropy import ProbState
+
+SCENARIOS = Path(__file__).parents[1] / "scenarios"
 
 
 def zero_map(dim: int) -> AffineMap:
@@ -113,3 +119,89 @@ def make_theta_system(rng: np.random.Generator, n_objects: int = 6):
 
 def relabel_obj(obj: FinObj, table: dict[str, str], suffix: str = "") -> FinObj:
     return FinObj(obj.id + suffix, tuple(table[x] for x in obj.elements))
+
+
+# --- the shapes that set the simulate and sweep work weights -----------------
+
+
+def _affine(a, b) -> dict:
+    return {"kind": "affine", "A": a, "b": b}
+
+
+def _rotation(rho: float, theta: float = 0.5) -> list[list[float]]:
+    c, s = rho * math.cos(theta), rho * math.sin(theta)
+    return [[c, -s], [s, c]]
+
+
+def _zero_affine(dim: int) -> dict:
+    return _affine([[0.0] * dim for _ in range(dim)], [0.0] * dim)
+
+
+def work_cap_shape(name: str) -> dict:
+    """phi, observer, x0 and r of one calibration shape of the work cap.
+
+    F_r = phi + r * observer, with phi zero except for the pipeline. Each
+    simulate orbit approaches a fixed point inside one ledger cell with a
+    multiplier within 1e-4 of modulus 1, so no state repeats during an
+    at-cap run (a repeated state is written once, which would be faster).
+    """
+    r = 1.5
+    if name == "polynomial":
+        # r x (1 - x) near its flip, plus 99 zero terms of powers 1 to 3
+        terms = [{"coeff": 1.0, "powers": [1]}, {"coeff": -1.0, "powers": [2]},
+                 *({"coeff": 0.0, "powers": [1 + k % 3]} for k in range(99))]
+        return {"phi": _zero_affine(1), "x0": [0.66], "r": 2.9999,
+                "observer": {"kind": "polynomial", "dim": 1, "coords": [terms]}}
+    if name == "affine-1":
+        a = -0.99999 / r
+        return {"phi": _zero_affine(1), "x0": [0.2], "r": r,
+                "observer": _affine([[a]], [0.1 * (1 - r * a) / r])}
+    if name == "affine-2":
+        return {"phi": _zero_affine(2), "x0": [0.1, 0.1], "r": r,
+                "observer": _affine(_rotation(0.9999 / r), [0.001, 0.0])}
+    if name == "affine-64":
+        a = 0.9999 / r
+        return {"phi": _zero_affine(64), "x0": [0.2] * 64, "r": r,
+                "observer": _affine([[a * (i == j) for j in range(64)] for i in range(64)],
+                                    [0.1 * (1 - r * a) / r] * 64)}
+    if name == "pipeline":
+        # pipeline_ledger.json's maps just below their flip at r = 1.43558
+        doc = json.loads((SCENARIOS / "pipeline_ledger.json").read_text())
+        return {"phi": doc["phi"], "observer": doc["observer"], "x0": doc["x0"],
+                "r": 1.4355}
+    if name == "sum-affine-2":
+        part = _affine(_rotation(0.9999 / r / 40), [0.001 / 40, 0.0])
+        return {"phi": _zero_affine(2), "x0": [0.1, 0.1], "r": r,
+                "observer": {"kind": "sum", "parts": [part] * 40, "weights": [1.0] * 40}}
+    raise KeyError(name)
+
+
+WORK_CAP_SHAPES = ("polynomial", "affine-1", "affine-2", "affine-64", "pipeline",
+                   "sum-affine-2")
+
+
+def work_cap_scenario(command: str, name: str, n: int, grid: int = 2) -> dict:
+    """A calibration scenario: simulate of n steps, or a sweep of `grid`
+    values with rows of n + 64 steps (grid 0: n + 1 values, rows of 3)."""
+    doc = {"seed": 7, **work_cap_shape(name)}
+    if command == "simulate":
+        return {**doc, "steps": n, "schedule": 1,
+                "ledger": {"bins": 16, "lo": -2.0, "hi": 2.0}}
+    lo, hi = (2.5, 3.4) if name == "polynomial" else (0.5, 1.0)
+    if grid == 0:
+        return {**doc, "r_grid": {"lo": lo, "hi": hi, "steps": n + 1},
+                "transient": 1, "sample": 2}
+    return {**doc, "r_grid": {"lo": lo, "hi": hi, "steps": grid},
+            "transient": n, "sample": 64}
+
+
+def largest_accepted(accepts, start: int = 1) -> int:
+    """The largest n >= start with accepts(n), for accepts true at start and
+    false from some n on."""
+    lo, hi = start, start + 1
+    while accepts(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if accepts(mid) else (lo, mid)
+    return lo

@@ -1,10 +1,12 @@
 import cmath
 import contextlib
+import functools
 import hashlib
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -15,6 +17,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from conftest import WORK_CAP_SHAPES, work_cap_scenario
 
 from veridyn import cli, dynamics
 from veridyn.cascade import DIM_CAP, RESIDUAL_TOL
@@ -32,13 +36,7 @@ from veridyn.scenario import (
     ENTROPY_STEPS_CAP,
     LEDGER_WORK_CAP,
     MAP_SIZE_CAP,
-    SIMULATE_STEPS_CAP,
-    SWEEP_GRID_CAP,
-    SWEEP_MAP_WORK_CAP,
-    SWEEP_ROW_CAP,
-    SWEEP_SOLVE_CALLS,
-    SWEEP_STEP_ROWS,
-    SWEEP_WORK_CAP,
+    WORK_CAP,
     parse_entropy_trace,
     parse_simulate_settings,
     parse_sweep_settings,
@@ -322,7 +320,7 @@ def test_ledger_work_beyond_the_cap_exits_2_before_any_sum(tmp_path, capsys,
         raise AssertionError("an entropy was summed")
 
     monkeypatch.setattr(cli, "prefix_entropies", summed)
-    scen = _write(tmp_path, _chaotic_ledger(SIMULATE_STEPS_CAP))
+    scen = _write(tmp_path, _chaotic_ledger(10 ** 5))
     start = time.perf_counter()
     assert _run("simulate", scen, out) == 2
     assert time.perf_counter() - start < 1.0
@@ -350,7 +348,7 @@ def test_runaway_ledger_is_rejected_after_the_probe_rollout(tmp_path, capsys,
                 depth[0] -= 1
         monkeypatch.setattr(cls, "__call__", counted)
     scen = SCENARIOS / "runaway_ledger.json"
-    assert json.loads(scen.read_text())["steps"] == SIMULATE_STEPS_CAP
+    assert json.loads(scen.read_text())["steps"] == 10 ** 5
     assert _run("simulate", str(scen), out) == 2
     # F_r and the observer once per state of the probe's rollout
     assert 0 < calls[0] <= 2 * (cli.LEDGER_PROBE_STEPS + 1)
@@ -459,6 +457,38 @@ BAD_DYNAMICS = {
                                          "weights": ["1.0"]}},
     "pipeline parts not a list": {"phi": {"kind": "pipeline", "parts": LOGISTIC["phi"]}},
 }
+
+
+def _logistic_sweep(grid, transient, sample=32):
+    return {**LOGISTIC, "r_grid": {"lo": 2.8, "hi": 3.2, "steps": grid},
+            "transient": transient, "sample": sample}
+
+
+# each sweep as a function of the count n it grows (transient, or the grid
+# for "grid"), with the largest n within WORK_CAP; README.md, "Caps", times
+# the calibration shapes at these counts
+SWEEPS_AT_THE_WORK_CAP = {
+    "grid": (lambda n: _logistic_sweep(n, 1, 2), 1841),
+    "row": (lambda n: _logistic_sweep(2, n), 87133),
+    "work": (lambda n: _logistic_sweep(91, n), 41245),
+    "map work": (functools.partial(work_cap_scenario, "sweep", "polynomial"), 6547),
+    **{shape: (functools.partial(work_cap_scenario, "sweep", shape), n)
+       for shape, n in zip(WORK_CAP_SHAPES[1:], (97874, 47985, 4145, 40992, 2925))},
+}
+# the steps of each simulate within WORK_CAP, likewise
+SIMULATES_AT_THE_WORK_CAP = {
+    "logistic": (lambda n: {**LOGISTIC, "steps": n}, 248137),
+    **{shape: (functools.partial(work_cap_scenario, "simulate", shape), n)
+       for shape, n in zip(WORK_CAP_SHAPES,
+                           (94072, 251888, 129532, 10378, 156984, 13081))},
+}
+
+
+def _one_above(at_cap, name):
+    scenario, n = at_cap[name]
+    return scenario(n + 1)
+
+
 BAD_SWEEP = {
     "one-point grid": {"r_grid": {"lo": 2.8, "hi": 3.2, "steps": 1}},
     "empty grid range": {"r_grid": {"lo": 3.2, "hi": 2.8, "steps": 9}},
@@ -467,11 +497,10 @@ BAD_SWEEP = {
     "zero transient": {"transient": 0},
     "one sample": {"sample": 1},
     "sample beyond the row cap": {"sample": 10 ** 30},
-    "transient beyond the row cap": {"transient": SWEEP_ROW_CAP},
-    "grid beyond the cap": {"r_grid": {"lo": 2.8, "hi": 3.2,
-                                       "steps": SWEEP_GRID_CAP + 1}},
-    "grid beyond the work cap": {"r_grid": {"lo": 2.8, "hi": 3.2, "steps": SWEEP_GRID_CAP},
-                                 "transient": SWEEP_WORK_CAP // SWEEP_GRID_CAP},
+    # one step or grid value beyond WORK_CAP
+    "transient beyond the row cap": _one_above(SWEEPS_AT_THE_WORK_CAP, "row"),
+    "grid beyond the cap": _one_above(SWEEPS_AT_THE_WORK_CAP, "grid"),
+    "grid beyond the work cap": _one_above(SWEEPS_AT_THE_WORK_CAP, "work"),
     "map work beyond the cap": {"observer": {"kind": "polynomial", "dim": 1, "coords": [
         [{"coeff": 0.5, "powers": [2]}] * 9999]}},
 }
@@ -488,7 +517,7 @@ BAD_SIMULATE = {
     "ledger width overflows": {"ledger": {"bins": 4, "lo": -1e308, "hi": 1e308}},
     "observer reading overflows": OVERFLOWING_OBSERVER,
     "first observer reading overflows": {**OVERFLOWING_OBSERVER, "steps": 0},
-    "steps beyond the cap": {"steps": SIMULATE_STEPS_CAP + 1},
+    "steps beyond the cap": _one_above(SIMULATES_AT_THE_WORK_CAP, "logistic"),
 }
 
 
@@ -520,38 +549,38 @@ def test_overflowing_sweep_exits_0_with_empty_stderr(tmp_path, capsys, observer)
     assert capsys.readouterr().err == ""
 
 
-def _sweep_with(steps, per_row, observer_size=3):
-    # F_r's size is the observer's plus 2: the affine phi and the dim
-    return {**LOGISTIC, "r_grid": {"lo": 2.8, "hi": 3.2, "steps": steps},
-            "transient": per_row - 32, "sample": 32,
-            "observer": _map_of_size("polynomial", observer_size)}
-
-
-# the longest rows a 91-point sweep with an F_r of size 104 may have
-MAP_WORK_ROW = SWEEP_MAP_WORK_CAP // (104 * (91 + SWEEP_STEP_ROWS)) - SWEEP_SOLVE_CALLS
-
-
-@pytest.mark.parametrize("at_cap, beyond", [
-    ((SWEEP_GRID_CAP, 34), (SWEEP_GRID_CAP + 1, 34)),
-    ((2, SWEEP_ROW_CAP), (2, SWEEP_ROW_CAP + 1)),
-    ((SWEEP_GRID_CAP, SWEEP_WORK_CAP // SWEEP_GRID_CAP),
-     (SWEEP_GRID_CAP, SWEEP_WORK_CAP // SWEEP_GRID_CAP + 1)),
-    ((91, MAP_WORK_ROW, 102), (91, MAP_WORK_ROW + 1, 102)),
-], ids=["grid", "row", "work", "map work"])
-def test_sweep_at_its_caps_is_accepted_and_one_more_is_not(at_cap, beyond):
-    # (r_grid steps, transient + sample[, observer size]); parsed only,
-    # since a run at a cap takes seconds (README, "Caps")
-    assert parse_sweep_settings(_sweep_with(*at_cap)).steps == at_cap[0]
-    with pytest.raises(ScenarioParseError, match="exceeds cap"):
-        parse_sweep_settings(_sweep_with(*beyond))
+@pytest.mark.parametrize("name", SWEEPS_AT_THE_WORK_CAP)
+def test_sweep_at_its_caps_is_accepted_and_one_more_is_not(name):
+    # parsed only, since a run at the cap takes seconds (README, "Caps")
+    scenario, n = SWEEPS_AT_THE_WORK_CAP[name]
+    parse_sweep_settings(scenario(n))
+    with pytest.raises(ScenarioParseError, match=f"^sweep work [0-9]+ exceeds cap {WORK_CAP}$"):
+        parse_sweep_settings(scenario(n + 1))
 
 
 def test_step_counts_at_their_caps_are_accepted():
-    assert parse_simulate_settings(
-        {**LOGISTIC, "steps": SIMULATE_STEPS_CAP}).steps == SIMULATE_STEPS_CAP
+    for scenario, n in SIMULATES_AT_THE_WORK_CAP.values():
+        assert parse_simulate_settings(scenario(n)).steps == n
+        with pytest.raises(ScenarioParseError,
+                           match=f"^simulate work [0-9]+ exceeds cap {WORK_CAP}$"):
+            parse_simulate_settings(scenario(n + 1))
     doc = json.loads(UNIVERSE_SCENARIO.read_text())
     doc["entropy_trace"]["steps"] = ENTROPY_STEPS_CAP
     assert parse_entropy_trace(doc, parse_universe(doc)).steps == ENTROPY_STEPS_CAP
+
+
+def test_runaway_simulate_exits_2_uncompiled(tmp_path, capsys, monkeypatch):
+    # 10^5 steps of an observer at MAP_SIZE_CAP: about 90 s of work if run
+    doc = json.loads((SCENARIOS / "runaway_simulate.json").read_text())
+    assert doc["steps"] == 10 ** 5
+    assert len(doc["observer"]["coords"][0]) + 1 == MAP_SIZE_CAP
+    compiled = []
+    monkeypatch.setattr(dynamics, "_generate", compiled.append)
+    out = tmp_path / "out"
+    assert _run("simulate", str(SCENARIOS / "runaway_simulate.json"), out) == 2
+    assert re.fullmatch(f"error: simulate work [0-9]+ exceeds cap {WORK_CAP}",
+                        _assert_rejected(capsys, out))
+    assert compiled == []
 
 
 def _assert_rejected(capsys, out):
@@ -1229,6 +1258,7 @@ BUNDLED_RUNS = [
     ("simulate", "chaotic_ledger", 0),
     ("simulate", "runaway_ledger", 2),
     ("sweep", "runaway_sweep", 2),
+    ("simulate", "runaway_simulate", 2),
     ("sweep", "oversized_sweep", 2),
 ]
 
