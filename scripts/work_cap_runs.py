@@ -1,17 +1,20 @@
 """Time each work-cap calibration shape at the cap, through the CLI.
 
-    python scripts/work_cap_runs.py simulate|sweep [--grid N] [--runs N]
+    python scripts/work_cap_runs.py simulate|sweep|scan [--grid N] [--runs N]
 
 For each shape of tests/conftest.py it finds the largest step count (or,
 with --grid 0, grid size) that WORK_CAP accepts, writes that scenario to a
 temporary directory, runs `python -m veridyn.cli` on it --runs times, and
 prints the count, the median and range of wall times (interpreter start
-included) and the largest peak RSS.  --grid sets the sweep's grid size (default 2).
+included) and the largest peak RSS.  --grid sets the sweep's grid size
+(default 2).  `scan` times a sweep of conftest's scan_scenario instead, at
+the largest count of zero terms that WORK_CAP accepts.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import subprocess
@@ -23,7 +26,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from conftest import WORK_CAP_SHAPES, work_cap_scenario  # noqa: E402
+from conftest import WORK_CAP_SHAPES, scan_scenario, work_cap_scenario  # noqa: E402
 
 from veridyn.errors import ScenarioParseError  # noqa: E402
 from veridyn.scenario import parse_simulate_settings, parse_sweep_settings  # noqa: E402
@@ -55,30 +58,34 @@ def run_cli(command: str, scenario: Path, out: Path) -> tuple[float, float, int]
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("command", choices=("simulate", "sweep"))
+    parser.add_argument("command", choices=("simulate", "sweep", "scan"))
     parser.add_argument("--grid", type=int, default=2)
     parser.add_argument("--runs", type=int, default=3)
     args = parser.parse_args()
-    parse = parse_simulate_settings if args.command == "simulate" else parse_sweep_settings
+    command = "sweep" if args.command == "scan" else args.command
+    parse = parse_simulate_settings if command == "simulate" else parse_sweep_settings
+    cases = ({"polynomial scan": scan_scenario} if args.command == "scan" else
+             {name: functools.partial(work_cap_scenario, command, name, grid=args.grid)
+              for name in WORK_CAP_SHAPES})
 
-    def accepts(name, n):
+    def accepts(case, n):
         try:
-            parse(work_cap_scenario(args.command, name, n, args.grid))
+            parse(case(n))
         except ScenarioParseError:
             return False
         return True
 
     with tempfile.TemporaryDirectory() as tmp:
-        for name in WORK_CAP_SHAPES:
-            if not accepts(name, 1):
-                print(f"{name:13s} rejected at n = 1")
+        for name, case in cases.items():
+            if not accepts(case, 1):
+                print(f"{name:15s} rejected at n = 1")
                 continue
-            n = largest_accepted(lambda k: accepts(name, k))
-            scenario = Path(tmp, f"{name}.json")
-            scenario.write_text(json.dumps(work_cap_scenario(args.command, name, n, args.grid)))
-            runs = [run_cli(args.command, scenario, Path(tmp, "out")) for _ in range(args.runs)]
+            n = largest_accepted(lambda k: accepts(case, k))
+            scenario = Path(tmp, "scenario.json")
+            scenario.write_text(json.dumps(case(n)))
+            runs = [run_cli(command, scenario, Path(tmp, "out")) for _ in range(args.runs)]
             times = sorted(t for t, _, _ in runs)
-            print(f"{name:13s} n {n:7d}  median {times[len(times) // 2]:.2f} s "
+            print(f"{name:15s} n {n:7d}  median {times[len(times) // 2]:.2f} s "
                   f"({times[0]:.2f}-{times[-1]:.2f})  "
                   f"peak RSS {max(r for _, r, _ in runs):.0f} MB  "
                   f"exit {sorted({c for _, _, c in runs})}", flush=True)

@@ -78,15 +78,17 @@ __all__ = [
 
 
 # simulate and sweep are priced in float operations of a generated map
-# evaluator (20 to 40 ns on a shared 2-core Xeon) before any map compiles;
-# at WORK_CAP, each shape of tests/conftest.py takes 2 to 5 s
+# evaluator (20 to 40 ns on a shared 2-core Xeon) before any map compiles:
+# at WORK_CAP each shape of tests/conftest.py takes 1.5 to 5 s, and a simulate
+# holds at most 260 000 rows (234 MB peak RSS; 10^5 steps take 114 MB)
 WORK_CAP = 10 ** 8
 # a numpy call, about 1 us: a dim-2 affine node on floats (two) takes 2.1 us,
 # and a batched map step 0.9 us per float operation (one each)
 CALL_WORK = 40
-# F_r calls of the critical scan and row solve per grid value: 13 to 103 on
-# the shapes' 91-value grids, 89 on logistic_sweep.json, 840 on
-# pipeline_ledger.json
+# F_r calls of the critical scan and row solves per grid value, plus 32 grid
+# values' worth to bisect a root: across the flip of the bundled sweeps' maps
+# on 2 to 181 grid values, up to 961 calls per grid value, and in all up to
+# 43 864 on 2 to 31 values (24 708 on 2, which 1 024 each prices at 2 048)
 SOLVE_CALLS = 1024
 # a simulate row per state coordinate, plus two: 9.6, 12.8 and 212 us at dim
 # 1, 2 and 64 to roll out, bin, sum entropies and write when no state repeats
@@ -402,8 +404,8 @@ def _within_work_cap(run: SimulateSettings | SweepSettings):
 
     F_r = update + r * observer adds 2 per map and coordinate. simulate
     calls F_r and the observer per step and writes a row per state; sweep
-    steps one batch of a row per grid value (15 calls of loop checks, an F_r
-    call per row), then takes SOLVE_CALLS solver steps per grid value.
+    steps a batch of a row per grid value (15 calls of loop checks, an F_r
+    call per row) and solves as if for 32 grid values more than it has.
     """
     (_, u_float, u_batch), (_, o_float, o_batch) = map(_map_cost, (run.update, run.observer))
     dim = run.update.dim
@@ -413,7 +415,7 @@ def _within_work_cap(run: SimulateSettings | SweepSettings):
     else:
         step = u_batch + o_batch + CALL_WORK * (4 * dim + 15) + run.steps * f_r
         what, work = "sweep", ((run.transient + run.sample) * step
-                               + run.steps * SOLVE_CALLS * (f_r + CALL_WORK))
+                               + (run.steps + 32) * SOLVE_CALLS * (f_r + CALL_WORK))
     _within_cap(work, f"{what} work", WORK_CAP)
     return run
 
@@ -452,14 +454,13 @@ def parse_sweep_settings(doc: Mapping) -> SweepSettings:
     lo, hi = _real(grid.get("lo"), "r_grid lo"), _real(grid.get("hi"), "r_grid hi")
     if not lo < hi:
         raise ScenarioParseError(f"r_grid needs lo < hi, got {lo} and {hi}")
-    steps = _integer(grid.get("steps"), "r_grid steps", 2)
-    transient = _integer(doc.get("transient", DEFAULT_TRANSIENT), "transient", 1)
-    sample = _integer(doc.get("sample", DEFAULT_SAMPLE), "sample", 2)
     x0 = doc.get("x0")
     return _within_work_cap(SweepSettings(
-        update, observer,
-        x0=None if x0 is None else _vector(x0, update.dim, "x0"),
-        lo=lo, hi=hi, steps=steps, transient=transient, sample=sample))
+        update, observer, lo=lo, hi=hi,
+        steps=_integer(grid.get("steps"), "r_grid steps", 2),
+        transient=_integer(doc.get("transient", DEFAULT_TRANSIENT), "transient", 1),
+        sample=_integer(doc.get("sample", DEFAULT_SAMPLE), "sample", 2),
+        x0=None if x0 is None else _vector(x0, update.dim, "x0")))
 
 
 # --- finite-set layer: theta, entropy traces and phases ----------------------

@@ -137,7 +137,7 @@ def _zero_affine(dim: int) -> dict:
     return _affine([[0.0] * dim for _ in range(dim)], [0.0] * dim)
 
 
-def work_cap_shape(name: str) -> dict:
+def work_cap_shape(name: str, zeros: int = 99) -> dict:
     """phi, observer, x0 and r of one calibration shape of the work cap.
 
     F_r = phi + r * observer, with phi zero except for the pipeline. Each
@@ -147,9 +147,9 @@ def work_cap_shape(name: str) -> dict:
     """
     r = 1.5
     if name == "polynomial":
-        # r x (1 - x) near its flip, plus 99 zero terms of powers 1 to 3
+        # r x (1 - x) near its flip, plus `zeros` zero terms of powers 1 to 3
         terms = [{"coeff": 1.0, "powers": [1]}, {"coeff": -1.0, "powers": [2]},
-                 *({"coeff": 0.0, "powers": [1 + k % 3]} for k in range(99))]
+                 *({"coeff": 0.0, "powers": [1 + k % 3]} for k in range(zeros))]
         return {"phi": _zero_affine(1), "x0": [0.66], "r": 2.9999,
                 "observer": {"kind": "polynomial", "dim": 1, "coords": [terms]}}
     if name == "affine-1":
@@ -170,9 +170,9 @@ def work_cap_shape(name: str) -> dict:
         return {"phi": doc["phi"], "observer": doc["observer"], "x0": doc["x0"],
                 "r": 1.4355}
     if name == "sum-affine-2":
-        part = _affine(_rotation(0.9999 / r / 40), [0.001 / 40, 0.0])
+        part = _affine(_rotation(0.9999 / r / 10), [0.001 / 10, 0.0])
         return {"phi": _zero_affine(2), "x0": [0.1, 0.1], "r": r,
-                "observer": {"kind": "sum", "parts": [part] * 40, "weights": [1.0] * 40}}
+                "observer": {"kind": "sum", "parts": [part] * 10, "weights": [1.0] * 10}}
     raise KeyError(name)
 
 
@@ -195,13 +195,9 @@ def work_cap_scenario(command: str, name: str, n: int, grid: int = 2) -> dict:
             "transient": n, "sample": 64}
 
 
-def largest_accepted(accepts, start: int = 1) -> int:
-    """The largest n >= start with accepts(n), for accepts true at start and
-    false from some n on."""
-    lo, hi = start, start + 1
-    while accepts(hi):
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if accepts(mid) else (lo, mid)
-    return lo
+
+def scan_scenario(zeros: int) -> dict:
+    """A sweep that is mostly its critical scan: the polynomial shape with
+    `zeros` zero terms on 2 grid values across its flip at r = 3, rows of 3."""
+    return {"seed": 7, **work_cap_shape("polynomial", zeros),
+            "r_grid": {"lo": 2.5, "hi": 3.4, "steps": 2}, "transient": 1, "sample": 2}

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import WORK_CAP_SHAPES, work_cap_scenario
+from conftest import WORK_CAP_SHAPES, scan_scenario, work_cap_scenario
 
 from veridyn import cli, dynamics
 from veridyn.cascade import DIM_CAP, RESIDUAL_TOL
@@ -464,23 +464,24 @@ def _logistic_sweep(grid, transient, sample=32):
             "transient": transient, "sample": sample}
 
 
-# each sweep as a function of the count n it grows (transient, or the grid
-# for "grid"), with the largest n within WORK_CAP; README.md, "Caps", times
-# the calibration shapes at these counts
+# each sweep as a function of the count n it grows (transient, the grid for
+# "grid", zero terms for "scan"), with the largest n within WORK_CAP;
+# README.md, "Caps", times the calibration shapes at these counts
 SWEEPS_AT_THE_WORK_CAP = {
-    "grid": (lambda n: _logistic_sweep(n, 1, 2), 1841),
-    "row": (lambda n: _logistic_sweep(2, n), 87133),
-    "work": (lambda n: _logistic_sweep(91, n), 41245),
-    "map work": (functools.partial(work_cap_scenario, "sweep", "polynomial"), 6547),
+    "grid": (lambda n: _logistic_sweep(n, 1, 2), 1809),
+    "row": (lambda n: _logistic_sweep(2, n), 85617),
+    "work": (lambda n: _logistic_sweep(91, n), 40491),
+    "map work": (functools.partial(work_cap_scenario, "sweep", "polynomial"), 5711),
+    "scan": (scan_scenario, 842),
     **{shape: (functools.partial(work_cap_scenario, "sweep", shape), n)
-       for shape, n in zip(WORK_CAP_SHAPES[1:], (97874, 47985, 4145, 40992, 2925))},
+       for shape, n in zip(WORK_CAP_SHAPES[1:], (96268, 44569, 2857, 38913, 7242))},
 }
 # the steps of each simulate within WORK_CAP, likewise
 SIMULATES_AT_THE_WORK_CAP = {
     "logistic": (lambda n: {**LOGISTIC, "steps": n}, 248137),
     **{shape: (functools.partial(work_cap_scenario, "simulate", shape), n)
        for shape, n in zip(WORK_CAP_SHAPES,
-                           (94072, 251888, 129532, 10378, 156984, 13081))},
+                           (94072, 251888, 129532, 10378, 156984, 42300))},
 }
 
 
@@ -503,6 +504,8 @@ BAD_SWEEP = {
     "grid beyond the work cap": _one_above(SWEEPS_AT_THE_WORK_CAP, "work"),
     "map work beyond the cap": {"observer": {"kind": "polynomial", "dim": 1, "coords": [
         [{"coeff": 0.5, "powers": [2]}] * 9999]}},
+    # about 12 854 F_r calls of 3 * 10^4 float operations, were it run
+    "scan of a map at the size cap": scan_scenario(MAP_SIZE_CAP - 3),
 }
 OVERFLOWING_OBSERVER = {  # phi = identity, observer x^3 overflows at every step
     "phi": {"kind": "affine", "A": [[1.0]], "b": [0.0]},
