@@ -69,9 +69,6 @@ class FinObj:
     def size(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, label: str) -> bool:
-        return label in self.index
-
     def to_dict(self) -> dict:
         return {"id": self.id, "elements": list(self.elements)}
 

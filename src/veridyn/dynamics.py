@@ -421,7 +421,6 @@ class Trajectory:
 
     xs: tuple[tuple[float, ...], ...]
     os: tuple[tuple[float, ...], ...]
-    r: float
 
     def __post_init__(self):
         if not self.xs:
@@ -500,7 +499,7 @@ def find_fixed_point(F: MapSpec, x0: Sequence[float], max_iter: int = 10_000,
 
 @dataclass(frozen=True)
 class BifRoot:
-    kind: str            # "fold" (det(I - DF) = 0) or "flip" (det(I + DF) = 0)
+    kind: str            # a key of _TEST_FUNCTIONS: "fold" or "flip"
     r: float
     residual: float
     bracket: tuple[float, float]
@@ -542,26 +541,36 @@ class CriticalReport:
         }
 
 
-def _dets_at(update: MapSpec, observer: MapSpec, r: float,
-             guess: np.ndarray) -> tuple[float, float, np.ndarray]:
+# The critical scan's test functions of the fixed point's Jacobian J, by root
+# kind, each with the report field that tabulates it over the grid.  A root
+# is where one changes sign or touches zero: det(I - J) at an eigenvalue +1,
+# det(I + J) at an eigenvalue -1.
+_TEST_FUNCTIONS: dict[str, tuple[str, Callable[[np.ndarray], float]]] = {
+    "fold": ("d_minus", lambda jac: float(np.linalg.det(np.eye(len(jac)) - jac))),
+    "flip": ("d_plus", lambda jac: float(np.linalg.det(np.eye(len(jac)) + jac))),
+}
+
+
+def _jacobian_at(update: MapSpec, observer: MapSpec, r: float,
+                 guess: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Jacobian of F_r at its fixed point solved from `guess`, and the point."""
     fr = perturbed_map(update, observer, r)
     xstar = find_fixed_point(fr, guess)
-    jac = jacobian(fr, xstar).entries
-    eye = np.eye(update.dim)
-    return (float(np.linalg.det(eye - jac)),
-            float(np.linalg.det(eye + jac)),
-            xstar)
+    return jacobian(fr, xstar).entries, xstar
 
 
 def _bisect_root(eval_det: Callable[[float], float], r_a: float, r_b: float,
                  d_a: float, d_b: float, det_tol: float) -> tuple[float, float]:
-    """Bisect a sign change of the determinant down to |det| <= det_tol.
+    """Bisect a sign change of the determinant down to |det| <= det_tol, or
+    until no float lies between the bracket's ends.
 
     When the fixed-point solve stalls at the midpoint, the points at 3/8
     and then 5/8 of the bracket stand in for it; NoConvergenceError is
     raised only when all three stall.
     """
     for _ in range(200):
+        if not r_a < 0.5 * (r_a + r_b) < r_b:
+            break
         for mid in (0.5 * (r_a + r_b), r_a + 0.375 * (r_b - r_a),
                     r_a + 0.625 * (r_b - r_a)):
             try:
@@ -609,127 +618,98 @@ def _refine_touch_root(eval_det: Callable[[float], float], r_a: float,
 def find_critical_r(update: MapSpec, observer: MapSpec, r_lo: float, r_hi: float,
                     grid: int, x0: Sequence[float] | None = None,
                     det_tol: float = DET_TOL) -> CriticalReport:
-    """Scan the coupling range for fold and flip conditions at the fixed point.
+    """Scan the coupling range for the roots of each test function at the
+    fixed point.
 
     For each grid value the fixed point of F_r is located by continuation
-    from the previous root, and the two determinants det(I -/+ DF) are
-    tabulated.  Sign changes are bisected to |det| <= det_tol; interior
-    local minima of |det| that reach zero without a sign change are
-    reported with the even-multiplicity flag.  Grid cells where the
+    from the previous root, and every function of _TEST_FUNCTIONS is
+    tabulated.  Then one pass per function over its values bisects sign
+    changes to |value| <= det_tol and refines interior local minima of
+    |value| that reach zero without a sign change, which are reported with
+    the even-multiplicity flag, as is a zero at a grid value whose nearest
+    nonzero values on each side have one sign.  Grid cells where the
     fixed-point branch is lost, in the scan or while refining a root
-    between two grid points, are reported, not raised.
+    between two grid values, are reported, not raised.
     """
     if not r_lo < r_hi:
         raise DomainError("need r_lo < r_hi")
     if grid < 2:
         raise DomainError("need at least two grid points")
-    start = np.zeros(update.dim) if x0 is None else np.asarray(x0, dtype=np.float64)
-    rs = np.linspace(r_lo, r_hi, grid)
-    d_minus: list[float | None] = []
-    d_plus: list[float | None] = []
-    xstars: list[np.ndarray | None] = []
-    failures: list[tuple[float, float]] = []
-    guess = start.copy()
+    guess = np.zeros(update.dim) if x0 is None else np.asarray(x0, dtype=np.float64)
+    rs = [float(r) for r in np.linspace(r_lo, r_hi, grid)]
     cell = (r_hi - r_lo) / (grid - 1)
+    table: dict[str, list[float | None]] = {kind: [] for kind in _TEST_FUNCTIONS}
+    branch: list[tuple[float, np.ndarray]] = []
+    failures: list[tuple[float, float]] = []
     for r in rs:
         try:
-            dm, dp, xstar = _dets_at(update, observer, float(r), guess)
-            guess = xstar
-            d_minus.append(dm)
-            d_plus.append(dp)
-            xstars.append(xstar)
+            jac, guess = _jacobian_at(update, observer, r, guess)
+            branch.append((r, guess))
         except NoConvergenceError:
+            jac = None
             failures.append((float(max(r_lo, r - cell)), float(min(r_hi, r + cell))))
-            d_minus.append(None)
-            d_plus.append(None)
-            xstars.append(None)
-    branch = [(float(rs[i]), xs) for i, xs in enumerate(xstars) if xs is not None]
+        for kind, (_, test) in _TEST_FUNCTIONS.items():
+            table[kind].append(None if jac is None else test(jac))
 
-    def branch_lost(ra: float, rb: float) -> None:
-        # a root refinement lost the branch inside [ra, rb]
-        if not any(a <= ra and rb <= b for a, b in failures):
-            failures.append((ra, rb))
+    found: list[tuple[str, float, float, bool]] = []
 
+    def refine(kind: str, search: Callable, ra: float, rb: float, *args,
+               even: bool) -> None:
+        # a root of `kind` between grid values, each step solved from the
+        # nearest tracked fixed point (continuation); a lost branch inside
+        # [ra, rb] is reported unless a reported cell holds it
+        test = _TEST_FUNCTIONS[kind][1]
+
+        def eval_test(r: float) -> float:
+            seed = min(branch, key=lambda t: abs(t[0] - r))[1]
+            return test(_jacobian_at(update, observer, r, seed)[0])
+
+        try:
+            hit = search(eval_test, ra, rb, *args)
+        except NoConvergenceError:
+            if not any(a <= ra and rb <= b for a, b in failures):
+                failures.append((ra, rb))
+            return
+        if hit is not None:
+            found.append((kind, *hit, even))
+
+    degenerate: dict[str, bool] = {}
+    for kind, values in table.items():
+        valid = [(r, d) for r, d in zip(rs, values) if d is not None]
+        degenerate[kind] = bool(valid) and all(abs(d) <= det_tol for _, d in valid)
+        if degenerate[kind]:
+            continue  # no isolated roots
+        last = len(valid) - 1
+        for i, (r, d) in enumerate(valid):
+            if abs(d) <= det_tol:
+                # a zero at a grid value is touched, not crossed, when the
+                # nearest nonzero values on its two sides have one sign
+                signs = [next((e < 0.0 for _, e in side if abs(e) > det_tol), None)
+                         for side in (reversed(valid[:i]), valid[i + 1:])]
+                found.append((kind, r, abs(d), None not in signs and signs[0] == signs[1]))
+            elif i < last and (d < 0.0) != (valid[i + 1][1] < 0.0):
+                refine(kind, _bisect_root, r, valid[i + 1][0], d, valid[i + 1][1],
+                       det_tol, even=False)
+            elif 0 < i < last:
+                (ra, da), (rb, db) = valid[i - 1], valid[i + 1]
+                if abs(d) < abs(da) and abs(d) < abs(db) \
+                        and (da < 0.0) == (d < 0.0) == (db < 0.0):
+                    refine(kind, _refine_touch_root, ra, rb, det_tol, even=True)
+
+    # sorted by kind, then r; of roots of one kind within half a cell the
+    # first stays
     roots: list[BifRoot] = []
-    for kind, dvals in (("fold", d_minus), ("flip", d_plus)):
-        valid = [(float(rs[i]), d) for i, d in enumerate(dvals) if d is not None]
-        if not valid:
-            continue
-        if all(abs(d) <= det_tol for _, d in valid):
-            continue  # degenerate: flagged below, no isolated roots
-
-        def eval_det(r: float, _kind=kind) -> float:
-            # nearest tracked fixed point seeds the local solve (continuation)
-            seed_guess = min(branch, key=lambda t: abs(t[0] - r))[1] if branch else start
-            dm, dp, _ = _dets_at(update, observer, r, seed_guess)
-            return dm if _kind == "fold" else dp
-
-        def _grid_root_is_even(idx: int) -> bool:
-            # a zero at a grid point without a sign change across it
-            before = next((d for _, d in reversed(valid[:idx]) if abs(d) > det_tol),
-                          None)
-            after = next((d for _, d in valid[idx + 1:] if abs(d) > det_tol), None)
-            if before is None or after is None:
-                return False
-            return (before < 0.0) == (after < 0.0)
-
-        found: list[tuple[float, float, bool]] = []
-        for i, ((ra, da), (rb, db)) in enumerate(zip(valid, valid[1:])):
-            if abs(da) <= det_tol:
-                found.append((ra, abs(da), _grid_root_is_even(i)))
-                continue
-            if (da < 0.0) != (db < 0.0):
-                try:
-                    root, resid = _bisect_root(eval_det, ra, rb, da, db, det_tol)
-                except NoConvergenceError:
-                    branch_lost(ra, rb)
-                    continue
-                found.append((root, resid, False))
-        if abs(valid[-1][1]) <= det_tol:
-            found.append((valid[-1][0], abs(valid[-1][1]),
-                          _grid_root_is_even(len(valid) - 1)))
-        # touch-zero minima (even multiplicity): |det| dips to zero between
-        # grid points without changing sign
-        for j in range(1, len(valid) - 1):
-            ra, da = valid[j - 1]
-            rm, dm_ = valid[j]
-            rb, db = valid[j + 1]
-            if abs(dm_) < abs(da) and abs(dm_) < abs(db) and abs(dm_) > det_tol \
-                    and (da < 0.0) == (dm_ < 0.0) == (db < 0.0):
-                try:
-                    refined = _refine_touch_root(eval_det, ra, rb, det_tol)
-                except NoConvergenceError:
-                    branch_lost(ra, rb)
-                    continue
-                if refined is not None:
-                    found.append((refined[0], refined[1], True))
-        found.sort()
-        dedup: list[tuple[float, float, bool]] = []
-        for root, resid, even in found:
-            if dedup and abs(root - dedup[-1][0]) < 0.5 * cell:
-                continue
-            dedup.append((root, resid, even))
-        for root, resid, even in dedup:
-            lo_b = max(r_lo, root - cell)
-            hi_b = min(r_hi, root + cell)
-            roots.append(BifRoot(kind, root, resid, (lo_b, hi_b), even))
-    fold_roots = [r for r in roots if r.kind == "fold"]
-    flip_roots = [r for r in roots if r.kind == "flip"]
-    valid_minus = [d for d in d_minus if d is not None]
-    valid_plus = [d for d in d_plus if d is not None]
-    return CriticalReport(
-        r_c_fold=fold_roots[0].r if fold_roots else None,
-        r_c_flip=flip_roots[0].r if flip_roots else None,
-        roots=tuple(sorted(roots, key=lambda b: (b.kind, b.r))),
-        fold_degenerate=bool(valid_minus) and all(abs(d) <= det_tol
-                                                  for d in valid_minus),
-        flip_degenerate=bool(valid_plus) and all(abs(d) <= det_tol
-                                                 for d in valid_plus),
-        branch_failures=tuple(sorted(failures)),
-        grid=tuple(float(r) for r in rs),
-        d_minus=tuple(d_minus),
-        d_plus=tuple(d_plus),
-    )
+    for kind, r, resid, even in sorted(found):
+        if not roots or roots[-1].kind != kind or abs(r - roots[-1].r) >= 0.5 * cell:
+            roots.append(BifRoot(kind, r, resid,
+                                 (max(r_lo, r - cell), min(r_hi, r + cell)), even))
+    summary = {}
+    for kind, (column, _) in _TEST_FUNCTIONS.items():
+        summary[column] = tuple(table[kind])
+        summary[f"{kind}_degenerate"] = degenerate[kind]
+        summary[f"r_c_{kind}"] = next((b.r for b in roots if b.kind == kind), None)
+    return CriticalReport(roots=tuple(roots), branch_failures=tuple(sorted(failures)),
+                          grid=tuple(rs), **summary)
 
 
 @dataclass(frozen=True)
@@ -867,7 +847,7 @@ def simulate_coupled(update: MapSpec, observer: MapSpec, x0: Sequence[float],
             o = observe(x, n)
         xs.append(x)
         os_.append(o)
-    return Trajectory(tuple(xs), tuple(os_), r=float(r))
+    return Trajectory(tuple(xs), tuple(os_))
 
 
 @dataclass(frozen=True)

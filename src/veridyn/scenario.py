@@ -80,7 +80,7 @@ __all__ = [
 # simulate and sweep are priced in float operations of a generated map
 # evaluator (20 to 40 ns on a shared 2-core Xeon) before any map compiles:
 # at WORK_CAP each shape of tests/conftest.py takes 1.5 to 5 s, and a simulate
-# holds at most 260 000 rows (234 MB peak RSS; 10^5 steps take 114 MB)
+# holds at most 260 000 rows (peak RSS 188 MB at dim 1, 200 MB at dim 64)
 WORK_CAP = 10 ** 8
 # a numpy call, about 1 us: a dim-2 affine node on floats (two) takes 2.1 us,
 # and a batched map step 0.9 us per float operation (one each)

@@ -1266,6 +1266,27 @@ BUNDLED_RUNS = [
 ]
 
 
+def test_ci_and_readme_list_the_bundled_runs():
+    root = Path(__file__).parents[1]
+    ci = (root / ".github" / "workflows" / "tier1.yml").read_text()
+    step = ci.split("- name: Artifacts are byte-identical across hash seeds", 1)[1]
+    step = step.split("- name:", 1)[0]
+    ci_runs = [(cmd, scenario, int(code or 0)) for cmd, scenario, code in re.findall(
+        r"^ *run \$hs (\S+) (\S+)(?: \|\| test \$\? -eq (\d+))?$", step, re.M)]
+    assert ci_runs == BUNDLED_RUNS
+    # a failed run writes no run directory
+    assert re.findall(r'^ *test ! -e "\$RUNNER_TEMP/hashseed-\$hs/(\S+)"$', step, re.M) \
+        == [scenario for _, scenario, code in BUNDLED_RUNS if code == 2]
+    readme = (root / "README.md").read_text()
+    block = readme.split("Worked scenarios live in `scenarios/`:", 1)[1]
+    block = block.split("```bash\n", 1)[1].split("```", 1)[0]
+    readme_runs = [(cmd, scenario, int(code or 0)) for cmd, scenario, code in re.findall(
+        r"^veridyn (\S+) +--scenario scenarios/(\S+)\.json +--out \S+ *(?:# exits (\d+))?$",
+        block, re.M)]
+    assert readme_runs == BUNDLED_RUNS
+    assert len(block.splitlines()) == len(BUNDLED_RUNS)
+
+
 def _cpu_while_sleeping(seconds):
     start = time.process_time()
     time.sleep(seconds)

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import json
 import math
 from bisect import insort
@@ -855,6 +856,64 @@ def test_flip_recovered_when_bisection_midpoint_stalls(c):
     assert abs(rep.r_c_flip - 3.0 / c) <= 1e-6
 
 
+# sha256 of find_critical_r(...).to_dict() as JSON, one case per refinement
+# path; dim 1, so no BLAS summation order enters
+GOLDEN_SCANS = {
+    # the branch is lost at the grid point 3.06, and the flip bracket's first
+    # midpoint stalls, so the 3/8 and 5/8 stand-ins run
+    "observer-scale-0.98": (
+        (zero_map(1), PolynomialMap(1, (((0.98, (1,)), (-0.98, (2,))),)), 2.5, 3.4, 91),
+        "0a803a4fc03146af572d48be91662044e3a90f32a44fee0435ccc239a2d35041"),
+    # logistic_sweep.json's maps: the flip is bisected from the two grid
+    # values (12 854 F_r calls)
+    "coarse-bisection": (
+        (zero_map(1), logistic_observer(), 2.5, 3.4, 2),
+        "f2924f94a4afcd25d0defc1577f3f43c9c972913edd20cc7b38458519c58f9df"),
+    # the same on 16 values: three midpoint solves stall at 10 000 iterations
+    "stalled-midpoints": (
+        (zero_map(1), logistic_observer(), 2.5, 3.4, 16),
+        "642ac0039936a8447d0fd996ee849dde894c479dd5809fb2573e7a4bde3c44c3"),
+    # a cubic whose scan loses the branch at a grid point, in a bisection and
+    # in a touch search
+    "branch-lost": (
+        (PolynomialMap(1, (((0.867, (1,)), (1.99, (2,)), (-0.876, (3,))),)),
+         PolynomialMap(1, (((0.498, (1,)), (-0.294, (2,)), (-0.803, (3,))),)),
+         0.42, 4.26, 13),
+        "36b8613afc9c68425520232af7420ca32cf4f46e5c5be2a7fe5a4618d04b8ef1"),
+    # det(I + J) is -1.5e-10 at the grid value 1.5: a grid zero, and the end
+    # of a sign change whose bisected root, 6e-9 below it, is the one kept
+    "duplicate-root": (
+        (scale_map(1, 0.5), scale_map(1, -1.0000000001), 0.0, 2.0, 21),
+        "dede28ad74d371fabecc5f43e3163f1a939b6b510642ca08455677e92c15a4d2"),
+}
+GOLDEN_SCAN_X0 = {"branch-lost": [-0.886]}
+
+
+@pytest.mark.parametrize("case", list(GOLDEN_SCANS))
+def test_critical_scan_keeps_its_digest(case):
+    args, digest = GOLDEN_SCANS[case]
+    rep = find_critical_r(*args, x0=GOLDEN_SCAN_X0.get(case, [0.5]))
+    assert hashlib.sha256(json.dumps(rep.to_dict()).encode()).hexdigest() == digest
+
+
+def test_bisection_stops_at_one_ulp(monkeypatch):
+    # both roots lie near r = 10, where one ulp of r moves det by about
+    # 1.8e-8 > det_tol, so the flip's bisection ends on adjacent floats
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return find_fixed_point(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "find_fixed_point", counted)
+    rep = find_critical_r(AffineMap(np.array([[99999999.3]]), np.array([0.0])),
+                          AffineMap(np.array([[-1e7]]), np.array([0.0])), 0.31, 19.7, 21)
+    assert [(b.kind, b.r, b.residual) for b in rep.roots] == [
+        ("flip", 10.000000029999999, 1.4901161193847676e-08),
+        ("fold", 9.99999983, 0.0)]
+    assert len(calls) <= 130
+
+
 # --- sweeps ---------------------------------------------------------------------
 
 
@@ -1022,7 +1081,7 @@ def test_coupled_fixed_point_residuals():
 
 def _traj(n):
     states = ((0.0,),) * n
-    return Trajectory(states, states, r=0.0)
+    return Trajectory(states, states)
 
 
 def test_lyapunov_constant_is_monotone():
@@ -1093,7 +1152,7 @@ def test_simulate_schedule_holds_observer():
 def test_trajectory_csv_keeps_signed_zeros():
     # -0.0 == 0.0, so a state with a zero coordinate is never looked up as another
     zeros = ((-0.0,), (0.0,), (-0.0,), (0.5,), (0.5,))
-    text = trajectory_to_csv(Trajectory(zeros, ((1.0,),) * 5, r=0.0))
+    text = trajectory_to_csv(Trajectory(zeros, ((1.0,),) * 5))
     assert text.splitlines()[1:] == ["0,-0,1,", "1,0,1,", "2,-0,1,",
                                      "3,0.5,1,", "4,0.5,1,"]
 
