@@ -1,6 +1,6 @@
 """Time each work-cap calibration shape at the cap, through the CLI.
 
-    python scripts/work_cap_runs.py simulate|sweep|scan [--grid N] [--runs N]
+    python scripts/work_cap_runs.py simulate|sweep|scan|entropy [--grid N] [--runs N]
 
 For each shape of tests/conftest.py it finds the largest step count (or,
 with --grid 0, grid size) that WORK_CAP accepts, writes that scenario to a
@@ -8,7 +8,8 @@ temporary directory, runs `python -m veridyn.cli` on it --runs times, and
 prints the count, the median and range of wall times (interpreter start
 included) and the largest peak RSS.  --grid sets the sweep's grid size
 (default 2).  `scan` times a sweep of conftest's scan_scenario instead, at
-the largest count of zero terms that WORK_CAP accepts.
+the largest count of zero terms that WORK_CAP accepts, and `entropy` the
+entropy trace of each of conftest's ENTROPY_CAP_SHAPES.
 """
 
 from __future__ import annotations
@@ -26,10 +27,20 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from conftest import WORK_CAP_SHAPES, scan_scenario, work_cap_scenario  # noqa: E402
+from conftest import (  # noqa: E402
+    ENTROPY_CAP_SHAPES,
+    WORK_CAP_SHAPES,
+    entropy_cap_scenario,
+    scan_scenario,
+    work_cap_scenario,
+)
 
 from veridyn.errors import ScenarioParseError  # noqa: E402
-from veridyn.scenario import parse_simulate_settings, parse_sweep_settings  # noqa: E402
+from veridyn.scenario import (  # noqa: E402
+    parse_entropy_settings,
+    parse_simulate_settings,
+    parse_sweep_settings,
+)
 
 
 def largest_accepted(accepts) -> int:
@@ -58,15 +69,21 @@ def run_cli(command: str, scenario: Path, out: Path) -> tuple[float, float, int]
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("command", choices=("simulate", "sweep", "scan"))
+    parser.add_argument("command", choices=("simulate", "sweep", "scan", "entropy"))
     parser.add_argument("--grid", type=int, default=2)
     parser.add_argument("--runs", type=int, default=3)
     args = parser.parse_args()
     command = "sweep" if args.command == "scan" else args.command
-    parse = parse_simulate_settings if command == "simulate" else parse_sweep_settings
-    cases = ({"polynomial scan": scan_scenario} if args.command == "scan" else
-             {name: functools.partial(work_cap_scenario, command, name, grid=args.grid)
-              for name in WORK_CAP_SHAPES})
+    parse = {"simulate": parse_simulate_settings, "sweep": parse_sweep_settings,
+             "entropy": parse_entropy_settings}[command]
+    if args.command == "scan":
+        cases = {"polynomial scan": scan_scenario}
+    elif command == "entropy":
+        cases = {name: functools.partial(entropy_cap_scenario, name)
+                 for name in ENTROPY_CAP_SHAPES}
+    else:
+        cases = {name: functools.partial(work_cap_scenario, command, name, grid=args.grid)
+                 for name in WORK_CAP_SHAPES}
 
     def accepts(case, n):
         try:

@@ -53,9 +53,9 @@ from .errors import (
 )
 from .phase import cycle_net_phase, interference_pairing, phase_lock_space
 from .scenario import (
-    LEDGER_WORK_CAP,
     SimulateSettings,
     SquareCheck,
+    check_ledger_work,
     load_scenario,
     parse_cascade_spec,
     parse_checks,
@@ -140,7 +140,7 @@ LEDGER_PROBE_STEPS = 4096
 
 def _rollout_within_ledger_cap(sim: SimulateSettings) -> tuple[Trajectory, list]:
     """The trajectory and each ledger's cells, once the work of summing
-    them is within LEDGER_WORK_CAP; beyond it, ScenarioParseError before
+    them passes check_ledger_work; beyond the cap, ScenarioParseError before
     any sum.
 
     A long run is first rolled out and checked over its first
@@ -155,11 +155,7 @@ def _rollout_within_ledger_cap(sim: SimulateSettings) -> tuple[Trajectory, list]
                                 schedule=sim.schedule, prefix=traj)
         cells = [histogram_cells(states, sim.bins, sim.lo, sim.hi)
                  for states in (traj.xs, traj.os)]
-        work = sum(ledger_work(c, points - k) for c in cells)
-        if work > LEDGER_WORK_CAP:
-            raise ScenarioParseError(
-                f"ledger work of at least {work} (distinct cells seen so far, summed "
-                f"over the steps of both ledgers) exceeds cap {LEDGER_WORK_CAP}")
+        check_ledger_work(sum(ledger_work(c, points - k) for c in cells))
     return traj, cells
 
 

@@ -68,6 +68,7 @@ __all__ = [
     "SquareCheck",
     "EqualizerCheck",
     "parse_simulate_settings",
+    "check_ledger_work",
     "parse_sweep_settings",
     "parse_theta_settings",
     "parse_entropy_trace",
@@ -77,10 +78,10 @@ __all__ = [
 ]
 
 
-# simulate and sweep are priced in float operations of a generated map
-# evaluator (20 to 40 ns on a shared 2-core Xeon) before any map compiles:
-# at WORK_CAP each shape of tests/conftest.py takes 1.5 to 5 s, and a simulate
-# holds at most 260 000 rows (peak RSS 188 MB at dim 1, 200 MB at dim 64)
+# simulate, sweep and the entropy trace are priced in float operations of a
+# generated map evaluator (20 to 40 ns on a shared 2-core Xeon) before they
+# run: at WORK_CAP each shape of tests/conftest.py takes 1.5 to 5 s, and a
+# simulate holds at most 260 000 rows (peak RSS 188 MB at dim 1, 200 MB at dim 64)
 WORK_CAP = 10 ** 8
 # a numpy call, about 1 us: a dim-2 affine node on floats (two) takes 2.1 us,
 # and a batched map step 0.9 us per float operation (one each)
@@ -93,10 +94,10 @@ SOLVE_CALLS = 1024
 # a simulate row per state coordinate, plus two: 9.6, 12.8 and 212 us at dim
 # 1, 2 and 64 to roll out, bin, sum entropies and write when no state repeats
 ROW_WORK = 128
-# distinct cells seen so far, summed over the steps of both simulate ledgers;
-# known only after the rollout, and checked before any entropy is summed
-LEDGER_WORK_CAP = 2 * 10 ** 7
-ENTROPY_STEPS_CAP = 10 ** 4
+# a term of a Python-level sum over a distribution: a ledger cell, or an
+# element of a pushforward or of an entropy sum (2 * 10^7 ledger terms, the
+# cap's worth, took 2.7 to 3.4 s)
+TERM_WORK = 5
 # the size of one map tree: each node (the map and every part below it)
 # counts its dim and each polynomial term one more; a map is compiled at its
 # first call in time and memory linear in its size
@@ -443,6 +444,14 @@ def parse_simulate_settings(doc: Mapping) -> SimulateSettings:
         alpha=parse_entropy_params(doc).alpha if "entropy" in doc else 1.0))
 
 
+def check_ledger_work(terms: int) -> None:
+    """ScenarioParseError if `terms`, at least the terms of the simulate
+    ledgers' entropy sums, are beyond WORK_CAP at TERM_WORK each. Known only
+    after the rollout, they are not added to the simulate work, whose
+    ROW_WORK already prices a ledger of few cells."""
+    _within_cap(TERM_WORK * terms, "ledger work of at least", WORK_CAP)
+
+
 def parse_sweep_settings(doc: Mapping) -> SweepSettings:
     """The sweep command's sections, checked before anything runs."""
     from .cascade import DIM_CAP
@@ -551,8 +560,13 @@ def parse_entropy_trace(doc: Mapping, uni: Universe) -> EntropyTraceSettings:
     observer = uni.morphism(_name(section, "observer", "entropy_trace"))
     if transition.src != transition.dst:
         raise ScenarioParseError("entropy_trace transition must be an endomap")
-    steps = _within_cap(_integer(section.get("steps", 16), "entropy_trace steps", 0),
-                        "entropy_trace steps", ENTROPY_STEPS_CAP)
+    steps = _integer(section.get("steps", 16), "entropy_trace steps", 0)
+    # a step pushes the state through both maps, checks both distributions
+    # and sums both entropies: about three terms an element, plus a trace row
+    # (15 to 23 us) priced as four simulate rows
+    _within_cap((steps + 1) * (4 * ROW_WORK + 3 * TERM_WORK
+                               * (start.size + observer.dst.size)),
+                "entropy_trace work", WORK_CAP)
     probs = section.get("initial_probs")
     k_schedule = _mapping(doc.get("entropy", {}), "entropy").get("k_schedule")
     if k_schedule is not None:

@@ -201,3 +201,49 @@ def scan_scenario(zeros: int) -> dict:
     `zeros` zero terms on 2 grid values across its flip at r = 3, rows of 3."""
     return {"seed": 7, **work_cap_shape("polynomial", zeros),
             "r_grid": {"lo": 2.5, "hi": 3.4, "steps": 2}, "transient": 1, "sample": 2}
+
+
+# --- the shapes that set the entropy trace's work weights --------------------
+
+
+def carrier_universe(size: int, steps: int) -> dict:
+    """The sections of an entropy trace on a carrier X of `size` elements.
+
+    The transition shifts X cyclically by one, the observer bins it into 64
+    buckets, and the initial weights 1 to 4 keep every probability positive,
+    so each step sums a term per element of X and of the buckets.
+    """
+    xs = [f"x{i:05d}" for i in range(size)]
+    buckets = [f"b{i:02d}" for i in range(64)]
+    weights = [1 + i % 4 for i in range(size)]
+    total = sum(weights)
+    return {
+        "seed": 7,
+        "universe": {
+            "objects": [{"id": "X", "elements": xs}, {"id": "B", "elements": buckets}],
+            "morphisms": [
+                {"id": "shift", "src": "X", "dst": "X",
+                 "mapping": {x: xs[i - 1] for i, x in enumerate(xs)}},
+                {"id": "bin", "src": "X", "dst": "B",
+                 "mapping": {x: buckets[i % 64] for i, x in enumerate(xs)}},
+            ]},
+        "entropy": {"C": 1.0, "K": 1.0, "alpha": 0.5},
+        "entropy_trace": {"start": "X", "transition": "shift", "observer": "bin",
+                          "steps": steps,
+                          "initial_probs": [w / total for w in weights]},
+    }
+
+
+ENTROPY_CAP_SHAPES = ("universe", "merge", "100", "3200", "32000")
+
+
+def entropy_cap_scenario(name: str, n: int) -> dict:
+    """A calibration scenario of the entropy trace's work: n steps of the
+    bundled 2-element universe, of its merging transition
+    (entropy_merge.json), or of a carrier of 100 to 32 000 elements."""
+    if name in ("universe", "merge"):
+        file = "observer_universe.json" if name == "universe" else "entropy_merge.json"
+        doc = json.loads((SCENARIOS / file).read_text())
+        doc["entropy_trace"]["steps"] = n
+        return doc
+    return carrier_universe(int(name), n)

@@ -18,7 +18,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import WORK_CAP_SHAPES, scan_scenario, work_cap_scenario
+from conftest import (
+    ENTROPY_CAP_SHAPES,
+    WORK_CAP_SHAPES,
+    entropy_cap_scenario,
+    scan_scenario,
+    work_cap_scenario,
+)
 
 from veridyn import cli, dynamics
 from veridyn.cascade import DIM_CAP, RESIDUAL_TOL
@@ -33,9 +39,8 @@ from veridyn.dynamics import (
 from veridyn.entropy import histogram_cells, ledger_work
 from veridyn.errors import ScenarioParseError
 from veridyn.scenario import (
-    ENTROPY_STEPS_CAP,
-    LEDGER_WORK_CAP,
     MAP_SIZE_CAP,
+    TERM_WORK,
     WORK_CAP,
     parse_entropy_trace,
     parse_simulate_settings,
@@ -326,7 +331,7 @@ def test_ledger_work_beyond_the_cap_exits_2_before_any_sum(tmp_path, capsys,
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ledger work ")
-    assert err[0].endswith(f"exceeds cap {LEDGER_WORK_CAP}")
+    assert err[0].endswith(f"exceeds cap {WORK_CAP}")
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
@@ -381,11 +386,25 @@ def test_ledger_work_just_under_the_cap_runs(tmp_path):
     cells = [histogram_cells(points, sim.bins, sim.lo, sim.hi)
              for points in (traj.xs, traj.os)]
     # one step more would pass the cap
-    assert sum(ledger_work(c[:steps + 1]) for c in cells) <= LEDGER_WORK_CAP \
-        < sum(map(ledger_work, cells))
+    assert TERM_WORK * sum(ledger_work(c[:steps + 1]) for c in cells) <= WORK_CAP \
+        < TERM_WORK * sum(map(ledger_work, cells))
     out = tmp_path / "out"
     assert _run("simulate", _write(tmp_path, _chaotic_ledger(steps)), out) == 0
     assert len((out / "trajectory.csv").read_text().splitlines()) == steps + 2
+
+
+def test_ledger_work_one_step_beyond_the_cap_exits_2(tmp_path, capsys, monkeypatch):
+    # the step after test_ledger_work_just_under_the_cap_runs: rolled out
+    # past the probe, then rejected before any sum
+    def summed(cells):
+        raise AssertionError("an entropy was summed")
+
+    monkeypatch.setattr(cli, "prefix_entropies", summed)
+    out = tmp_path / "out"
+    assert _run("simulate", _write(tmp_path, _chaotic_ledger(4471)), out) == 2
+    err = _assert_rejected(capsys, out)
+    assert err.startswith("error: ledger work ")
+    assert err.endswith(f"exceeds cap {WORK_CAP}")
 
 
 def test_sweep_deterministic_and_transition(tmp_path):
@@ -483,6 +502,10 @@ SIMULATES_AT_THE_WORK_CAP = {
        for shape, n in zip(WORK_CAP_SHAPES,
                            (94072, 251888, 129532, 10378, 156984, 42300))},
 }
+# the steps of each entropy trace within WORK_CAP, likewise
+ENTROPIES_AT_THE_WORK_CAP = {
+    shape: (functools.partial(entropy_cap_scenario, shape), n)
+    for shape, n in zip(ENTROPY_CAP_SHAPES, (179532, 179532, 33646, 2020, 206))}
 
 
 def _one_above(at_cap, name):
@@ -567,9 +590,13 @@ def test_step_counts_at_their_caps_are_accepted():
         with pytest.raises(ScenarioParseError,
                            match=f"^simulate work [0-9]+ exceeds cap {WORK_CAP}$"):
             parse_simulate_settings(scenario(n + 1))
-    doc = json.loads(UNIVERSE_SCENARIO.read_text())
-    doc["entropy_trace"]["steps"] = ENTROPY_STEPS_CAP
-    assert parse_entropy_trace(doc, parse_universe(doc)).steps == ENTROPY_STEPS_CAP
+    for scenario, n in ENTROPIES_AT_THE_WORK_CAP.values():
+        doc = scenario(n)
+        assert parse_entropy_trace(doc, parse_universe(doc)).steps == n
+        doc = scenario(n + 1)
+        with pytest.raises(ScenarioParseError,
+                           match=f"^entropy_trace work [0-9]+ exceeds cap {WORK_CAP}$"):
+            parse_entropy_trace(doc, parse_universe(doc))
 
 
 def test_runaway_simulate_exits_2_uncompiled(tmp_path, capsys, monkeypatch):
@@ -584,6 +611,38 @@ def test_runaway_simulate_exits_2_uncompiled(tmp_path, capsys, monkeypatch):
     assert re.fullmatch(f"error: simulate work [0-9]+ exceeds cap {WORK_CAP}",
                         _assert_rejected(capsys, out))
     assert compiled == []
+
+
+def test_runaway_entropy_exits_2_before_any_step(tmp_path, capsys, monkeypatch):
+    # 10^4 steps on 3 200 elements: about 9 s if run
+    doc = json.loads((SCENARIOS / "runaway_entropy.json").read_text())
+    assert doc["entropy_trace"]["steps"] == 10 ** 4
+    assert len(doc["universe"]["objects"][0]["elements"]) == 3200
+
+    def pushed(state, f):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr(cli, "pushforward", pushed)
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert _run("entropy", str(SCENARIOS / "runaway_entropy.json"), out) == 2
+    assert time.perf_counter() - start < 1.0
+    assert re.fullmatch(f"error: entropy_trace work [0-9]+ exceeds cap {WORK_CAP}",
+                        _assert_rejected(capsys, out))
+
+
+def test_long_entropy_trace_on_a_small_carrier_runs(tmp_path):
+    # 50 000 steps of the bundled 2-element trace are well within the work
+    # cap, and its first rows are the 16-step trace's
+    scenario, _ = ENTROPIES_AT_THE_WORK_CAP["universe"]
+    rows = []
+    for steps in (16, 50_000):
+        out = tmp_path / f"out{steps}"
+        assert _run("entropy", _write(tmp_path, scenario(steps)), out) == 0
+        rows.append((out / "entropy_trace.csv").read_bytes().splitlines(keepends=True))
+    short, long = rows
+    assert len(short) == 18 and len(long) == 50_002
+    assert long[:18] == short
 
 
 def _assert_rejected(capsys, out):
@@ -668,8 +727,9 @@ BAD_FINITE_SET = {
     "theta functor not a name": ("theta", "theta_limit", "update", ["V"]),
     "entropy_trace without start": ("entropy", "entropy_trace", "start", None),
     "entropy_trace steps not a number": ("entropy", "entropy_trace", "steps", "x"),
+    # the bundled universe's 2 + 1 elements, one step beyond WORK_CAP
     "entropy_trace steps beyond the cap": ("entropy", "entropy_trace", "steps",
-                                           ENTROPY_STEPS_CAP + 1),
+                                           ENTROPIES_AT_THE_WORK_CAP["universe"][1] + 1),
     "entropy_trace probs not numbers": ("entropy", "entropy_trace", "initial_probs",
                                         ["x", 1]),
     "k_schedule shorter than steps": ("entropy", "entropy", "k_schedule", [1.0]),
@@ -1262,6 +1322,7 @@ BUNDLED_RUNS = [
     ("simulate", "runaway_ledger", 2),
     ("sweep", "runaway_sweep", 2),
     ("simulate", "runaway_simulate", 2),
+    ("entropy", "runaway_entropy", 2),
     ("sweep", "oversized_sweep", 2),
 ]
 
