@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from types import CodeType, FunctionType
 from typing import Callable, Sequence
 
@@ -446,14 +447,70 @@ def jacobian(F: MapSpec, x: np.ndarray) -> LinOp:
     return LinOp(jac)
 
 
-def _residual(d: list[float]) -> float:
-    """max |d_i|, NaN when any d_i is NaN, as np.abs(d).max() gives.
+def _emit_residual(src: _Source, diffs: list[str]) -> str:
+    """Add statements for max |d_i| over the values named `diffs`, NaN when
+    any d_i is NaN, as np.abs(d).max() gives; the result's name.
 
-    max() alone keeps a NaN only when it comes first.
+    max() alone keeps a NaN only when it comes first, and the sum of the
+    |d_i| is NaN exactly when some |d_i| is.
     """
-    norms = list(map(abs, d))
-    total = sum(norms)  # NaN exactly when some |d_i| is NaN
-    return total if total != total else max(norms)
+    norms = [src.value(f"abs({d})") for d in diffs]
+    if len(norms) == 1:
+        return norms[0]
+    total = src.total(norms)
+    return src.value(f"{total} if {total} != {total} else max({', '.join(norms)})")
+
+
+@cache
+def _damped_loop(dim: int) -> Callable:
+    """`find_fixed_point`'s iteration for points of `dim` floats, generated as
+    straight-line statements over scalar locals and compiled once per dim.
+
+    It calls F, a black box, once per step on the candidate's tuple, and
+    returns the fixed point's tuple, or None once the iteration stalls,
+    with the last residual.
+    """
+    # x, d = F(x) - x, the candidate c, its residual vector e and F's output f
+    xs, ds, cs, es, fs = ([f"{v}{j}" for j in range(dim)] for v in "xdcef")
+    head, body = _Source(), _Source()
+    start = _emit_residual(head, ds)
+    step = _emit_residual(body, es)
+    text = "\n".join([
+        "def _solve(F, x, max_iter, tol):",
+        f"    {', '.join(xs)}, = x",
+        f"    {', '.join(fs)}, = F(x)",
+        *(f"    {d} = {f} - {x}" for d, f, x in zip(ds, fs, xs)),
+        *(f"    {line}" for line in head.lines),
+        f"    res = {start}",
+        "    if res <= tol:",
+        "        return x, res",
+        "    beta = 1.0",
+        "    for _ in range(max_iter):",
+        *(f"        {c} = {x} + beta * {d}" for c, x, d in zip(cs, xs, ds)),
+        f"        cand = ({', '.join(cs)},)",
+        "        fc = F(cand)",
+        f"        {', '.join(fs)}, = fc",
+        *(f"        {e} = {f} - {c}" for e, f, c in zip(es, fs, cs)),
+        *(f"        {line}" for line in body.lines),
+        f"        cres = {step}",
+        "        if cres <= tol:",
+        "            return cand, cres",
+        # a finite cres implies a finite F(cand); an infinite one passes
+        # against an infinite res, so there F(cand) must be checked
+        "        if cres <= res * (1.0 - 1e-3) and (cres < inf",
+        "                                            or all(map(isfinite, fc))):",
+        *(f"            {x} = {c}" for x, c in zip(xs, cs)),
+        *(f"            {d} = {e}" for d, e in zip(ds, es)),
+        "            res = cres",
+        "            continue",
+        "        beta *= 0.5",
+        "        if beta < 1e-16:",
+        "            break",
+        "    return None, res",
+    ])
+    scope = {"inf": math.inf, "isfinite": math.isfinite}
+    exec(compile(text, f"<damped loop, dim {dim}>", "exec"), scope)
+    return scope["_solve"]
 
 
 # a dim > 1 affine node evaluates in numpy; the residual and step checks
@@ -467,34 +524,17 @@ def find_fixed_point(F: MapSpec, x0: Sequence[float], max_iter: int = 10_000,
     margin; merely-not-worse progress (the signature of a neutral
     multiplier) triggers the same halving as an outright increase, which
     restores contraction near flip-neutral points.  beta never grows back.
-    The iteration runs on tuples of floats; the fixed point is returned
-    as an array.
+    The iteration is generated code for x0's dimension, which calls F as a
+    black box at the points the plain iteration on floats evaluates; the
+    fixed point is returned as an array.
     """
     x = tuple(map(float, x0))
-    d = [f - c for f, c in zip(F(x), x)]
-    res = _residual(d)
-    if res <= tol:
-        return np.array(x)
-    beta = 1.0
-    for _ in range(max_iter):
-        cand = tuple([c + beta * e for c, e in zip(x, d)])
-        fc = F(cand)
-        dc = [f - c for f, c in zip(fc, cand)]
-        cres = _residual(dc)
-        if cres <= tol:
-            return np.array(cand)
-        # a finite cres implies a finite F(cand); an infinite one passes
-        # against an infinite res, so there F(cand) must be checked
-        if cres <= res * (1.0 - 1e-3) and (cres < math.inf
-                                            or all(map(math.isfinite, fc))):
-            x, d, res = cand, dc, cres
-            continue
-        beta *= 0.5
-        if beta < 1e-16:
-            break
-    raise NoConvergenceError(
-        f"fixed-point iteration stalled at residual {res:.3e} (tol {tol:.1e})"
-    )
+    point, res = _damped_loop(len(x))(F, x, max_iter, tol)
+    if point is None:
+        raise NoConvergenceError(
+            f"fixed-point iteration stalled at residual {res:.3e} (tol {tol:.1e})"
+        )
+    return np.array(point)
 
 
 @dataclass(frozen=True)
@@ -795,8 +835,8 @@ def sweep_bifurcation(update: MapSpec, observer: MapSpec,
         if not live.size:
             break
         x = batch(x, rs[live])
-        bad = ~np.all(np.isfinite(x), axis=1) \
-            | (np.max(np.abs(x), axis=1, initial=0.0) > DIVERGENCE_THRESHOLD)
+        # NaN, inf and any value above the threshold all fail <=
+        bad = ~(np.max(np.abs(x), axis=1, initial=0.0) <= DIVERGENCE_THRESHOLD)
         if step >= transient:
             samples[live, step - transient] = x
         if bad.any():

@@ -335,13 +335,9 @@ def test_ledger_work_beyond_the_cap_exits_2_before_any_sum(tmp_path, capsys,
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
-def test_runaway_ledger_is_rejected_after_the_probe_rollout(tmp_path, capsys,
-                                                           monkeypatch):
-    out = tmp_path / "out"
-    assert _run("simulate", str(SCENARIOS / "logistic_sweep.json"), out) == 0
-    before = {p.name: p.read_bytes() for p in out.iterdir()}
-    capsys.readouterr()
-    # outermost map calls, counted through each class's __call__
+def _count_map_calls(monkeypatch) -> list[int]:
+    """A one-item list that counts outermost map calls, through each class's
+    __call__, from now on."""
     depth, calls = [0], [0]
     for cls in (AffineMap, PolynomialMap, PipelineMap, WeightedSumMap):
         def counted(self, x, _call=cls.__dict__["__call__"]):
@@ -352,6 +348,16 @@ def test_runaway_ledger_is_rejected_after_the_probe_rollout(tmp_path, capsys,
             finally:
                 depth[0] -= 1
         monkeypatch.setattr(cls, "__call__", counted)
+    return calls
+
+
+def test_runaway_ledger_is_rejected_after_the_probe_rollout(tmp_path, capsys,
+                                                           monkeypatch):
+    out = tmp_path / "out"
+    assert _run("simulate", str(SCENARIOS / "logistic_sweep.json"), out) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    calls = _count_map_calls(monkeypatch)
     scen = SCENARIOS / "runaway_ledger.json"
     assert json.loads(scen.read_text())["steps"] == 10 ** 5
     assert _run("simulate", str(scen), out) == 2
@@ -436,6 +442,26 @@ def test_sweep_flip_at_observer_scale_098(tmp_path):
     assert any(lo <= flip <= hi for lo, hi in critical["branch_failures"]) or \
         any(abs(root["r"] - flip) <= 1e-6 for root in critical["roots"]
             if root["kind"] == "flip")
+
+
+@pytest.mark.parametrize("name, evals, solves", [
+    ("logistic_sweep", 8143, 182),
+    ("pipeline_ledger", 26118, 85),
+])
+def test_sweep_evaluates_the_pinned_number_of_points(tmp_path, monkeypatch, name,
+                                                     evals, solves):
+    # the critical scan and the rows' solves call F_r at the points the plain
+    # damped iteration evaluates, however that loop is run
+    calls = _count_map_calls(monkeypatch)
+    solved = [0]
+
+    def counted(*args, _solve=dynamics.find_fixed_point, **kwargs):
+        solved[0] += 1
+        return _solve(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "find_fixed_point", counted)
+    assert _run("sweep", str(SCENARIOS / f"{name}.json"), tmp_path / "out") == 0
+    assert (calls[0], solved[0]) == (evals, solves)
 
 
 def test_sweep_failure_leaves_no_diagram(tmp_path, monkeypatch):

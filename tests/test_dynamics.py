@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from conftest import jacobian_fd, point_mass, scale_map, zero_map
 from veridyn import cli, dynamics
 from veridyn._formats import fmt_real
-from veridyn.cascade import LinOp, spectrum
+from veridyn.cascade import DIM_CAP, LinOp, spectrum
 from veridyn.category import FinObj
 from veridyn.dynamics import (
     AffineMap,
@@ -588,6 +588,9 @@ def _keep_and_square_last(dim):
     (CUBE, [1e120]),
     (CUBE, [-1e120]),
     (AffineMap([[3.0]], [1.0]), [1e308]),
+    # |d| = (1e308, 1e308): their sum overflows to inf with no NaN, so the
+    # residual is the max; an infinite one would accept the step at beta 1/4
+    (AffineMap(2.0 * np.eye(2), [1e308, 1e308]), [0.0, 0.0]),
 ])
 def test_fixed_point_overflow_paths_match_reference(spec, x0):
     got = _traced_solve(find_fixed_point, spec, x0, max_iter=300)
@@ -601,6 +604,10 @@ def test_fixed_point_overflow_paths_match_reference(spec, x0):
                    PolynomialMap(1, (((1.0, (1,)), (-1.0, (2,))),)), 3.0), [0.5], 50),
     (scale_map(1, 2.0), [1.0], 10_000),
     (AffineMap([[0.0, -1.1], [1.1, 0.0]], [0.1, 0.2]), [1.0, 1.0], 200),
+    # the widest map a sweep takes: a damped cyclic shift, so each step moves
+    # the residual's largest coordinate one place on, through all of them
+    (AffineMap(0.99 * np.roll(np.eye(DIM_CAP), 1, axis=0), np.zeros(DIM_CAP)),
+     np.r_[1.0, np.linspace(1e-3, 2e-3, DIM_CAP - 1)], 80),
 ])
 def test_stalled_solves_match_reference(spec, x0, max_iter):
     got = _traced_solve(find_fixed_point, spec, x0, max_iter=max_iter)
