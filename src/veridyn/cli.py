@@ -24,7 +24,6 @@ import tempfile
 import time
 from dataclasses import replace
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from . import __version__
 from ._formats import write_json, write_text
@@ -53,7 +52,6 @@ from .errors import (
 )
 from .phase import cycle_net_phase, interference_pairing, phase_lock_space
 from .scenario import (
-    SimulateSettings,
     SquareCheck,
     check_ledger_work,
     load_scenario,
@@ -66,9 +64,6 @@ from .scenario import (
     parse_universe,
     scenario_seed,
 )
-
-if TYPE_CHECKING:
-    from .dynamics import Trajectory
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -133,36 +128,14 @@ def cmd_theta(doc: dict) -> tuple[int, dict]:
                   "theta_result.json": doc_out}
 
 
-# the states a long ledger is first rolled out and binned on, to bound its
-# work from below
-LEDGER_PROBE_STEPS = 4096
-
-
-def _rollout_within_ledger_cap(sim: SimulateSettings) -> tuple[Trajectory, list]:
-    """The trajectory and each ledger's cells, once the work of summing
-    them passes check_ledger_work; beyond the cap, ScenarioParseError before
-    any sum.
-
-    A long run is first rolled out and checked over its first
-    LEDGER_PROBE_STEPS states, on the bound those give for the whole run,
-    so a runaway ledger is rejected before the rest is rolled out.
-    """
-    from .dynamics import simulate_coupled
-    points = sim.steps + 1
-    traj = None
-    for k in ((LEDGER_PROBE_STEPS, points) if points > LEDGER_PROBE_STEPS else (points,)):
-        traj = simulate_coupled(sim.update, sim.observer, sim.x0, k - 1, r=sim.r,
-                                schedule=sim.schedule, prefix=traj)
-        cells = [histogram_cells(states, sim.bins, sim.lo, sim.hi)
-                 for states in (traj.xs, traj.os)]
-        check_ledger_work(sum(ledger_work(c, points - k) for c in cells))
-    return traj, cells
-
-
 def cmd_simulate(doc: dict) -> tuple[int, dict]:
-    from .dynamics import lyapunov_trace, trajectory_to_csv
+    from .dynamics import lyapunov_trace, simulate_coupled, trajectory_to_csv
     sim = parse_simulate_settings(doc)
-    traj, cells = _rollout_within_ledger_cap(sim)
+    traj = simulate_coupled(sim.update, sim.observer, sim.x0, sim.steps, r=sim.r,
+                            schedule=sim.schedule)
+    cells = [histogram_cells(states, sim.bins, sim.lo, sim.hi)
+             for states in (traj.xs, traj.os)]
+    check_ledger_work(sum(map(ledger_work, cells)))
     h_state, h_obs = map(prefix_entropies, cells)
     # dropped after their last use: at the work cap, keeping every list alive
     # while the CSV is built held about 800 bytes a row
@@ -181,11 +154,9 @@ def cmd_simulate(doc: dict) -> tuple[int, dict]:
 
 
 def cmd_sweep(doc: dict) -> tuple[int, dict]:
-    import numpy as np
     from .dynamics import diagram_to_csv, find_critical_r, sweep_bifurcation
     sw = parse_sweep_settings(doc)
-    r_grid = np.linspace(sw.lo, sw.hi, sw.steps)
-    diagram = sweep_bifurcation(sw.update, sw.observer, r_grid,
+    diagram = sweep_bifurcation(sw.update, sw.observer, sw.r_grid,
                                 transient=sw.transient, sample=sw.sample, x0=sw.x0)
     critical = find_critical_r(sw.update, sw.observer, sw.lo, sw.hi, sw.steps,
                                x0=sw.x0)

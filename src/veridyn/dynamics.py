@@ -852,15 +852,13 @@ def sweep_bifurcation(update: MapSpec, observer: MapSpec,
 # raises; only a dim > 1 affine node evaluates in numpy
 @np.errstate(over="ignore", invalid="ignore")
 def simulate_coupled(update: MapSpec, observer: MapSpec, x0: Sequence[float],
-                     steps: int, r: float = 0.0, schedule: int = 1,
-                     prefix: Trajectory | None = None) -> Trajectory:
+                     steps: int, r: float = 0.0, schedule: int = 1) -> Trajectory:
     """Roll out the coupled system, observing every `schedule`-th step.
 
     The state advances under F_r = update + r * observer back-action; the
     observer coordinate refreshes only on scheduled steps and holds its
     last reading in between.  A non-finite state or observer reading
-    raises NonFiniteError.  `prefix`, a rollout of the same system over
-    fewer steps, is extended from its last state instead of starting over.
+    raises NonFiniteError.
     """
     if schedule < 1:
         raise DomainError("schedule must be >= 1")
@@ -872,14 +870,10 @@ def simulate_coupled(update: MapSpec, observer: MapSpec, x0: Sequence[float],
         return o
 
     fr = perturbed_map(update, observer, r) if r != 0.0 else update
-    if prefix is None:
-        x = tuple(map(float, x0))
-        o = observe(x, 0)
-        xs, os_ = [x], [o]
-    else:
-        xs, os_ = list(prefix.xs), list(prefix.os)
-        x, o = xs[-1], os_[-1]
-    for n in range(len(xs), steps + 1):
+    x = tuple(map(float, x0))
+    o = observe(x, 0)
+    xs, os_ = [x], [o]
+    for n in range(1, steps + 1):
         x = fr(x)
         if not all(map(math.isfinite, x)):
             raise NonFiniteError(f"trajectory left the finite range at step {n}")

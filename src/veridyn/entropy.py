@@ -121,18 +121,14 @@ def histogram_cells(points: Sequence[Sequence[float]], bins: int, lo: float,
         for coord in zip(*points)]))
 
 
-def ledger_work(cells: Sequence[tuple[int, ...]], later: int = 0) -> int:
+def ledger_work(cells: Sequence[tuple[int, ...]]) -> int:
     """The terms prefix_entropies sums over `cells`: after each cell, the
-    number of distinct cells seen so far.
-
-    With `later` cells still to come, a lower bound of the work over all of
-    them: each later step sums at least the cells seen by now.
-    """
+    number of distinct cells seen so far."""
     n = len(cells)
     # each cell's first step i, kept over its later ones by walking backwards;
-    # from there on it is one of the terms at each of the n + later - i steps
+    # from there on it is one of the terms at each of the n - i steps
     first = dict(zip(reversed(cells), range(n - 1, -1, -1)))
-    return len(first) * (n + later) - sum(first.values())
+    return len(first) * n - sum(first.values())
 
 
 def prefix_entropies(cells: Sequence[tuple[int, ...]]) -> list[float]:

@@ -30,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Mapping
 
 from .category import (
@@ -159,7 +159,11 @@ def parse_universe(doc: Mapping) -> Universe:
     for fd in _entries(section, "functors"):
         name = _fresh(uni.functors, _name(fd, "name", "universe functor"),
                       "functor name")
-        if fd.get("identity"):
+        identity = fd.get("identity", False)
+        if not isinstance(identity, bool):
+            raise ScenarioParseError(
+                f"universe functor identity must be true or false, got {identity!r}")
+        if identity:
             uni.functors[name] = identity_functor(
                 uni.objects.values(), uni.morphisms.values(), name=name)
             continue
@@ -398,6 +402,7 @@ class SweepSettings:
     steps: int
     transient: int
     sample: int
+    r_grid: tuple[float, ...]  # steps values from lo to hi
 
 
 def _within_work_cap(run: SimulateSettings | SweepSettings):
@@ -445,15 +450,16 @@ def parse_simulate_settings(doc: Mapping) -> SimulateSettings:
 
 
 def check_ledger_work(terms: int) -> None:
-    """ScenarioParseError if `terms`, at least the terms of the simulate
-    ledgers' entropy sums, are beyond WORK_CAP at TERM_WORK each. Known only
-    after the rollout, they are not added to the simulate work, whose
-    ROW_WORK already prices a ledger of few cells."""
-    _within_cap(TERM_WORK * terms, "ledger work of at least", WORK_CAP)
+    """ScenarioParseError if `terms`, the terms of the simulate ledgers'
+    entropy sums, are beyond WORK_CAP at TERM_WORK each. Known only after
+    the rollout, they are not added to the simulate work, whose ROW_WORK
+    already prices a ledger of few cells."""
+    _within_cap(TERM_WORK * terms, "ledger work", WORK_CAP)
 
 
 def parse_sweep_settings(doc: Mapping) -> SweepSettings:
     """The sweep command's sections, checked before anything runs."""
+    import numpy as np
     from .cascade import DIM_CAP
     from .dynamics import DEFAULT_SAMPLE, DEFAULT_TRANSIENT
     update, observer = _coupled_maps(doc)
@@ -464,12 +470,20 @@ def parse_sweep_settings(doc: Mapping) -> SweepSettings:
     if not lo < hi:
         raise ScenarioParseError(f"r_grid needs lo < hi, got {lo} and {hi}")
     x0 = doc.get("x0")
-    return _within_work_cap(SweepSettings(
+    sw = _within_work_cap(SweepSettings(
         update, observer, lo=lo, hi=hi,
         steps=_integer(grid.get("steps"), "r_grid steps", 2),
         transient=_integer(doc.get("transient", DEFAULT_TRANSIENT), "transient", 1),
         sample=_integer(doc.get("sample", DEFAULT_SAMPLE), "sample", 2),
-        x0=None if x0 is None else _vector(x0, update.dim, "x0")))
+        x0=None if x0 is None else _vector(x0, update.dim, "x0"), r_grid=()))
+    # built once its size is within the work cap; hi - lo must not overflow
+    if not math.isfinite(hi - lo):
+        raise ScenarioParseError(f"r_grid needs a finite hi - lo, got {lo} and {hi}")
+    r_grid = tuple(np.linspace(lo, hi, sw.steps).tolist())
+    if not all(a < b for a, b in zip(r_grid, r_grid[1:])):
+        raise ScenarioParseError(
+            f"r_grid of {sw.steps} values from {lo} to {hi} is not strictly increasing")
+    return replace(sw, r_grid=r_grid)
 
 
 # --- finite-set layer: theta, entropy traces and phases ----------------------

@@ -351,8 +351,7 @@ def _count_map_calls(monkeypatch) -> list[int]:
     return calls
 
 
-def test_runaway_ledger_is_rejected_after_the_probe_rollout(tmp_path, capsys,
-                                                           monkeypatch):
+def test_runaway_ledger_is_rejected_after_its_rollout(tmp_path, capsys, monkeypatch):
     out = tmp_path / "out"
     assert _run("simulate", str(SCENARIOS / "logistic_sweep.json"), out) == 0
     before = {p.name: p.read_bytes() for p in out.iterdir()}
@@ -361,27 +360,33 @@ def test_runaway_ledger_is_rejected_after_the_probe_rollout(tmp_path, capsys,
     scen = SCENARIOS / "runaway_ledger.json"
     assert json.loads(scen.read_text())["steps"] == 10 ** 5
     assert _run("simulate", str(scen), out) == 2
-    # F_r and the observer once per state of the probe's rollout
-    assert 0 < calls[0] <= 2 * (cli.LEDGER_PROBE_STEPS + 1)
+    # F_r once per step and the observer once per state: each state once
+    assert calls[0] == 2 * 10 ** 5 + 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ledger work ")
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
-@pytest.mark.parametrize("steps", [4094, 4095, 4096, 4097])
-def test_ledger_probe_rollout_keeps_every_byte(tmp_path, steps):
-    # the probe rolls out the first LEDGER_PROBE_STEPS states, and the rest
-    # continues from its last one, as one rollout would
-    doc = json.loads((SCENARIOS / "pipeline_ledger.json").read_text())
-    doc["steps"] = steps
-    sim = parse_simulate_settings(doc)
-    whole = simulate_coupled(sim.update, sim.observer, sim.x0, sim.steps, r=sim.r,
-                             schedule=sim.schedule)
+def test_runaway_ledger_at_the_simulate_cap_exits_2_before_any_sum(tmp_path, capsys,
+                                                                  monkeypatch):
+    # the most steps the simulate work accepts for runaway_ledger.json's maps:
+    # the longest rollout a ledger can be rejected after
+    doc = json.loads((SCENARIOS / "runaway_ledger.json").read_text())
+    steps = 246304
+    assert parse_simulate_settings({**doc, "steps": steps}).steps == steps
+    with pytest.raises(ScenarioParseError,
+                       match=f"^simulate work [0-9]+ exceeds cap {WORK_CAP}$"):
+        parse_simulate_settings({**doc, "steps": steps + 1})
+
+    def summed(cells):
+        raise AssertionError("an entropy was summed")
+
+    monkeypatch.setattr(cli, "prefix_entropies", summed)
     out = tmp_path / "out"
-    assert _run("simulate", _write(tmp_path, doc), out) == 0
-    rows = (out / "trajectory.csv").read_text().splitlines()[1:]
-    assert [[float(v) for v in row.split(",")[1:-1]] for row in rows] == \
-        [[*x, *o] for x, o in zip(whole.xs, whole.os)]
+    assert _run("simulate", _write(tmp_path, {**doc, "steps": steps}), out) == 2
+    err = _assert_rejected(capsys, out)
+    assert err.startswith("error: ledger work ")
+    assert err.endswith(f"exceeds cap {WORK_CAP}")
 
 
 def test_ledger_work_just_under_the_cap_runs(tmp_path):
@@ -400,8 +405,8 @@ def test_ledger_work_just_under_the_cap_runs(tmp_path):
 
 
 def test_ledger_work_one_step_beyond_the_cap_exits_2(tmp_path, capsys, monkeypatch):
-    # the step after test_ledger_work_just_under_the_cap_runs: rolled out
-    # past the probe, then rejected before any sum
+    # the step after test_ledger_work_just_under_the_cap_runs: rolled out,
+    # then rejected before any sum
     def summed(cells):
         raise AssertionError("an entropy was summed")
 
@@ -544,6 +549,9 @@ BAD_SWEEP = {
     "empty grid range": {"r_grid": {"lo": 3.2, "hi": 2.8, "steps": 9}},
     "fractional grid steps": {"r_grid": {"lo": 2.8, "hi": 3.2, "steps": 8.5}},
     "grid without hi": {"r_grid": {"lo": 2.8, "steps": 9}},
+    "grid width overflows": {"r_grid": {"lo": -1e308, "hi": 1e308, "steps": 9}},
+    "grid finer than the float spacing": {"r_grid": {"lo": 1.0, "hi": 1.0000000000000002,
+                                                     "steps": 91}},
     "zero transient": {"transient": 0},
     "one sample": {"sample": 1},
     "sample beyond the row cap": {"sample": 10 ** 30},
@@ -583,6 +591,16 @@ def test_bad_dynamics_input_is_rejected_before_compute(tmp_path, capsys, cmd, pa
     out = tmp_path / "out"
     assert _run(cmd, _write(tmp_path, {**LOGISTIC, **patch}), out) == 2
     _assert_rejected(capsys, out)
+
+
+def test_too_fine_r_grid_is_rejected_before_any_map_call(tmp_path, capsys, monkeypatch):
+    # 91 values within one ulp repeat: found at parse time, not after the sweep
+    calls = _count_map_calls(monkeypatch)
+    out = tmp_path / "out"
+    scen = _write(tmp_path, {**LOGISTIC, **BAD_SWEEP["grid finer than the float spacing"]})
+    assert _run("sweep", scen, out) == 2
+    assert _assert_rejected(capsys, out).endswith("is not strictly increasing")
+    assert calls == [0]
 
 
 @pytest.mark.parametrize("observer", [
@@ -836,6 +854,9 @@ BAD_UNIVERSE = {
     "functor object image not a name": _set_first("functors", "obj_map",
                                                   {"X": ["VX"]}),
     "functor name not a name": _set_first("functors", "name", None),
+    "functor identity a string": lambda uni: uni["functors"].append(
+        {"name": "Id", "identity": "no"}),
+    "functor identity a number": _set_first("functors", "identity", 1),
     "duplicate functor name": _duplicate_first("functors"),
     "transformation components a list": _set_first("transformations", "components",
                                                    [["X", "embed"]]),
