@@ -158,8 +158,7 @@ def cmd_sweep(doc: dict) -> tuple[int, dict]:
     sw = parse_sweep_settings(doc)
     diagram = sweep_bifurcation(sw.update, sw.observer, sw.r_grid,
                                 transient=sw.transient, sample=sw.sample, x0=sw.x0)
-    critical = find_critical_r(sw.update, sw.observer, sw.lo, sw.hi, sw.steps,
-                               x0=sw.x0)
+    critical = find_critical_r(sw.update, sw.observer, sw.r_grid, x0=sw.x0)
     return EXIT_OK, {"diagram.csv": diagram_to_csv(diagram, sw.update.dim),
                      "critical_report.json": critical.to_dict()}
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
+from itertools import repeat
 from types import CodeType, FunctionType
 from typing import Callable, Sequence
 
@@ -71,17 +72,17 @@ def _pow(x: float, p: int) -> float:
         return math.copysign(math.inf, x) if p % 2 else math.inf
 
 
-_math_pow = np.frompyfunc(math.pow, 2, 1)
-
-
-def _libm_pow(col, p: int) -> np.ndarray:
+def _libm_pow(col, p: int) -> np.ndarray | float:
     """col ** p, for an array or a float, through libm pow as _pow takes it:
     numpy's array power takes SIMD paths (x * x for p = 2) that round
     differently, so batched rows would drift from the scalar ones."""
+    if isinstance(col, float):  # a constant column
+        return _pow(col, p)
     try:
-        return np.asarray(_math_pow(col, p), dtype=np.float64)
+        return np.fromiter(map(math.pow, col.tolist(), repeat(float(p))),
+                           np.float64, col.size)
     except OverflowError:
-        return np.asarray(np.frompyfunc(_pow, 2, 1)(col, p), dtype=np.float64)
+        return np.fromiter(map(_pow, col.tolist(), repeat(p)), np.float64, col.size)
 
 
 def _affine(a: np.ndarray, b: np.ndarray, x: tuple) -> list[float]:
@@ -655,11 +656,11 @@ def _refine_touch_root(eval_det: Callable[[float], float], r_a: float,
     return None
 
 
-def find_critical_r(update: MapSpec, observer: MapSpec, r_lo: float, r_hi: float,
-                    grid: int, x0: Sequence[float] | None = None,
+def find_critical_r(update: MapSpec, observer: MapSpec, r_grid: Sequence[float],
+                    x0: Sequence[float] | None = None,
                     det_tol: float = DET_TOL) -> CriticalReport:
-    """Scan the coupling range for the roots of each test function at the
-    fixed point.
+    """Scan a strictly increasing grid of coupling values for the roots of
+    each test function at the fixed point.
 
     For each grid value the fixed point of F_r is located by continuation
     from the previous root, and every function of _TEST_FUNCTIONS is
@@ -671,13 +672,14 @@ def find_critical_r(update: MapSpec, observer: MapSpec, r_lo: float, r_hi: float
     fixed-point branch is lost, in the scan or while refining a root
     between two grid values, are reported, not raised.
     """
-    if not r_lo < r_hi:
-        raise DomainError("need r_lo < r_hi")
-    if grid < 2:
+    rs = [float(r) for r in r_grid]
+    if len(rs) < 2:
         raise DomainError("need at least two grid points")
+    if not all(a < b for a, b in zip(rs, rs[1:])):
+        raise DomainError("coupling grid must be strictly increasing")
+    r_lo, r_hi = rs[0], rs[-1]
+    cell = (r_hi - r_lo) / (len(rs) - 1)
     guess = np.zeros(update.dim) if x0 is None else np.asarray(x0, dtype=np.float64)
-    rs = [float(r) for r in np.linspace(r_lo, r_hi, grid)]
-    cell = (r_hi - r_lo) / (grid - 1)
     table: dict[str, list[float | None]] = {kind: [] for kind in _TEST_FUNCTIONS}
     branch: list[tuple[float, np.ndarray]] = []
     failures: list[tuple[float, float]] = []
@@ -771,7 +773,7 @@ class BifurcationDiagram:
             raise DomainError("diagram grid must be strictly increasing")
 
 
-def _classify(samples: list[np.ndarray], period_tol: float,
+def _classify(samples: np.ndarray, period_tol: float,
               max_period: int) -> tuple[str, int | None]:
     s = np.asarray(samples)
     for p in range(1, min(max_period, len(s) - 1) + 1):
@@ -783,9 +785,9 @@ def _classify(samples: list[np.ndarray], period_tol: float,
 
 
 def _diagram_row(update: MapSpec, observer: MapSpec, r: float,
-                 samples: list[np.ndarray], x0: np.ndarray) -> DiagramRow:
-    """Classify one row from its samples (empty when divergent)."""
-    if samples:
+                 samples: np.ndarray, x0: np.ndarray) -> DiagramRow:
+    """Classify one row from its (sample, dim) samples (none when divergent)."""
+    if len(samples):
         attractor, period = _classify(samples, PERIOD_TOL, MAX_PERIOD)
     else:
         attractor, period = "divergent", None
@@ -793,7 +795,7 @@ def _diagram_row(update: MapSpec, observer: MapSpec, r: float,
     fr = perturbed_map(update, observer, r)
     lead = None
     try:
-        xstar = find_fixed_point(fr, samples[-1] if samples else x0,
+        xstar = find_fixed_point(fr, samples[-1] if len(samples) else x0,
                                  max_iter=2000, tol=1e-9)
         eigs = spectrum(jacobian(fr, xstar)).eigenvalues
         lead = max(eigs, key=abs) if eigs else None
@@ -829,21 +831,23 @@ def sweep_bifurcation(update: MapSpec, observer: MapSpec,
     batch = perturbed_map(update, observer, 0.0).batch()
     samples = np.empty((rs.size, sample, update.dim))
     divergent = np.zeros(rs.size, dtype=bool)
-    live = np.arange(rs.size)
+    live, r_live = np.arange(rs.size), rs
     x = np.tile(start, (rs.size, 1))
     for step in range(transient + sample):
         if not live.size:
             break
-        x = batch(x, rs[live])
-        # NaN, inf and any value above the threshold all fail <=
-        bad = ~(np.max(np.abs(x), axis=1, initial=0.0) <= DIVERGENCE_THRESHOLD)
+        x = batch(x, r_live)
         if step >= transient:
             samples[live, step - transient] = x
-        if bad.any():
-            divergent[live[bad]] = True
-            live, x = live[~bad], x[~bad]
+        # NaN, inf and any value above the threshold all fail <=; only then
+        # is it worth finding the rows that left
+        if not np.abs(x).max() <= DIVERGENCE_THRESHOLD:
+            ok = np.abs(x).max(axis=1) <= DIVERGENCE_THRESHOLD
+            divergent[live[~ok]] = True
+            live, x = live[ok], x[ok]
+            r_live = rs[live]
     rows = [_diagram_row(update, observer, float(r),
-                         [] if divergent[i] else list(samples[i]), start)
+                         samples[i, :0] if divergent[i] else samples[i], start)
             for i, r in enumerate(rs)]
     return BifurcationDiagram(tuple(rows))
 

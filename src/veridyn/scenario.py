@@ -164,6 +164,10 @@ def parse_universe(doc: Mapping) -> Universe:
             raise ScenarioParseError(
                 f"universe functor identity must be true or false, got {identity!r}")
         if identity:
+            if "obj_map" in fd or "mor_map" in fd:
+                raise ScenarioParseError(
+                    f"universe functor {name} is the identity and cannot give "
+                    "obj_map or mor_map")
             uni.functors[name] = identity_functor(
                 uni.objects.values(), uni.morphisms.values(), name=name)
             continue
@@ -397,12 +401,10 @@ class SweepSettings:
     update: MapSpec
     observer: MapSpec
     x0: tuple[float, ...] | None
-    lo: float
-    hi: float
     steps: int
     transient: int
     sample: int
-    r_grid: tuple[float, ...]  # steps values from lo to hi
+    r_grid: tuple[float, ...]  # steps values from r_grid lo to hi
 
 
 def _within_work_cap(run: SimulateSettings | SweepSettings):
@@ -471,7 +473,7 @@ def parse_sweep_settings(doc: Mapping) -> SweepSettings:
         raise ScenarioParseError(f"r_grid needs lo < hi, got {lo} and {hi}")
     x0 = doc.get("x0")
     sw = _within_work_cap(SweepSettings(
-        update, observer, lo=lo, hi=hi,
+        update, observer,
         steps=_integer(grid.get("steps"), "r_grid steps", 2),
         transient=_integer(doc.get("transient", DEFAULT_TRANSIENT), "transient", 1),
         sample=_integer(doc.get("sample", DEFAULT_SAMPLE), "sample", 2),

@@ -410,7 +410,8 @@ def _oracle_orbit_class(r: float, steps: int = 3000) -> str:
 
 
 def test_criterion_7_bifurcation():
-    linear = find_critical_r(scale_map(1, 0.5), scale_map(1, -1.0), 0.0, 2.0, 41)
+    linear = find_critical_r(scale_map(1, 0.5), scale_map(1, -1.0),
+                             np.linspace(0.0, 2.0, 41))
     flip_err = abs((linear.r_c_flip or np.inf) - 1.5)
     no_fold = linear.r_c_fold is None and not linear.fold_degenerate
 

@@ -857,6 +857,9 @@ BAD_UNIVERSE = {
     "functor identity a string": lambda uni: uni["functors"].append(
         {"name": "Id", "identity": "no"}),
     "functor identity a number": _set_first("functors", "identity", 1),
+    "identity functor with maps": _set_first("functors", "identity", True),
+    "identity functor with a mor_map": lambda uni: uni["functors"].append(
+        {"name": "Id", "identity": True, "mor_map": {}}),
     "duplicate functor name": _duplicate_first("functors"),
     "transformation components a list": _set_first("transformations", "components",
                                                    [["X", "embed"]]),

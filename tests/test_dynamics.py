@@ -186,6 +186,26 @@ def test_batch_power_overflow_matches_scalar():
     assert got[0, 0] == np.inf and got[1, 0] == -np.inf
 
 
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("overflow", [False, True])
+def test_libm_pow_matches_scalar_pow(p, overflow):
+    # an array takes libm pow in one pass, and _pow element by element once
+    # some power overflows; a float, a constant column, takes _pow itself
+    values = [0.0, -0.0, -1.5, -2.0, -3.0, 0.7, 1e100, np.nan]
+    if overflow:
+        values += [1e200, -1e200]
+    got = dynamics._libm_pow(np.array(values), p)
+    assert got.dtype == np.float64 and got.shape == (len(values),)
+    for v, g in zip(values, got.tolist()):
+        want = dynamics._pow(v, p)
+        for res in (g, dynamics._libm_pow(v, p)):
+            assert type(res) is float
+            assert math.isnan(res) == math.isnan(want)
+            assert math.isnan(want) or _same_bits(res, want)
+    if overflow and p > 1:
+        assert got[-2] == np.inf and got[-1] == (-np.inf if p == 3 else np.inf)
+
+
 # --- pinned references: numpy scalar evaluation --------------------------------
 #
 # Each map's __call__ as it stood when scalar evaluation ran on numpy arrays.
@@ -820,20 +840,20 @@ def test_fixed_point_flip_unstable_located_by_damping():
 
 
 def test_linear_family_flip_at_three_halves():
-    rep = find_critical_r(scale_map(1, 0.5), scale_map(1, -1.0), 0.0, 2.0, 21)
+    rep = find_critical_r(scale_map(1, 0.5), scale_map(1, -1.0), np.linspace(0.0, 2.0, 21))
     assert rep.r_c_flip == pytest.approx(1.5, abs=1e-6)
     assert rep.r_c_fold is None
     assert not rep.branch_failures
 
 
 def test_degenerate_family_flagged():
-    rep = find_critical_r(scale_map(1, 1.0), zero_map(1), 0.0, 2.0, 11)
+    rep = find_critical_r(scale_map(1, 1.0), zero_map(1), np.linspace(0.0, 2.0, 11))
     assert rep.fold_degenerate
     assert rep.r_c_fold is None
 
 
 def test_two_dimensional_double_flip_flagged_even():
-    rep = find_critical_r(scale_map(2, 0.5), scale_map(2, -1.0), 0.0, 2.0, 21)
+    rep = find_critical_r(scale_map(2, 0.5), scale_map(2, -1.0), np.linspace(0.0, 2.0, 21))
     flips = [b for b in rep.roots if b.kind == "flip"]
     assert len(flips) == 1
     assert flips[0].r == pytest.approx(1.5, abs=1e-6)
@@ -843,7 +863,7 @@ def test_two_dimensional_double_flip_flagged_even():
 def test_logistic_flip_matches_sweep_transition():
     phi = zero_map(1)
     obs = logistic_observer()
-    rep = find_critical_r(phi, obs, 2.5, 3.4, 10, x0=[0.5])
+    rep = find_critical_r(phi, obs, np.linspace(2.5, 3.4, 10), x0=[0.5])
     assert rep.r_c_flip == pytest.approx(3.0, abs=1e-6)
     grid = np.linspace(2.8, 3.2, 21)
     diag = sweep_bifurcation(phi, obs, grid, transient=3000, sample=64, x0=[0.5])
@@ -859,7 +879,7 @@ def test_flip_recovered_when_bisection_midpoint_stalls(c):
     # the damped solve stalls at the first bisection midpoint of the flip
     # bracket for these observer scales; a point beside it carries on
     obs = PolynomialMap(1, (((c, (1,)), (-c, (2,))),))
-    rep = find_critical_r(zero_map(1), obs, 2.5, 3.4, 91, x0=[0.5])
+    rep = find_critical_r(zero_map(1), obs, np.linspace(2.5, 3.4, 91), x0=[0.5])
     assert abs(rep.r_c_flip - 3.0 / c) <= 1e-6
 
 
@@ -892,6 +912,11 @@ GOLDEN_SCANS = {
     "duplicate-root": (
         (scale_map(1, 0.5), scale_map(1, -1.0000000001), 0.0, 2.0, 21),
         "dede28ad74d371fabecc5f43e3163f1a939b6b510642ca08455677e92c15a4d2"),
+    # lo = -0.0, where linspace starts at +0.0: the cell width is taken from
+    # the grid's ends, and the flip's bracket lies inside them
+    "negative-zero-lo": (
+        (scale_map(1, 0.5), scale_map(1, -1.0), -0.0, 2.0, 21),
+        "93d669de8f84e7ee4561e6ad8f90ae8796cd5499d6bdf6344a8b3fcc3d5e3aba"),
 }
 GOLDEN_SCAN_X0 = {"branch-lost": [-0.886]}
 
@@ -899,8 +924,27 @@ GOLDEN_SCAN_X0 = {"branch-lost": [-0.886]}
 @pytest.mark.parametrize("case", list(GOLDEN_SCANS))
 def test_critical_scan_keeps_its_digest(case):
     args, digest = GOLDEN_SCANS[case]
-    rep = find_critical_r(*args, x0=GOLDEN_SCAN_X0.get(case, [0.5]))
+    update, observer, lo, hi, steps = args
+    rep = find_critical_r(update, observer, np.linspace(lo, hi, steps),
+                          x0=GOLDEN_SCAN_X0.get(case, [0.5]))
     assert hashlib.sha256(json.dumps(rep.to_dict()).encode()).hexdigest() == digest
+
+
+def test_scan_brackets_end_at_the_grid_ends():
+    # a bracket cut at the low end reads the grid's first value, +0.0 for a
+    # grid from lo = -0.0, whether it holds a root or a lost branch
+    grid = np.linspace(-0.0, 2.0, 21)
+    flip = find_critical_r(scale_map(1, -1.05), scale_map(1, 1.0), grid, x0=[0.5])
+    lost = find_critical_r(AffineMap(np.array([[2.0]]), np.array([1.0])),
+                           scale_map(1, -1.0), grid, x0=[0.5])
+    ends = [flip.roots[0].bracket[0], lost.branch_failures[0][0]]
+    assert ends == [0.0, 0.0] and [math.copysign(1.0, end) for end in ends] == [1.0, 1.0]
+
+
+def test_critical_scan_needs_an_increasing_grid():
+    for grid in ([1.0], [0.0, 1.0, 1.0], [2.0, 1.0]):
+        with pytest.raises(DomainError):
+            find_critical_r(scale_map(1, 0.5), scale_map(1, -1.0), grid)
 
 
 def test_bisection_stops_at_one_ulp(monkeypatch):
@@ -914,7 +958,8 @@ def test_bisection_stops_at_one_ulp(monkeypatch):
 
     monkeypatch.setattr(dynamics, "find_fixed_point", counted)
     rep = find_critical_r(AffineMap(np.array([[99999999.3]]), np.array([0.0])),
-                          AffineMap(np.array([[-1e7]]), np.array([0.0])), 0.31, 19.7, 21)
+                          AffineMap(np.array([[-1e7]]), np.array([0.0])),
+                          np.linspace(0.31, 19.7, 21))
     assert [(b.kind, b.r, b.residual) for b in rep.roots] == [
         ("flip", 10.000000029999999, 1.4901161193847676e-08),
         ("fold", 9.99999983, 0.0)]
@@ -965,12 +1010,29 @@ def _scalar_sweep_row(update, observer, r, transient, sample, x0):
                       tuple(tuple(float(v) for v in p) for p in reps), lead)
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
-@pytest.mark.parametrize("family", ["logistic", "pipeline2"])
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+@pytest.mark.parametrize("family", ["logistic", "pipeline2", "escape", "nan"])
 def test_sweep_rows_match_scalar_reference(family):
     if family == "logistic":
         phi, obs, x0 = zero_map(1), logistic_observer(), [0.5]
         grid = np.linspace(2.5, 4.3, 37)   # fixed point, cycles, chaos, escape
+    elif family == "escape":
+        # F_r(x) = (1 + r) x from 1 passes 1e12 after 198 steps at |1 + r| =
+        # 1.15, 244 at 1.12 and 321 at 1.09, in the sample window; never at
+        # 1.06 or below. Rows leave from both ends of the grid and, at 198
+        # and 321 steps, two at once
+        phi, obs, x0 = scale_map(1, 1.0), scale_map(1, 1.0), [1.0]
+        grid = np.array([-2.15, -2.09, -2.06, -1.5, -1.0, -0.5, 0.0, 0.06, 0.09, 0.12,
+                         0.15])
+        first = [next((n for n in range(332) if abs(1.0 + r) ** (n + 1) > 1e12), None)
+                 for r in grid]
+        assert first == [197, 320, None, None, None, None, None, None, 320, 243, 197]
+    elif family == "nan":
+        # F_r(x) = r x + (1e300 x^2 - 1e300 x^2): once |x| passes about 1.3e4
+        # the two squares overflow and the row turns NaN, far below 1e12
+        phi = PolynomialMap(1, (((1e300, (2,)), (-1e300, (2,))),))
+        obs, x0 = scale_map(1, 1.0), [1.0]
+        grid = np.array([-3.0, -1.5, -0.5, 0.5, 1.0, 1.5, 2.0])
     else:
         rot = AffineMap(np.array([[0.6, -0.3], [0.2, 0.5]]), np.array([0.1, -0.05]))
         square = PolynomialMap(2, (((1.0, (1, 0)), (0.4, (0, 2))),
