@@ -37,7 +37,6 @@ __all__ = [
     "WeightedSumMap",
     "Trajectory",
     "DiagramRow",
-    "BifurcationDiagram",
     "BifRoot",
     "CriticalReport",
     "LyapunovReport",
@@ -442,10 +441,7 @@ def perturbed_map(update: MapSpec, observer: MapSpec, r: float) -> MapSpec:
 
 def jacobian(F: MapSpec, x: np.ndarray) -> LinOp:
     """F's exact Jacobian at x, which must be finite."""
-    jac = F.jacobian_analytic(np.asarray(x, dtype=np.float64))
-    if not np.all(np.isfinite(jac)):
-        raise NonFiniteError("Jacobian contains non-finite entries")
-    return LinOp(jac)
+    return LinOp(F.jacobian_analytic(np.asarray(x, dtype=np.float64)))
 
 
 def _emit_residual(src: _Source, diffs: list[str]) -> str:
@@ -586,18 +582,25 @@ class CriticalReport:
 # kind, each with the report field that tabulates it over the grid.  A root
 # is where one changes sign or touches zero: det(I - J) at an eigenvalue +1,
 # det(I + J) at an eigenvalue -1.
-_TEST_FUNCTIONS: dict[str, tuple[str, Callable[[np.ndarray], float]]] = {
-    "fold": ("d_minus", lambda jac: float(np.linalg.det(np.eye(len(jac)) - jac))),
-    "flip": ("d_plus", lambda jac: float(np.linalg.det(np.eye(len(jac)) + jac))),
+_TEST_FUNCTIONS: dict[str, tuple[str, Callable[[LinOp], float]]] = {
+    "fold": ("d_minus", lambda jac: float(np.linalg.det(np.eye(jac.dim) - jac.entries))),
+    "flip": ("d_plus", lambda jac: float(np.linalg.det(np.eye(jac.dim) + jac.entries))),
 }
 
 
-def _jacobian_at(update: MapSpec, observer: MapSpec, r: float,
-                 guess: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The Jacobian of F_r at its fixed point solved from `guess`, and the point."""
+def _jacobian_at(update: MapSpec, observer: MapSpec, r: float, guess: np.ndarray,
+                 max_iter: int = 10_000, tol: float = 1e-10) -> tuple[LinOp, np.ndarray]:
+    """The Jacobian of F_r at its fixed point solved from `guess`, and the point.
+
+    The critical scan and every diagram row take this one step.  A Jacobian
+    that is not finite loses the point, as a stalled solve does.
+    """
     fr = perturbed_map(update, observer, r)
-    xstar = find_fixed_point(fr, guess)
-    return jacobian(fr, xstar).entries, xstar
+    xstar = find_fixed_point(fr, guess, max_iter, tol)
+    try:
+        return jacobian(fr, xstar), xstar
+    except NonFiniteError as exc:
+        raise NoConvergenceError(f"Jacobian at the fixed point: {exc}") from None
 
 
 def _bisect_root(eval_det: Callable[[float], float], r_a: float, r_b: float,
@@ -656,6 +659,18 @@ def _refine_touch_root(eval_det: Callable[[float], float], r_a: float,
     return None
 
 
+def _coupling_grid(r_grid: Sequence[float]) -> list[float]:
+    """`r_grid` as floats, once it holds at least two strictly increasing values."""
+    rs = [float(r) for r in r_grid]
+    if len(rs) < 2:
+        raise DomainError("need at least two grid points")
+    if not all(a < b for a, b in zip(rs, rs[1:])):
+        raise DomainError("coupling grid must be strictly increasing")
+    return rs
+
+
+# the fixed-point solves and Jacobians judge non-finite values themselves
+@np.errstate(over="ignore", invalid="ignore")
 def find_critical_r(update: MapSpec, observer: MapSpec, r_grid: Sequence[float],
                     x0: Sequence[float] | None = None,
                     det_tol: float = DET_TOL) -> CriticalReport:
@@ -672,11 +687,7 @@ def find_critical_r(update: MapSpec, observer: MapSpec, r_grid: Sequence[float],
     fixed-point branch is lost, in the scan or while refining a root
     between two grid values, are reported, not raised.
     """
-    rs = [float(r) for r in r_grid]
-    if len(rs) < 2:
-        raise DomainError("need at least two grid points")
-    if not all(a < b for a, b in zip(rs, rs[1:])):
-        raise DomainError("coupling grid must be strictly increasing")
+    rs = _coupling_grid(r_grid)
     r_lo, r_hi = rs[0], rs[-1]
     cell = (r_hi - r_lo) / (len(rs) - 1)
     guess = np.zeros(update.dim) if x0 is None else np.asarray(x0, dtype=np.float64)
@@ -763,16 +774,6 @@ class DiagramRow:
     lead_eig: complex | None
 
 
-@dataclass(frozen=True)
-class BifurcationDiagram:
-    rows: tuple[DiagramRow, ...]
-
-    def __post_init__(self):
-        rs = [row.r for row in self.rows]
-        if any(b <= a for a, b in zip(rs, rs[1:])):
-            raise DomainError("diagram grid must be strictly increasing")
-
-
 def _classify(samples: np.ndarray, period_tol: float,
               max_period: int) -> tuple[str, int | None]:
     s = np.asarray(samples)
@@ -792,14 +793,11 @@ def _diagram_row(update: MapSpec, observer: MapSpec, r: float,
     else:
         attractor, period = "divergent", None
     reps = samples[-min(len(samples), period or REPRESENTATIVE_SLOTS):]
-    fr = perturbed_map(update, observer, r)
-    lead = None
     try:
-        xstar = find_fixed_point(fr, samples[-1] if len(samples) else x0,
-                                 max_iter=2000, tol=1e-9)
-        eigs = spectrum(jacobian(fr, xstar)).eigenvalues
-        lead = max(eigs, key=abs) if eigs else None
-    except (NoConvergenceError, NonFiniteError):
+        jac, _ = _jacobian_at(update, observer, r, samples[-1] if len(samples) else x0,
+                              max_iter=2000, tol=1e-9)
+        lead = max(spectrum(jac).eigenvalues, key=abs)
+    except NoConvergenceError:
         lead = None
     return DiagramRow(r, attractor, period,
                       tuple(tuple(float(v) for v in p) for p in reps), lead)
@@ -811,8 +809,9 @@ def sweep_bifurcation(update: MapSpec, observer: MapSpec,
                       r_grid: Sequence[float],
                       transient: int = DEFAULT_TRANSIENT,
                       sample: int = DEFAULT_SAMPLE,
-                      x0: Sequence[float] | None = None) -> BifurcationDiagram:
-    """Classify the attractor of F_r on a grid of coupling values.
+                      x0: Sequence[float] | None = None) -> tuple[DiagramRow, ...]:
+    """Classify the attractor of F_r on a strictly increasing grid of at
+    least two coupling values; one row per value, in grid order.
 
     Every r advances at once: each step is one batched evaluation of F_r
     with one weight per row, and each row gets the same bits as iterating
@@ -826,8 +825,8 @@ def sweep_bifurcation(update: MapSpec, observer: MapSpec,
         raise DomainError("transient must be >= 1")
     if sample < 2:
         raise DomainError("sample must be >= 2")
+    rs = np.array(_coupling_grid(r_grid))
     start = np.zeros(update.dim) if x0 is None else np.asarray(x0, dtype=np.float64)
-    rs = np.array([float(r) for r in r_grid])
     batch = perturbed_map(update, observer, 0.0).batch()
     samples = np.empty((rs.size, sample, update.dim))
     divergent = np.zeros(rs.size, dtype=bool)
@@ -846,10 +845,9 @@ def sweep_bifurcation(update: MapSpec, observer: MapSpec,
             divergent[live[~ok]] = True
             live, x = live[ok], x[ok]
             r_live = rs[live]
-    rows = [_diagram_row(update, observer, float(r),
-                         samples[i, :0] if divergent[i] else samples[i], start)
-            for i, r in enumerate(rs)]
-    return BifurcationDiagram(tuple(rows))
+    return tuple(_diagram_row(update, observer, float(r),
+                              samples[i, :0] if divergent[i] else samples[i], start)
+                 for i, r in enumerate(rs))
 
 
 # overflow shows up as a non-finite value, which the rollout checks and
@@ -917,14 +915,14 @@ def lyapunov_trace(traj: Trajectory, h_state: Sequence[float],
 # --- CSV artifacts --------------------------------------------------------
 
 
-def diagram_to_csv(diagram: BifurcationDiagram, dim: int) -> str:
+def diagram_to_csv(rows: Sequence[DiagramRow], dim: int) -> str:
     header = ["r", "class", "period"]
     for k in range(REPRESENTATIVE_SLOTS):
         for j in range(dim):
             header.append(f"pt{k}_x{j}")
     header += ["lead_eig_re", "lead_eig_im"]
     lines = [",".join(header)]
-    for row in diagram.rows:
+    for row in rows:
         cells = [fmt_real(row.r), row.attractor,
                  "" if row.period is None else str(row.period)]
         pts = list(row.points)[:REPRESENTATIVE_SLOTS]

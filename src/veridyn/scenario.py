@@ -30,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
 from .category import (
@@ -359,13 +359,16 @@ def _fresh(table: Mapping, key: str, what: str) -> str:
     return key
 
 
-def _coupled_maps(doc: Mapping) -> tuple[MapSpec, MapSpec]:
+def _coupled_maps(doc: Mapping) -> tuple[MapSpec, MapSpec, int, int]:
+    """phi and the observer, and the float operations of one call of
+    F_r = phi + r * observer on floats and batched."""
+    from .dynamics import perturbed_map
     update = parse_map_spec(require_section(doc, "phi"))
     observer = parse_map_spec(require_section(doc, "observer"))
     if observer.dim != update.dim:
         raise ScenarioParseError(
             f"observer dim {observer.dim} differs from phi dim {update.dim}")
-    return update, observer
+    return update, observer, *_map_cost(perturbed_map(update, observer, 0.0))[1:]
 
 
 def _vector(value, size: int, what: str) -> tuple[float, ...]:
@@ -401,36 +404,14 @@ class SweepSettings:
     update: MapSpec
     observer: MapSpec
     x0: tuple[float, ...] | None
-    steps: int
     transient: int
     sample: int
-    r_grid: tuple[float, ...]  # steps values from r_grid lo to hi
-
-
-def _within_work_cap(run: SimulateSettings | SweepSettings):
-    """`run`, once its work in float operations is within WORK_CAP.
-
-    F_r = update + r * observer adds 2 per map and coordinate. simulate
-    calls F_r and the observer per step and writes a row per state; sweep
-    steps a batch of a row per grid value (15 calls of loop checks, an F_r
-    call per row) and solves as if for 32 grid values more than it has.
-    """
-    (_, u_float, u_batch), (_, o_float, o_batch) = map(_map_cost, (run.update, run.observer))
-    dim = run.update.dim
-    f_r = u_float + o_float + 4 * dim
-    if isinstance(run, SimulateSettings):
-        what, work = "simulate", (run.steps + 1) * (f_r + o_float + ROW_WORK * (dim + 2))
-    else:
-        step = u_batch + o_batch + CALL_WORK * (4 * dim + 15) + run.steps * f_r
-        what, work = "sweep", ((run.transient + run.sample) * step
-                               + (run.steps + 32) * SOLVE_CALLS * (f_r + CALL_WORK))
-    _within_cap(work, f"{what} work", WORK_CAP)
-    return run
+    r_grid: tuple[float, ...]  # r_grid steps values from lo to hi
 
 
 def parse_simulate_settings(doc: Mapping) -> SimulateSettings:
     """The simulate command's sections, checked before anything runs."""
-    update, observer = _coupled_maps(doc)
+    update, observer, f_r, _ = _coupled_maps(doc)
     ledger = _mapping(doc.get("ledger", {}), "ledger")
     lo = _real(ledger.get("lo", -2.0), "ledger lo")
     hi = _real(ledger.get("hi", 2.0), "ledger hi")
@@ -441,14 +422,19 @@ def parse_simulate_settings(doc: Mapping) -> SimulateSettings:
         float(bins)  # the ledger scales by bins in floating point
     except OverflowError:
         raise ScenarioParseError(f"ledger bins {bins} exceeds the float range") from None
-    return _within_work_cap(SimulateSettings(
+    sim = SimulateSettings(
         update, observer,
         x0=_vector(require_section(doc, "x0"), update.dim, "x0"),
         steps=_integer(require_section(doc, "steps"), "steps", 0),
         r=_real(doc.get("r", 0.0), "r"),
         schedule=_integer(doc.get("schedule", 1), "schedule", 1),
         bins=bins, lo=lo, hi=hi,
-        alpha=parse_entropy_params(doc).alpha if "entropy" in doc else 1.0))
+        alpha=parse_entropy_params(doc).alpha if "entropy" in doc else 1.0)
+    # a call of F_r and of the observer per step, and a row per state
+    _within_cap((sim.steps + 1) * (f_r + _map_cost(observer)[1]
+                                   + ROW_WORK * (update.dim + 2)),
+                "simulate work", WORK_CAP)
+    return sim
 
 
 def check_ledger_work(terms: int) -> None:
@@ -464,28 +450,32 @@ def parse_sweep_settings(doc: Mapping) -> SweepSettings:
     import numpy as np
     from .cascade import DIM_CAP
     from .dynamics import DEFAULT_SAMPLE, DEFAULT_TRANSIENT
-    update, observer = _coupled_maps(doc)
+    update, observer, f_r, f_r_batch = _coupled_maps(doc)
     # each row's Jacobian is an operator, which DIM_CAP bounds
     _within_cap(update.dim, "dimension", DIM_CAP)
     grid = _mapping(require_section(doc, "r_grid"), "r_grid")
     lo, hi = _real(grid.get("lo"), "r_grid lo"), _real(grid.get("hi"), "r_grid hi")
     if not lo < hi:
         raise ScenarioParseError(f"r_grid needs lo < hi, got {lo} and {hi}")
+    steps = _integer(grid.get("steps"), "r_grid steps", 2)
+    transient = _integer(doc.get("transient", DEFAULT_TRANSIENT), "transient", 1)
+    sample = _integer(doc.get("sample", DEFAULT_SAMPLE), "sample", 2)
     x0 = doc.get("x0")
-    sw = _within_work_cap(SweepSettings(
-        update, observer,
-        steps=_integer(grid.get("steps"), "r_grid steps", 2),
-        transient=_integer(doc.get("transient", DEFAULT_TRANSIENT), "transient", 1),
-        sample=_integer(doc.get("sample", DEFAULT_SAMPLE), "sample", 2),
-        x0=None if x0 is None else _vector(x0, update.dim, "x0"), r_grid=()))
+    x0 = None if x0 is None else _vector(x0, update.dim, "x0")
+    # a batch step per transient and sample step: a numpy call per float
+    # operation of F_r, 15 calls of loop checks and an F_r call per row; then
+    # solves as if for 32 grid values more than it has
+    step = f_r_batch + CALL_WORK * 15 + steps * f_r
+    _within_cap((transient + sample) * step
+                + (steps + 32) * SOLVE_CALLS * (f_r + CALL_WORK), "sweep work", WORK_CAP)
     # built once its size is within the work cap; hi - lo must not overflow
     if not math.isfinite(hi - lo):
         raise ScenarioParseError(f"r_grid needs a finite hi - lo, got {lo} and {hi}")
-    r_grid = tuple(np.linspace(lo, hi, sw.steps).tolist())
+    r_grid = tuple(np.linspace(lo, hi, steps).tolist())
     if not all(a < b for a, b in zip(r_grid, r_grid[1:])):
         raise ScenarioParseError(
-            f"r_grid of {sw.steps} values from {lo} to {hi} is not strictly increasing")
-    return replace(sw, r_grid=r_grid)
+            f"r_grid of {steps} values from {lo} to {hi} is not strictly increasing")
+    return SweepSettings(update, observer, x0, transient, sample, r_grid)
 
 
 # --- finite-set layer: theta, entropy traces and phases ----------------------
@@ -631,12 +621,22 @@ def parse_phase_settings(doc: Mapping, uni: Universe) -> PhaseSettings:
     pairing = lock = cycle = None
     if "carrier" in section:
         table = _mapping(section["assignments"], "phases assignments")
-        pairing = (uni.object(_name(section, "carrier", "phases")),
-                   {k: _phase(v, f"phase of {k!r}") for k, v in table.items()})
+        carrier = uni.object(_name(section, "carrier", "phases"))
+        pairing = (carrier, {k: _phase(v, f"phase of {k!r}") for k, v in table.items()})
+        missing = [x for x in carrier.elements if x not in table]
+        extra = [x for x in table if x not in carrier.index]
+        if missing or extra:
+            raise ScenarioParseError(
+                f"phases assignments must name exactly the elements of {carrier.id}: "
+                f"missing {missing}, extra {extra}")
     if "theta" in section:
         theta = uni.morphism(_name(section, "theta", "phases"))
+        order = automorphism_order(theta)
         period = (_integer(section["period"], "phases period", 1) if "period" in section
-                  else automorphism_order(theta))
+                  else order)
+        if period % order:
+            raise ScenarioParseError(
+                f"phases period {period} is not a multiple of theta's order {order}")
         lock = (theta, period)
     if "cycle" in section:
         entries = section["cycle"]
@@ -647,4 +647,7 @@ def parse_phase_settings(doc: Mapping, uni: Universe) -> PhaseSettings:
                 f'phases cycle must list [morphism, "p/q"] pairs, got {entries!r}')
         cycle = tuple(PhasedMorphism(uni.morphism(mid), _phase(ph, "cycle phase"))
                       for mid, ph in entries)
+        if not cycle or any(a.base.dst != b.base.src
+                            for a, b in zip(cycle, cycle[1:] + cycle[:1])):
+            raise ScenarioParseError("phases cycle must chain head to tail and close")
     return PhaseSettings(pairing, lock, cycle)

@@ -419,12 +419,12 @@ def test_criterion_7_bifurcation():
     obs = PolynomialMap(1, (((1.0, (1,)), (-1.0, (2,))),))
     grid = np.linspace(2.5, 3.4, 91)          # step 0.01
     diag = sweep_bifurcation(phi, obs, grid, transient=2000, sample=64, x0=[0.5])
-    last_fp = max(row.r for row in diag.rows if row.attractor == "fixed-point")
-    first_p2 = min(row.r for row in diag.rows if row.attractor == "period-2")
+    last_fp = max(row.r for row in diag if row.attractor == "fixed-point")
+    first_p2 = min(row.r for row in diag if row.attractor == "period-2")
     cell = float(grid[1] - grid[0])
     transition_ok = (3.0 - last_fp) <= cell + 1e-9 and (first_p2 - 3.0) <= cell + 1e-9
 
-    by_r = {round(row.r, 4): row.attractor for row in diag.rows}
+    by_r = {round(row.r, 4): row.attractor for row in diag}
     oracle_ok = True
     for r in (2.5, 2.7, 2.9, 3.05, 3.2, 3.4):
         want = _oracle_orbit_class(r)

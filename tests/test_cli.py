@@ -603,18 +603,33 @@ def test_too_fine_r_grid_is_rejected_before_any_map_call(tmp_path, capsys, monke
     assert calls == [0]
 
 
-@pytest.mark.parametrize("observer", [
-    {"kind": "affine", "A": [[0.0, 0.0], [0.0, 0.0]], "b": [0.0, 0.0]},
-    {"kind": "polynomial", "dim": 2, "coords": [[], []]},
-], ids=["affine", "polynomial"])
+def _scale(a):
+    return {"kind": "affine", "A": [[a]], "b": [0.0]}
+
+
+# phi = (x1^2, x0^2) from x0 = (1e200, 0) overflows on its second step
+SQUARES = {"kind": "polynomial", "dim": 2, "coords": [[{"coeff": 1.0, "powers": [0, 2]}],
+                                                      [{"coeff": 1.0, "powers": [2, 0]}]]}
+OVERFLOWING_SWEEPS = {
+    "affine": {"phi": SQUARES, "x0": [1e200, 0.0], "observer": {
+        "kind": "affine", "A": [[0.0, 0.0], [0.0, 0.0]], "b": [0.0, 0.0]}},
+    "polynomial": {"phi": SQUARES, "x0": [1e200, 0.0], "observer": {
+        "kind": "polynomial", "dim": 2, "coords": [[], []]}},
+    # F_r's fixed point 0 is found at every r, but the chain rule overflows
+    # at 1e200 * 1e200: the scan and the rows both lose the point
+    "non-finite Jacobian": {"x0": [0.0], "observer": _scale(1.0),
+                            "r_grid": {"lo": 0.1, "hi": 0.5, "steps": 5},
+                            "phi": {"kind": "pipeline", "parts": [
+                                _scale(a) for a in (1e200, 1e200, 1e-300, 1e-250)]}},
+}
+
+
+@pytest.mark.parametrize("patch", OVERFLOWING_SWEEPS.values(), ids=list(OVERFLOWING_SWEEPS))
 @pytest.mark.filterwarnings("error")
-def test_overflowing_sweep_exits_0_with_empty_stderr(tmp_path, capsys, observer):
-    # phi = (x1^2, x0^2) from x0 = (1e200, 0) overflows on its second step;
-    # the sweep and the fixed-point solve judge non-finite values themselves
-    scen = _write(tmp_path, {**LOGISTIC, "observer": observer, "x0": [1e200, 0.0],
-                             "phi": {"kind": "polynomial", "dim": 2, "coords": [
-                                 [{"coeff": 1.0, "powers": [0, 2]}],
-                                 [{"coeff": 1.0, "powers": [2, 0]}]]}})
+def test_overflowing_sweep_exits_0_with_empty_stderr(tmp_path, capsys, patch):
+    # the sweep, the fixed-point solves and the Jacobians judge non-finite
+    # values themselves
+    scen = _write(tmp_path, {**LOGISTIC, **patch})
     assert _run("sweep", scen, tmp_path / "out") == 0
     assert capsys.readouterr().err == ""
 
@@ -794,6 +809,13 @@ BAD_FINITE_SET = {
                                          [[["swap"], "1/3"], ["swap", "2/3"]]),
     "phases cycle does not close": ("entropy", "phases", "cycle",
                                     [["embed", "1/3"]]),
+    "phases theta not a bijection": ("entropy", "phases", None,
+                                     {"theta": "collapse", "period": 2}),
+    "phases assignments miss an element": ("entropy", "phases", "assignments",
+                                           {"a": "1/4", "b": "1/4"}),
+    "phases assignments name an extra element": ("entropy", "phases", "assignments",
+                                                 {"a": "1/4", "b": "1/4", "m": "0",
+                                                  "zz": "1/2"}),
     "phases empty": ("entropy", "phases", None, {}),
     "phases carrier without assignments": ("entropy", "phases", None,
                                            {"carrier": "VX"}),
@@ -805,8 +827,11 @@ BAD_FINITE_SET = {
 
 @pytest.mark.parametrize("cmd, section, key, value", BAD_FINITE_SET.values(),
                          ids=list(BAD_FINITE_SET))
-def test_bad_finite_set_input_is_rejected_before_compute(tmp_path, capsys, cmd,
-                                                         section, key, value):
+def test_bad_finite_set_input_is_rejected_before_compute(tmp_path, capsys, monkeypatch,
+                                                         cmd, section, key, value):
+    def no_compute(*args):
+        raise AssertionError("an entropy step ran before the input was checked")
+    monkeypatch.setattr(cli, "pushforward", no_compute)
     doc = json.loads(UNIVERSE_SCENARIO.read_text())
     if key is None:
         doc[section] = value

@@ -867,8 +867,8 @@ def test_logistic_flip_matches_sweep_transition():
     assert rep.r_c_flip == pytest.approx(3.0, abs=1e-6)
     grid = np.linspace(2.8, 3.2, 21)
     diag = sweep_bifurcation(phi, obs, grid, transient=3000, sample=64, x0=[0.5])
-    last_fp = max(row.r for row in diag.rows if row.attractor == "fixed-point")
-    first_p2 = min(row.r for row in diag.rows if row.attractor == "period-2")
+    last_fp = max(row.r for row in diag if row.attractor == "fixed-point")
+    first_p2 = min(row.r for row in diag if row.attractor == "period-2")
     cell = grid[1] - grid[0]
     assert last_fp <= rep.r_c_flip + cell + 1e-9
     assert first_p2 >= rep.r_c_flip - cell - 1e-9
@@ -973,10 +973,10 @@ def test_sweep_constant_families():
     phi = scale_map(1, 0.5)
     diag = sweep_bifurcation(phi, zero_map(1), [0.1, 0.2, 0.3],
                              transient=50, sample=8, x0=[1.0])
-    assert all(row.attractor == "fixed-point" for row in diag.rows)
+    assert all(row.attractor == "fixed-point" for row in diag)
     diag = sweep_bifurcation(scale_map(1, 2.0), zero_map(1), [0.1, 0.2],
                              transient=50, sample=8, x0=[1.0])
-    assert all(row.attractor == "divergent" for row in diag.rows)
+    assert all(row.attractor == "divergent" for row in diag)
 
 
 def _scalar_sweep_row(update, observer, r, transient, sample, x0):
@@ -1046,7 +1046,7 @@ def test_sweep_rows_match_scalar_reference(family):
     with _reference_calls():
         want = [_scalar_sweep_row(phi, obs, float(r), 300, 32, np.asarray(x0))
                 for r in grid]
-    assert [repr(row) for row in diag.rows] == [repr(row) for row in want]
+    assert [repr(row) for row in diag] == [repr(row) for row in want]
     classes = {row.attractor for row in want}
     assert "divergent" in classes and len(classes) > 1
 
@@ -1126,6 +1126,28 @@ def test_simulate_float_path_matches_array_states(scenario):
     assert got["trajectory.csv"] == want["trajectory.csv"]
     assert json.dumps(got["lyapunov.json"], sort_keys=True) == \
         json.dumps(want["lyapunov.json"], sort_keys=True)
+
+
+@pytest.mark.parametrize("grid", [[0.1], [0.1, 0.3, 0.2], [0.2, 0.2]])
+def test_sweep_rejects_a_bad_grid_before_any_map_call(monkeypatch, grid):
+    def no_map(*args):
+        raise AssertionError("F_r was built before the grid was checked")
+    monkeypatch.setattr(dynamics, "perturbed_map", no_map)
+    with pytest.raises(DomainError):
+        sweep_bifurcation(zero_map(1), zero_map(1), grid, transient=5, sample=4)
+
+
+@pytest.mark.filterwarnings("error")
+def test_non_finite_jacobian_loses_the_point_in_the_scan_and_the_rows():
+    # the fixed point 0 is found at every r, but the chain rule overflows at
+    # 1e200 * 1e200, as a stalled solve would lose it
+    phi = PipelineMap(tuple(scale_map(1, a) for a in (1e200, 1e200, 1e-300, 1e-250)))
+    grid = [0.1, 0.2, 0.3, 0.4, 0.5]
+    rep = find_critical_r(phi, scale_map(1, 1.0), grid, x0=[0.0])
+    assert rep.d_minus == rep.d_plus == (None,) * 5
+    assert rep.roots == () and len(rep.branch_failures) == 5
+    rows = sweep_bifurcation(phi, scale_map(1, 1.0), grid, transient=5, sample=4, x0=[0.0])
+    assert [(row.attractor, row.lead_eig) for row in rows] == [("fixed-point", None)] * 5
 
 
 def test_sweep_validates_settings():
