@@ -192,10 +192,10 @@ def cmd_cascade(doc: dict) -> tuple[int, dict]:
         "cascade_report.json": {
             "dim": spec.dim,
             "contraction": spec.contraction,
-            "operator": [[float(v) for v in row] for row in op.entries],
+            "operator": op.entries.tolist(),
             "spectrum": report.to_dict(),
             "hull_note": hull_note,
-            "fixed_point_basis": [[float(v) for v in vec] for vec in basis],
+            "fixed_point_basis": [vec.tolist() for vec in basis],
             "commuting": commuting,
             "unit_modulus_gap_with_undamped_stage": unit_eig_note,
         },

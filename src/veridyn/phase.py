@@ -137,11 +137,14 @@ def interference_pairing(carrier: FinObj,
                          phases: Mapping[str, RationalPhase]) -> FinObj:
     """Carrier of all ordered element pairs with exactly matching phases.
 
-    Elements are grouped by phase in one pass, so the work is O(n + pairs).
+    The phases must name exactly the carrier's elements. Elements are
+    grouped by phase in one pass, so the work is O(n + pairs).
     """
-    missing = [x for x in carrier.elements if x not in phases]
-    if missing:
-        raise PartialPhaseMapError(f"no phase assigned to elements {missing}")
+    if carrier.index.keys() != phases.keys():
+        missing = [x for x in carrier.elements if x not in phases]
+        extra = [x for x in phases if x not in carrier.index]
+        raise PartialPhaseMapError(f"phases must name exactly the elements of "
+                                   f"{carrier.id!r}: missing {missing}, extra {extra}")
     groups: dict[RationalPhase, list[str]] = {}
     for x in carrier.elements:
         groups.setdefault(phases[x], []).append(x)

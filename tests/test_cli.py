@@ -26,7 +26,7 @@ from conftest import (
     work_cap_scenario,
 )
 
-from veridyn import cli, dynamics
+from veridyn import _formats, cli, dynamics
 from veridyn.cascade import DIM_CAP, RESIDUAL_TOL
 from veridyn.cli import main
 from veridyn.dynamics import (
@@ -1481,9 +1481,36 @@ def test_reused_out_deletes_only_what_a_manifest_listed(tmp_path, old_manifest):
         "entropy_report.json", "entropy_trace.csv"]
 
 
-@pytest.mark.parametrize("failing", ["entropy_trace.csv", "entropy_report.json",
-                                     "phase_report.json", "run_manifest.json"])
-def test_failed_write_leaves_out_as_it_was(tmp_path, capsys, monkeypatch, failing):
+class _FailsAfterFirstPiece:
+    """A text file whose second write raises, as a disk that fills up would."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.pieces = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        if self.pieces:
+            raise OSError(28, "No space left on device")
+        self.pieces += 1
+        self.fh.write(text)
+        self.fh.flush()
+
+
+@pytest.mark.parametrize("failing, midway", [
+    *(pytest.param(name, False, id=name) for name in (
+        "entropy_trace.csv", "entropy_report.json", "phase_report.json",
+        "run_manifest.json")),
+    # the fault strikes after the first piece of a streamed JSON artifact
+    *(pytest.param(name, True, id=f"{name}-midway") for name in (
+        "phase_report.json", "run_manifest.json")),
+])
+def test_failed_write_leaves_out_as_it_was(tmp_path, capsys, monkeypatch, failing, midway):
     doc = json.loads(UNIVERSE_SCENARIO.read_text())
     out = tmp_path / "out"
     assert _run("entropy", _write(tmp_path, doc), out) == 0
@@ -1504,9 +1531,22 @@ def test_failed_write_leaves_out_as_it_was(tmp_path, capsys, monkeypatch, failin
             write(path, value)
         return wrapped
 
-    monkeypatch.setattr(cli, "write_text", refuse(cli.write_text))
-    monkeypatch.setattr(cli, "write_json", refuse(cli.write_json))
+    streams = []
+
+    def open_failing(path, *args, **kwargs):
+        fh = open(path, *args, **kwargs)
+        if Path(path).name != failing:
+            return fh
+        streams.append(_FailsAfterFirstPiece(fh))
+        return streams[-1]
+
+    if midway:
+        monkeypatch.setattr(_formats, "open", open_failing, raising=False)
+    else:
+        monkeypatch.setattr(cli, "write_text", refuse(cli.write_text))
+        monkeypatch.setattr(cli, "write_json", refuse(cli.write_json))
     assert _run("entropy", scen, out) == 2
+    assert [s.pieces for s in streams] == ([1] if midway else [])
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before

@@ -261,3 +261,14 @@ def test_pairing_mixed_example():
 def test_pairing_requires_total_assignment():
     with pytest.raises(PartialPhaseMapError):
         interference_pairing(X, {"a": ZERO_PHASE})
+
+
+def test_pairing_rejects_phases_outside_the_carrier():
+    ab = FinObj("X", ("a", "b"))
+    quarter = RationalPhase(1, 4)
+    extra = {"a": quarter, "b": quarter, "zz": RationalPhase(1, 2)}
+    with pytest.raises(PartialPhaseMapError, match=r"missing \[\], extra \['zz'\]"):
+        interference_pairing(ab, extra)
+    with pytest.raises(PartialPhaseMapError, match=r"missing \['b'\], extra \['zz'\]"):
+        interference_pairing(ab, {"a": quarter, "zz": quarter})
+    assert interference_pairing(ab, {"a": quarter, "b": quarter}).size == 4
