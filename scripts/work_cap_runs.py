@@ -1,6 +1,6 @@
 """Time each work-cap calibration shape at the cap, through the CLI.
 
-    python scripts/work_cap_runs.py simulate|sweep|scan|entropy [--grid N] [--runs N]
+    python scripts/work_cap_runs.py simulate|sweep|scan|entropy|pairing [--grid N] [--runs N]
 
 For each shape of tests/conftest.py it finds the largest step count (or,
 with --grid 0, grid size) that WORK_CAP accepts, writes that scenario to a
@@ -8,8 +8,10 @@ temporary directory, runs `python -m veridyn.cli` on it --runs times, and
 prints the count, the median and range of wall times (interpreter start
 included) and the largest peak RSS.  --grid sets the sweep's grid size
 (default 2).  `scan` times a sweep of conftest's scan_scenario instead, at
-the largest count of zero terms that WORK_CAP accepts, and `entropy` the
-entropy trace of each of conftest's ENTROPY_CAP_SHAPES.
+the largest count of zero terms that WORK_CAP accepts, `entropy` the
+entropy trace of each of conftest's ENTROPY_CAP_SHAPES, and `pairing` the
+`entropy` command on conftest's pairing_scenario, a carrier whose elements
+all share one phase, at the largest carrier size that WORK_CAP accepts.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from conftest import (  # noqa: E402
     ENTROPY_CAP_SHAPES,
     WORK_CAP_SHAPES,
     entropy_cap_scenario,
+    pairing_scenario,
     scan_scenario,
     work_cap_scenario,
 )
@@ -69,15 +72,18 @@ def run_cli(command: str, scenario: Path, out: Path) -> tuple[float, float, int]
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("command", choices=("simulate", "sweep", "scan", "entropy"))
+    parser.add_argument("command",
+                        choices=("simulate", "sweep", "scan", "entropy", "pairing"))
     parser.add_argument("--grid", type=int, default=2)
     parser.add_argument("--runs", type=int, default=3)
     args = parser.parse_args()
-    command = "sweep" if args.command == "scan" else args.command
+    command = {"scan": "sweep", "pairing": "entropy"}.get(args.command, args.command)
     parse = {"simulate": parse_simulate_settings, "sweep": parse_sweep_settings,
              "entropy": parse_entropy_settings}[command]
     if args.command == "scan":
         cases = {"polynomial scan": scan_scenario}
+    elif args.command == "pairing":
+        cases = {"one phase": pairing_scenario}
     elif command == "entropy":
         cases = {name: functools.partial(entropy_cap_scenario, name)
                  for name in ENTROPY_CAP_SHAPES}

@@ -336,18 +336,15 @@ def _residuals(a: np.ndarray) -> Callable[[complex], float]:
                 if solve is None:
                     solve = _factor(b)
                 w = solve(v)
-            except np.linalg.LinAlgError:
+                norm = float(np.linalg.norm(w))
+            except np.linalg.LinAlgError:  # an exactly singular B
+                norm = math.nan
+            if 0.0 < norm < math.inf:
+                v = w / norm
+            else:
                 b = b + nudge * eye
                 solve = None
                 nudge *= 16.0
-                continue
-            norm = float(np.linalg.norm(w))
-            if not math.isfinite(norm) or norm == 0.0:
-                b = b + nudge * eye
-                solve = None
-                nudge *= 16.0
-                continue
-            v = w / norm
         # A @ v in two halves of at most DIM_CAP / 2 rows: OpenBLAS threads
         # a complex matvec from m*n >= 4096 (64 x 64), and its idle pool then
         # spins a second CPU for about 0.13 s.  Each output entry is the same
@@ -371,7 +368,6 @@ class SpectrumReport:
     eigenvalues: tuple[complex, ...]
     max_modulus: float
     residuals: tuple[float, ...]
-    hull_check: tuple[bool, ...] | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -379,7 +375,6 @@ class SpectrumReport:
                             for ev in self.eigenvalues],
             "max_modulus": self.max_modulus,
             "residuals": list(self.residuals),
-            "hull_check": list(self.hull_check) if self.hull_check is not None else None,
         }
 
 
@@ -462,9 +457,9 @@ def check_commuting(theta_i: LinOp, theta_j: LinOp,
     return norm <= tol, norm
 
 
-def spectrum_to_csv(report: SpectrumReport) -> str:
+def spectrum_to_csv(report: SpectrumReport, hull: Sequence[bool] | None) -> str:
+    """One row per eigenvalue, with its `check_hull_claim` verdict, if any."""
     lines = ["re,im,modulus,hull_ok"]
-    hull = report.hull_check
     for i, ev in enumerate(report.eigenvalues):
         flag = "" if hull is None else str(hull[i]).lower()
         lines.append(",".join([

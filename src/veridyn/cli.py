@@ -22,7 +22,6 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -175,7 +174,6 @@ def cmd_cascade(doc: dict) -> tuple[int, dict]:
     except UndefinedClaimError as exc:
         hull = None
         hull_note = str(exc)
-    report = replace(report, hull_check=tuple(hull) if hull is not None else None)
     basis = cascade_fixed_points(op)
     commuting = []
     for i in range(len(spec.stages)):
@@ -188,12 +186,12 @@ def cmd_cascade(doc: dict) -> tuple[int, dict]:
         # to unit modulus when some damping factor equals one
         unit_eig_note = min(abs(abs(ev) - 1.0) for ev in report.eigenvalues)
     return EXIT_OK, {
-        "spectrum.csv": spectrum_to_csv(report),
+        "spectrum.csv": spectrum_to_csv(report, hull),
         "cascade_report.json": {
             "dim": spec.dim,
             "contraction": spec.contraction,
             "operator": op.entries.tolist(),
-            "spectrum": report.to_dict(),
+            "spectrum": {**report.to_dict(), "hull_check": hull},
             "hull_note": hull_note,
             "fixed_point_basis": [vec.tolist() for vec in basis],
             "commuting": commuting,
@@ -209,17 +207,18 @@ def cmd_entropy(doc: dict) -> tuple[int, dict]:
         state = tr.initial
         H = []
         H_O = []
-        for _ in range(tr.steps + 1):
+        for n in range(tr.steps + 1):
+            if n:
+                state = pushforward(state, tr.transition)
             H.append(shannon_entropy(state))
             H_O.append(shannon_entropy(pushforward(state, tr.observer)))
-            state = pushforward(state, tr.transition)
         trace = build_trace(H, H_O, params, k_schedule=tr.k_schedule)
         drops, rises = entropy_direction_report(H)
-        artifacts["entropy_trace.csv"] = trace_to_csv(trace, params)
+        artifacts["entropy_trace.csv"] = trace_to_csv(trace)
         artifacts["entropy_report.json"] = {
             "steps": tr.steps,
-            "step_violations": [s.n for s in trace.steps if not s.step_bound_ok],
-            "obs_violations": [s.n for s in trace.steps if not s.obs_bound_ok],
+            "step_violations": [s.n for s in trace if not s.step_bound_ok],
+            "obs_violations": [s.n for s in trace if not s.obs_bound_ok],
             # findings: neither direction claim sets the exit code
             "postulate_violations": drops,
             "contraction_violations": rises,

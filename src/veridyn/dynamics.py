@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass
 from functools import cache
 from itertools import repeat
-from types import CodeType, FunctionType
-from typing import Callable, Sequence
+from types import CodeType, FunctionType, MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -554,27 +554,28 @@ class BifRoot:
 
 @dataclass(frozen=True)
 class CriticalReport:
-    r_c_fold: float | None
-    r_c_flip: float | None
+    """The scan's roots and lost cells on its grid, and, by root kind, each
+    test function's values over the grid and its degenerate flag."""
+
     roots: tuple[BifRoot, ...]
-    fold_degenerate: bool
-    flip_degenerate: bool
     branch_failures: tuple[tuple[float, float], ...]
     grid: tuple[float, ...]
-    d_minus: tuple[float | None, ...]
-    d_plus: tuple[float | None, ...]
+    values: Mapping[str, tuple[float | None, ...]]
+    degenerate: Mapping[str, bool]
+
+    def r_c(self, kind: str) -> float | None:
+        """The first root of `kind`, or None."""
+        return next((b.r for b in self.roots if b.kind == kind), None)
 
     def to_dict(self) -> dict:
         return {
-            "r_c_fold": self.r_c_fold,
-            "r_c_flip": self.r_c_flip,
+            **{f"r_c_{kind}": self.r_c(kind) for kind in self.values},
             "roots": [r.to_dict() for r in self.roots],
-            "fold_degenerate": self.fold_degenerate,
-            "flip_degenerate": self.flip_degenerate,
+            **{f"{kind}_degenerate": flag for kind, flag in self.degenerate.items()},
             "branch_failures": [list(b) for b in self.branch_failures],
             "grid": list(self.grid),
-            "d_minus": list(self.d_minus),
-            "d_plus": list(self.d_plus),
+            **{_TEST_FUNCTIONS[kind][0]: list(column)
+               for kind, column in self.values.items()},
         }
 
 
@@ -604,8 +605,8 @@ def _jacobian_at(update: MapSpec, observer: MapSpec, r: float, guess: np.ndarray
 
 
 def _bisect_root(eval_det: Callable[[float], float], r_a: float, r_b: float,
-                 d_a: float, d_b: float, det_tol: float) -> tuple[float, float]:
-    """Bisect a sign change of the determinant down to |det| <= det_tol, or
+                 d_a: float, d_b: float) -> tuple[float, float]:
+    """Bisect a sign change of the determinant down to |det| <= DET_TOL, or
     until no float lies between the bracket's ends.
 
     When the fixed-point solve stalls at the midpoint, the points at 3/8
@@ -624,7 +625,7 @@ def _bisect_root(eval_det: Callable[[float], float], r_a: float, r_b: float,
                 stalled = exc
         else:
             raise stalled
-        if abs(d_mid) <= det_tol or (r_b - r_a) < 1e-15:
+        if abs(d_mid) <= DET_TOL or (r_b - r_a) < 1e-15:
             return mid, abs(d_mid)
         if (d_a < 0.0) != (d_mid < 0.0):
             r_b, d_b = mid, d_mid
@@ -634,7 +635,7 @@ def _bisect_root(eval_det: Callable[[float], float], r_a: float, r_b: float,
 
 
 def _refine_touch_root(eval_det: Callable[[float], float], r_a: float,
-                       r_b: float, det_tol: float) -> tuple[float, float] | None:
+                       r_b: float) -> tuple[float, float] | None:
     """Golden-section search for a |det| minimum that touches zero."""
     gr = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = r_a, r_b
@@ -654,7 +655,7 @@ def _refine_touch_root(eval_det: Callable[[float], float], r_a: float,
             fd = abs(eval_det(d))
     r_min = c if fc < fd else d
     val = abs(eval_det(r_min))
-    if val <= det_tol:
+    if val <= DET_TOL:
         return r_min, val
     return None
 
@@ -672,15 +673,14 @@ def _coupling_grid(r_grid: Sequence[float]) -> list[float]:
 # the fixed-point solves and Jacobians judge non-finite values themselves
 @np.errstate(over="ignore", invalid="ignore")
 def find_critical_r(update: MapSpec, observer: MapSpec, r_grid: Sequence[float],
-                    x0: Sequence[float] | None = None,
-                    det_tol: float = DET_TOL) -> CriticalReport:
+                    x0: Sequence[float] | None = None) -> CriticalReport:
     """Scan a strictly increasing grid of coupling values for the roots of
     each test function at the fixed point.
 
     For each grid value the fixed point of F_r is located by continuation
     from the previous root, and every function of _TEST_FUNCTIONS is
     tabulated.  Then one pass per function over its values bisects sign
-    changes to |value| <= det_tol and refines interior local minima of
+    changes to |value| <= DET_TOL and refines interior local minima of
     |value| that reach zero without a sign change, which are reported with
     the even-multiplicity flag, as is a zero at a grid value whose nearest
     nonzero values on each side have one sign.  Grid cells where the
@@ -729,25 +729,25 @@ def find_critical_r(update: MapSpec, observer: MapSpec, r_grid: Sequence[float],
     degenerate: dict[str, bool] = {}
     for kind, values in table.items():
         valid = [(r, d) for r, d in zip(rs, values) if d is not None]
-        degenerate[kind] = bool(valid) and all(abs(d) <= det_tol for _, d in valid)
+        degenerate[kind] = bool(valid) and all(abs(d) <= DET_TOL for _, d in valid)
         if degenerate[kind]:
             continue  # no isolated roots
         last = len(valid) - 1
         for i, (r, d) in enumerate(valid):
-            if abs(d) <= det_tol:
+            if abs(d) <= DET_TOL:
                 # a zero at a grid value is touched, not crossed, when the
                 # nearest nonzero values on its two sides have one sign
-                signs = [next((e < 0.0 for _, e in side if abs(e) > det_tol), None)
+                signs = [next((e < 0.0 for _, e in side if abs(e) > DET_TOL), None)
                          for side in (reversed(valid[:i]), valid[i + 1:])]
                 found.append((kind, r, abs(d), None not in signs and signs[0] == signs[1]))
             elif i < last and (d < 0.0) != (valid[i + 1][1] < 0.0):
                 refine(kind, _bisect_root, r, valid[i + 1][0], d, valid[i + 1][1],
-                       det_tol, even=False)
+                       even=False)
             elif 0 < i < last:
                 (ra, da), (rb, db) = valid[i - 1], valid[i + 1]
                 if abs(d) < abs(da) and abs(d) < abs(db) \
                         and (da < 0.0) == (d < 0.0) == (db < 0.0):
-                    refine(kind, _refine_touch_root, ra, rb, det_tol, even=True)
+                    refine(kind, _refine_touch_root, ra, rb, even=True)
 
     # sorted by kind, then r; of roots of one kind within half a cell the
     # first stays
@@ -756,13 +756,10 @@ def find_critical_r(update: MapSpec, observer: MapSpec, r_grid: Sequence[float],
         if not roots or roots[-1].kind != kind or abs(r - roots[-1].r) >= 0.5 * cell:
             roots.append(BifRoot(kind, r, resid,
                                  (max(r_lo, r - cell), min(r_hi, r + cell)), even))
-    summary = {}
-    for kind, (column, _) in _TEST_FUNCTIONS.items():
-        summary[column] = tuple(table[kind])
-        summary[f"{kind}_degenerate"] = degenerate[kind]
-        summary[f"r_c_{kind}"] = next((b.r for b in roots if b.kind == kind), None)
-    return CriticalReport(roots=tuple(roots), branch_failures=tuple(sorted(failures)),
-                          grid=tuple(rs), **summary)
+    return CriticalReport(
+        tuple(roots), tuple(sorted(failures)), tuple(rs),
+        MappingProxyType({kind: tuple(column) for kind, column in table.items()}),
+        MappingProxyType(degenerate))
 
 
 @dataclass(frozen=True)

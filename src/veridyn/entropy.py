@@ -28,7 +28,6 @@ __all__ = [
     "ProbState",
     "EntropyParams",
     "TraceStep",
-    "EntropyTrace",
     "shannon_entropy",
     "histogram_cells",
     "ledger_work",
@@ -178,6 +177,8 @@ class TraceStep:
     H_O: float
     step_bound_ok: bool
     obs_bound_ok: bool
+    total_bound_ok: bool
+    step_bound: float  # C ln(n + 1), the bound H(n+1) - H(n) was tested against
     obs_bound: float  # H(n) + K_n, the bound H_O(n+1) was tested against
     total_bound: float  # H(0) + C ln n + K_0 + ... + K_(n-1); H(0) + H_O(0) at n = 0
 
@@ -186,39 +187,38 @@ class TraceStep:
             raise InvalidDistributionError("entropies must be non-negative")
 
 
-@dataclass(frozen=True)
-class EntropyTrace:
-    steps: tuple[TraceStep, ...]
-
-
 def build_trace(H: Sequence[float], H_O: Sequence[float], params: EntropyParams,
-                k_schedule: Sequence[float] | None = None) -> EntropyTrace:
-    """Assemble a trace from per-step entropies and flag both bounds.
+                k_schedule: Sequence[float] | None = None) -> tuple[TraceStep, ...]:
+    """Assemble a trace from per-step entropies and decide all three bounds.
 
     Step n carries the growth check for the step n -> n+1 (the final step
     trivially passes) and the observation check H_O(n+1) <= H(n) + K_n,
-    with the bound it tested, and the total bound after n rounds.  A
-    per-step schedule may override the constant K, in both bounds.
+    each with the bound it tested, and the total bound after n rounds,
+    which H(n) + H_O(n) must not exceed from n = 1 on.  A per-step
+    schedule may override the constant K, in both K bounds.
     """
     if len(H) != len(H_O):
         raise LengthMismatchError("H and H_O sequences differ in length")
     steps = []
     spent = 0.0  # K_0 + ... + K_(n-1) under a schedule
     for n in range(len(H)):
+        h, h_o = float(H[n]), float(H_O[n])
+        step_bound = params.C * math.log(n + 1)
         step_ok = True
         obs_ok = True
         k_n = params.K
-        total = (float(H[0]) + float(H_O[0]) if n == 0 else total_entropy_bound(
-            n, float(H[0]), params, None if k_schedule is None else spent))
+        total = h + h_o if n == 0 else total_entropy_bound(
+            n, float(H[0]), params, None if k_schedule is None else spent)
         if n + 1 < len(H):
-            step_ok = H[n + 1] - H[n] <= params.C * math.log(n + 1) + BOUND_TOL
+            step_ok = H[n + 1] - H[n] <= step_bound + BOUND_TOL
             if k_schedule is not None:
                 k_n = float(k_schedule[n])
                 spent += k_n
             obs_ok = check_observation_bound(H[n], H_O[n + 1], k_n)
-        steps.append(TraceStep(n, float(H[n]), float(H_O[n]), step_ok, obs_ok,
-                               float(H[n]) + k_n, total))
-    return EntropyTrace(tuple(steps))
+        total_ok = not (n >= 1 and h + h_o > total + BOUND_TOL)
+        steps.append(TraceStep(n, h, h_o, step_ok, obs_ok, total_ok,
+                               step_bound, h + k_n, total))
+    return tuple(steps)
 
 
 def check_observation_bound(H_X: float, H_O_next: float, K: float) -> bool:
@@ -253,24 +253,18 @@ def entropy_direction_report(H: Sequence[float]) -> tuple[list[int], list[int]]:
             [n for n in steps if H[n + 1] > H[n] + BOUND_TOL])
 
 
-def trace_to_csv(trace: EntropyTrace, params: EntropyParams) -> str:
+def trace_to_csv(trace: Sequence[TraceStep]) -> str:
     """CSV rows n, H, H_O, step_bound, obs_bound, total_bound, violated_flags.
 
     The total bound column at n = 0 reports H(0) + H_O(0) directly since
     the accumulation formula starts at n = 1.
     """
     lines = ["n,H,H_O,step_bound,obs_bound,total_bound,violated_flags"]
-    for s in trace.steps:
-        step_bound = params.C * math.log(s.n + 1)
-        flags = []
-        if not s.step_bound_ok:
-            flags.append("step")
-        if not s.obs_bound_ok:
-            flags.append("obs")
-        if s.n >= 1 and s.H + s.H_O > s.total_bound + BOUND_TOL:
-            flags.append("total")
+    for s in trace:
+        flags = [flag for flag, ok in (("step", s.step_bound_ok), ("obs", s.obs_bound_ok),
+                                       ("total", s.total_bound_ok)) if not ok]
         lines.append(",".join([
-            str(s.n), fmt_real(s.H), fmt_real(s.H_O), fmt_real(step_bound),
+            str(s.n), fmt_real(s.H), fmt_real(s.H_O), fmt_real(s.step_bound),
             fmt_real(s.obs_bound), fmt_real(s.total_bound), ";".join(flags),
         ]))
     return "\n".join(lines) + "\n"

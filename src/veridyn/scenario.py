@@ -629,6 +629,13 @@ def parse_phase_settings(doc: Mapping, uni: Universe) -> PhaseSettings:
             raise ScenarioParseError(
                 f"phases assignments must name exactly the elements of {carrier.id}: "
                 f"missing {missing}, extra {extra}")
+        # the pairing makes |g|^2 pairs of each group g of one phase; a pair
+        # (about 0.9 us and 165 bytes) is priced as a simulate row
+        sizes: dict[RationalPhase, int] = {}
+        for phase in pairing[1].values():
+            sizes[phase] = sizes.get(phase, 0) + 1
+        _within_cap(ROW_WORK * sum(k * k for k in sizes.values()),
+                    "phases pairing work", WORK_CAP)
     if "theta" in section:
         theta = uni.morphism(_name(section, "theta", "phases"))
         order = automorphism_order(theta)

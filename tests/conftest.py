@@ -247,3 +247,20 @@ def entropy_cap_scenario(name: str, n: int) -> dict:
         doc["entropy_trace"]["steps"] = n
         return doc
     return carrier_universe(int(name), n)
+
+
+# --- the shape that sets the phase pairing's work weight ----------------------
+
+
+def pairing_scenario(*sizes: int) -> dict:
+    """The bundled universe with a carrier P for `phases`' pairing alone: one
+    group of elements per entry of `sizes`, the group k of phase k/len(sizes),
+    so the pairing makes the sum of the squared sizes in pairs."""
+    doc = json.loads((SCENARIOS / "observer_universe.json").read_text())
+    del doc["entropy_trace"]
+    groups = [[f"p{k}x{i:05d}" for i in range(size)] for k, size in enumerate(sizes)]
+    doc["universe"]["objects"].append(
+        {"id": "P", "elements": [x for group in groups for x in group]})
+    doc["phases"] = {"carrier": "P", "assignments": {
+        x: f"{k}/{len(sizes)}" for k, group in enumerate(groups) for x in group}}
+    return doc

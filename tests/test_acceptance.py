@@ -168,7 +168,7 @@ def test_criterion_4_entropy_bounds(tmp_path):
         H = np.abs(rng.standard_normal(length).cumsum()).tolist()
         C = float(rng.random() * 1.5)
         trace = build_trace(H, [0.0] * length, EntropyParams(C=C))
-        flagged = [s.n for s in trace.steps if not s.step_bound_ok]
+        flagged = [s.n for s in trace if not s.step_bound_ok]
         brute = [n for n in range(length - 1)
                  if H[n + 1] - H[n] > C * math.log(n + 1) + 1e-9]
         if flagged == brute:
@@ -412,8 +412,8 @@ def _oracle_orbit_class(r: float, steps: int = 3000) -> str:
 def test_criterion_7_bifurcation():
     linear = find_critical_r(scale_map(1, 0.5), scale_map(1, -1.0),
                              np.linspace(0.0, 2.0, 41))
-    flip_err = abs((linear.r_c_flip or np.inf) - 1.5)
-    no_fold = linear.r_c_fold is None and not linear.fold_degenerate
+    flip_err = abs((linear.r_c("flip") or np.inf) - 1.5)
+    no_fold = linear.r_c("fold") is None and not linear.degenerate["fold"]
 
     phi = zero_map(1)
     obs = PolynomialMap(1, (((1.0, (1,)), (-1.0, (2,))),))

@@ -625,9 +625,7 @@ def test_commuting_implies_order_free_composite():
 def test_csv_export():
     spec = CascadeSpec((CascadeStage(0.5, LinOp.rotation(QUARTER), 4),))
     rep = spectrum(build_cascade(spec))
-    from dataclasses import replace
-    rep = replace(rep, hull_check=tuple(check_hull_claim(rep, spec)))
-    csv = spectrum_to_csv(rep)
+    csv = spectrum_to_csv(rep, check_hull_claim(rep, spec))
     lines = csv.splitlines()
     assert lines[0] == "re,im,modulus,hull_ok"
     assert len(lines) == 3

@@ -22,6 +22,7 @@ from conftest import (
     ENTROPY_CAP_SHAPES,
     WORK_CAP_SHAPES,
     entropy_cap_scenario,
+    pairing_scenario,
     scan_scenario,
     work_cap_scenario,
 )
@@ -36,12 +37,14 @@ from veridyn.dynamics import (
     WeightedSumMap,
     simulate_coupled,
 )
-from veridyn.entropy import histogram_cells, ledger_work
+from veridyn.entropy import histogram_cells, ledger_work, pushforward
 from veridyn.errors import ScenarioParseError
 from veridyn.scenario import (
     MAP_SIZE_CAP,
+    ROW_WORK,
     TERM_WORK,
     WORK_CAP,
+    parse_entropy_settings,
     parse_entropy_trace,
     parse_simulate_settings,
     parse_sweep_settings,
@@ -702,6 +705,59 @@ def test_long_entropy_trace_on_a_small_carrier_runs(tmp_path):
     short, long = rows
     assert len(short) == 18 and len(long) == 50_002
     assert long[:18] == short
+
+
+def test_entropy_pushes_the_state_through_the_transition_once_a_step(tmp_path,
+                                                                     monkeypatch):
+    # steps + 1 observer pushes and steps transition pushes: the state after
+    # the last step is never formed
+    targets = []
+
+    def counted(state, f):
+        targets.append(f.dst.id)
+        return pushforward(state, f)
+
+    monkeypatch.setattr(cli, "pushforward", counted)
+    steps = json.loads(UNIVERSE_SCENARIO.read_text())["entropy_trace"]["steps"]
+    assert _run("entropy", str(UNIVERSE_SCENARIO), tmp_path / "out") == 0
+    assert len(targets) == 2 * steps + 1
+    assert targets.count("X") == steps and targets.count("S") == steps + 1
+
+
+# the pairings within WORK_CAP: n elements of one phase make n^2 pairs, and
+# two phases of 625 elements 781 250, the cap's worth at ROW_WORK a pair;
+# README.md, "Caps", times the first at its count
+PAIRINGS_AT_THE_WORK_CAP = {
+    "one phase": (pairing_scenario, 883),
+    "two phases": (lambda n: pairing_scenario(625, n), 625),
+}
+
+
+def test_pairing_at_its_cap_is_accepted_and_one_more_pair_is_not():
+    rejected = f"^phases pairing work [0-9]+ exceeds cap {WORK_CAP}$"
+    for scenario, n in PAIRINGS_AT_THE_WORK_CAP.values():
+        parse_entropy_settings(scenario(n))
+        with pytest.raises(ScenarioParseError, match=rejected):
+            parse_entropy_settings(scenario(n + 1))
+    assert ROW_WORK * 2 * 625 ** 2 == WORK_CAP
+    with pytest.raises(ScenarioParseError, match=rejected):
+        parse_entropy_settings(pairing_scenario(625, 625, 1))
+
+
+def test_runaway_pairing_exits_2_before_any_pair(tmp_path, capsys, monkeypatch):
+    # 2 000 elements of one phase: 4 * 10^6 pairs, about 3.6 s, 680 MB and a
+    # 92 MB phase_report.json if run
+    doc = json.loads((SCENARIOS / "runaway_pairing.json").read_text())
+    assert list(doc["phases"]["assignments"].values()) == ["0/1"] * 2000
+
+    def paired(carrier, phases):
+        raise AssertionError("the pairing ran")
+
+    monkeypatch.setattr(cli, "interference_pairing", paired)
+    out = tmp_path / "out"
+    assert _run("entropy", str(SCENARIOS / "runaway_pairing.json"), out) == 2
+    assert re.fullmatch(f"error: phases pairing work [0-9]+ exceeds cap {WORK_CAP}",
+                        _assert_rejected(capsys, out))
 
 
 def _assert_rejected(capsys, out):
@@ -1398,6 +1454,7 @@ BUNDLED_RUNS = [
     ("sweep", "runaway_sweep", 2),
     ("simulate", "runaway_simulate", 2),
     ("entropy", "runaway_entropy", 2),
+    ("entropy", "runaway_pairing", 2),
     ("sweep", "oversized_sweep", 2),
 ]
 

@@ -841,15 +841,15 @@ def test_fixed_point_flip_unstable_located_by_damping():
 
 def test_linear_family_flip_at_three_halves():
     rep = find_critical_r(scale_map(1, 0.5), scale_map(1, -1.0), np.linspace(0.0, 2.0, 21))
-    assert rep.r_c_flip == pytest.approx(1.5, abs=1e-6)
-    assert rep.r_c_fold is None
+    assert rep.r_c("flip") == pytest.approx(1.5, abs=1e-6)
+    assert rep.r_c("fold") is None
     assert not rep.branch_failures
 
 
 def test_degenerate_family_flagged():
     rep = find_critical_r(scale_map(1, 1.0), zero_map(1), np.linspace(0.0, 2.0, 11))
-    assert rep.fold_degenerate
-    assert rep.r_c_fold is None
+    assert rep.degenerate["fold"]
+    assert rep.r_c("fold") is None
 
 
 def test_two_dimensional_double_flip_flagged_even():
@@ -864,14 +864,14 @@ def test_logistic_flip_matches_sweep_transition():
     phi = zero_map(1)
     obs = logistic_observer()
     rep = find_critical_r(phi, obs, np.linspace(2.5, 3.4, 10), x0=[0.5])
-    assert rep.r_c_flip == pytest.approx(3.0, abs=1e-6)
+    assert rep.r_c("flip") == pytest.approx(3.0, abs=1e-6)
     grid = np.linspace(2.8, 3.2, 21)
     diag = sweep_bifurcation(phi, obs, grid, transient=3000, sample=64, x0=[0.5])
     last_fp = max(row.r for row in diag if row.attractor == "fixed-point")
     first_p2 = min(row.r for row in diag if row.attractor == "period-2")
     cell = grid[1] - grid[0]
-    assert last_fp <= rep.r_c_flip + cell + 1e-9
-    assert first_p2 >= rep.r_c_flip - cell - 1e-9
+    assert last_fp <= rep.r_c("flip") + cell + 1e-9
+    assert first_p2 >= rep.r_c("flip") - cell - 1e-9
 
 
 @pytest.mark.parametrize("c", [0.955, 0.965, 0.98, 1.02, 1.035])
@@ -880,7 +880,7 @@ def test_flip_recovered_when_bisection_midpoint_stalls(c):
     # bracket for these observer scales; a point beside it carries on
     obs = PolynomialMap(1, (((c, (1,)), (-c, (2,))),))
     rep = find_critical_r(zero_map(1), obs, np.linspace(2.5, 3.4, 91), x0=[0.5])
-    assert abs(rep.r_c_flip - 3.0 / c) <= 1e-6
+    assert abs(rep.r_c("flip") - 3.0 / c) <= 1e-6
 
 
 # sha256 of find_critical_r(...).to_dict() as JSON, one case per refinement
@@ -930,6 +930,29 @@ def test_critical_scan_keeps_its_digest(case):
     assert hashlib.sha256(json.dumps(rep.to_dict()).encode()).hexdigest() == digest
 
 
+def test_critical_report_follows_its_table_of_test_functions(monkeypatch):
+    # one more entry of _TEST_FUNCTIONS reaches the report and its JSON with
+    # no other edit: its root, degenerate flag and column follow fold's and flip's
+    grid = np.linspace(0.0, 2.0, 21)
+    args = (scale_map(1, 0.5), scale_map(1, -1.0), grid)
+    before = find_critical_r(*args).to_dict()
+    # J = 0.5 - r, so the probe J - 0.25 changes sign at r = 0.25
+    monkeypatch.setitem(dynamics._TEST_FUNCTIONS, "probe",
+                        ("d_probe", lambda jac: float(jac.entries[0, 0]) - 0.25))
+    rep = find_critical_r(*args)
+    after = rep.to_dict()
+    assert list(after) == [
+        "r_c_fold", "r_c_flip", "r_c_probe", "roots",
+        "fold_degenerate", "flip_degenerate", "probe_degenerate",
+        "branch_failures", "grid", "d_minus", "d_plus", "d_probe"]
+    assert rep.r_c("probe") == after["r_c_probe"] == pytest.approx(0.25, abs=1e-8)
+    assert after["probe_degenerate"] is False
+    assert after["d_probe"] == pytest.approx([0.25 - r for r in grid], abs=1e-12)
+    assert [root for root in after["roots"] if root["kind"] != "probe"] == before["roots"]
+    assert {k: v for k, v in after.items() if "probe" not in k and k != "roots"} \
+        == {k: v for k, v in before.items() if k != "roots"}
+
+
 def test_scan_brackets_end_at_the_grid_ends():
     # a bracket cut at the low end reads the grid's first value, +0.0 for a
     # grid from lo = -0.0, whether it holds a root or a lost branch
@@ -949,7 +972,7 @@ def test_critical_scan_needs_an_increasing_grid():
 
 def test_bisection_stops_at_one_ulp(monkeypatch):
     # both roots lie near r = 10, where one ulp of r moves det by about
-    # 1.8e-8 > det_tol, so the flip's bisection ends on adjacent floats
+    # 1.8e-8 > DET_TOL, so the flip's bisection ends on adjacent floats
     calls = []
 
     def counted(*args, **kwargs):
@@ -1144,7 +1167,7 @@ def test_non_finite_jacobian_loses_the_point_in_the_scan_and_the_rows():
     phi = PipelineMap(tuple(scale_map(1, a) for a in (1e200, 1e200, 1e-300, 1e-250)))
     grid = [0.1, 0.2, 0.3, 0.4, 0.5]
     rep = find_critical_r(phi, scale_map(1, 1.0), grid, x0=[0.0])
-    assert rep.d_minus == rep.d_plus == (None,) * 5
+    assert rep.values["fold"] == rep.values["flip"] == (None,) * 5
     assert rep.roots == () and len(rep.branch_failures) == 5
     rows = sweep_bifurcation(phi, scale_map(1, 1.0), grid, transient=5, sample=4, x0=[0.0])
     assert [(row.attractor, row.lead_eig) for row in rows] == [("fixed-point", None)] * 5

@@ -152,7 +152,7 @@ def test_data_processing_inequality_and_direction_report():
 
 def _step_violations(trace):
     # the expression cmd_entropy writes as step_violations
-    return [s.n for s in trace.steps if not s.step_bound_ok]
+    return [s.n for s in trace if not s.step_bound_ok]
 
 
 def test_step_bound_no_violation_for_constant_trace():
@@ -163,7 +163,7 @@ def test_step_bound_no_violation_for_constant_trace():
 def test_step_bound_flags_initial_jump():
     trace = build_trace([0.0, 3.0, 3.0], [0.0, 0.0, 0.0], EntropyParams(C=1.0))
     assert _step_violations(trace) == [0]
-    assert not trace.steps[0].step_bound_ok
+    assert not trace[0].step_bound_ok
 
 
 def test_step_bound_half_log_growth_passes():
@@ -224,9 +224,9 @@ def test_k_schedule_overrides_constant():
     H = [1.0, 1.0, 1.0]
     H_O = [0.0, 3.0, 1.0]
     loose = build_trace(H, H_O, EntropyParams(K=0.1), k_schedule=[5.0, 5.0, 5.0])
-    assert all(s.obs_bound_ok for s in loose.steps)
+    assert all(s.obs_bound_ok for s in loose)
     tight = build_trace(H, H_O, EntropyParams(K=5.0), k_schedule=[0.1, 0.1, 0.1])
-    assert not tight.steps[0].obs_bound_ok
+    assert not tight[0].obs_bound_ok
 
 
 # --- prefix-histogram ledger -----------------------------------------------
@@ -331,10 +331,28 @@ def test_filtration_inclusions_compose_exactly():
 # --- CSV --------------------------------------------------------------------
 
 
+@given(st.lists(st.tuples(st.floats(0, 8), st.floats(0, 8)), min_size=1, max_size=12),
+       st.floats(0, 2), st.floats(0, 2), st.booleans(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_trace_csv_flags_are_the_steps_verdicts(entropies, C, K, scheduled, data):
+    H, H_O = (list(column) for column in zip(*entropies))
+    k_schedule = (data.draw(st.lists(st.floats(0, 2), min_size=len(H), max_size=len(H)))
+                  if scheduled else None)
+    trace = build_trace(H, H_O, EntropyParams(C=C, K=K), k_schedule=k_schedule)
+    rows = [row.split(",") for row in trace_to_csv(trace).splitlines()[1:]]
+    assert len(rows) == len(trace) == len(H)
+    for s, row in zip(trace, rows):
+        verdicts = (("step", s.step_bound_ok), ("obs", s.obs_bound_ok),
+                    ("total", s.total_bound_ok))
+        assert row[-1] == ";".join(flag for flag, ok in verdicts if not ok)
+        # the total bound holds from n = 1 on, up to BOUND_TOL
+        assert s.total_bound_ok == (s.n == 0 or s.H + s.H_O <= s.total_bound + 1e-9)
+
+
 def test_trace_csv_shape_and_flags():
     params = EntropyParams(C=0.0, K=0.0)
     trace = build_trace([0.0, 3.0], [0.0, 5.0], params)
-    csv = trace_to_csv(trace, params)
+    csv = trace_to_csv(trace)
     lines = csv.splitlines()
     assert lines[0] == "n,H,H_O,step_bound,obs_bound,total_bound,violated_flags"
     assert len(lines) == 3
