@@ -413,19 +413,14 @@ class Universe:
 
         A square is only evaluated where the functors cover the morphism;
         uncovered squares are reported as skipped so coverage gaps stay
-        visible.
+        visible.  The functors a transformation names are resolved when the
+        scenario is parsed.
         """
         results = []
         for tname, trans in sorted(self.transformations.items()):
-            try:
-                target = self.functor(trans.target)
-                # None is the identity functor, named "Id" or left empty
-                source = (None if trans.source in ("Id", "", None)
-                          else self.functor(trans.source))
-            except UnresolvedReferenceError as exc:
-                results.append({"transformation": tname, "morphism": None,
-                                "status": "skipped", "reason": str(exc)})
-                continue
+            target = self.functor(trans.target)
+            # None is the identity functor, named "Id"
+            source = None if trans.source == "Id" else self.functor(trans.source)
             for mid, f in sorted(self.morphisms.items()):
                 try:
                     report = _check_square(target, trans, f, source=source)

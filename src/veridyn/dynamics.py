@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from itertools import repeat
 from types import CodeType, FunctionType, MappingProxyType
 from typing import Callable, Mapping, Sequence
 
@@ -73,15 +72,12 @@ def _pow(x: float, p: int) -> float:
 
 def _libm_pow(col, p: int) -> np.ndarray | float:
     """col ** p, for an array or a float, through libm pow as _pow takes it:
-    numpy's array power takes SIMD paths (x * x for p = 2) that round
-    differently, so batched rows would drift from the scalar ones."""
+    numpy's float_power loop calls C pow on each double and overflows to
+    _pow's signed infinity (the caller sets np.errstate); np.power takes SIMD
+    paths (x * x for p = 2) that round differently from the scalar rows."""
     if isinstance(col, float):  # a constant column
         return _pow(col, p)
-    try:
-        return np.fromiter(map(math.pow, col.tolist(), repeat(float(p))),
-                           np.float64, col.size)
-    except OverflowError:
-        return np.fromiter(map(_pow, col.tolist(), repeat(p)), np.float64, col.size)
+    return np.float_power(col, float(p))
 
 
 def _affine(a: np.ndarray, b: np.ndarray, x: tuple) -> list[float]:
@@ -201,8 +197,10 @@ class MapSpec:
 
     def batch(self) -> Callable[..., np.ndarray]:
         """The map over the rows of a (B, dim) array: its generated code run on
-        the array's columns, so row i is self(xs[i]) bit for bit.  An optional
-        second argument gives the map's last constant, one value per row."""
+        the array's columns, so row i is self(xs[i]) bit for bit, but for the
+        sign and payload of a NaN (C pow clears the sign of pow(NaN, odd p),
+        math.pow keeps it).  An optional second argument gives the map's last
+        constant, one value per row."""
         run = FunctionType(_generate(self), _COLUMNS, "_batch", self._consts)
         last = f"c{len(self._consts) - 1}"
 

@@ -181,7 +181,12 @@ def parse_universe(doc: Mapping) -> Universe:
         name = _fresh(uni.transformations, _name(td, "name", what),
                       "transformation name")
         source = _name(td, "source", what) if "source" in td else "Id"
-        target = _name(td, "target", what) if "target" in td else ""
+        target = _name(td, "target", what)
+        # resolved here, so that a misspelt functor is an input error and not
+        # a transformation whose squares are all skipped
+        uni.functor(target)
+        if source != "Id":  # absent or "Id": the identity functor
+            uni.functor(source)
         comps = _name_table(td.get("components", {}), f"{what} components")
         uni.transformations[name] = NatTransRep(
             name, source, target,
@@ -580,6 +585,8 @@ def parse_entropy_trace(doc: Mapping, uni: Universe) -> EntropyTraceSettings:
             raise ScenarioParseError(
                 f"entropy k_schedule must list at least {steps} numbers")
         k_schedule = tuple(_real(k, "entropy k_schedule entry") for k in k_schedule)
+        if min(k_schedule, default=0.0) < 0:  # as EntropyParams holds K
+            raise ScenarioParseError("entropy k_schedule entries must be non-negative")
     return EntropyTraceSettings(
         initial=(ProbState(start, _vector(probs, start.size,
                                           "entropy_trace initial_probs"))

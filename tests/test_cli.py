@@ -848,6 +848,8 @@ BAD_FINITE_SET = {
     "entropy_trace probs not numbers": ("entropy", "entropy_trace", "initial_probs",
                                         ["x", 1]),
     "k_schedule shorter than steps": ("entropy", "entropy", "k_schedule", [1.0]),
+    # EntropyParams rejects a negative K, and an entry overrides K for a step
+    "k_schedule entry negative": ("entropy", "entropy", "k_schedule", [1.0] * 7 + [-1.0]),
     "entropy not an object": ("entropy", "entropy", None, [1.0]),
     "phases not an object": ("entropy", "phases", None, []),
     "phases period not a number": ("entropy", "phases", "period", "x"),
@@ -946,6 +948,12 @@ BAD_UNIVERSE = {
                                                    [["X", "embed"]]),
     "transformation target not a name": _set_first("transformations", "target",
                                                    ["V"]),
+    # an unknown functor would leave every square of the transformation skipped
+    "transformation without target": lambda uni: uni["transformations"][0].pop("target"),
+    "transformation target unknown": _set_first("transformations", "target", "ZZ"),
+    "transformation target empty": _set_first("transformations", "target", ""),
+    "transformation source unknown": _set_first("transformations", "source", "ZZ"),
+    "transformation source empty": _set_first("transformations", "source", ""),
     "duplicate transformation name": _duplicate_first("transformations"),
 }
 

@@ -186,11 +186,12 @@ def test_batch_power_overflow_matches_scalar():
     assert got[0, 0] == np.inf and got[1, 0] == -np.inf
 
 
+@pytest.mark.filterwarnings("ignore:overflow")
 @pytest.mark.parametrize("p", [1, 2, 3])
 @pytest.mark.parametrize("overflow", [False, True])
 def test_libm_pow_matches_scalar_pow(p, overflow):
-    # an array takes libm pow in one pass, and _pow element by element once
-    # some power overflows; a float, a constant column, takes _pow itself
+    # an array takes libm pow through np.float_power, which overflows to the
+    # signed infinity _pow gives; a float, a constant column, takes _pow itself
     values = [0.0, -0.0, -1.5, -2.0, -3.0, 0.7, 1e100, np.nan]
     if overflow:
         values += [1e200, -1e200]
@@ -204,6 +205,23 @@ def test_libm_pow_matches_scalar_pow(p, overflow):
             assert math.isnan(want) or _same_bits(res, want)
     if overflow and p > 1:
         assert got[-2] == np.inf and got[-1] == (-np.inf if p == 3 else np.inf)
+
+
+# raw float64 bit patterns, with subnormals, bases whose square or cube
+# overflows, signed zeros and infinities drawn often
+POW_BASES = st.one_of(
+    st.integers(0, 2 ** 64 - 1).map(
+        lambda bits: float(np.array(bits, np.uint64).view(np.float64))),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324,
+                     2.0 ** -1030, -2.0 ** -1040, 1e200, -1e200, 1e308, -1e308]))
+
+
+@given(st.sampled_from([1, 2, 3]), st.lists(POW_BASES, min_size=1, max_size=32))
+@settings(max_examples=300, deadline=None)
+def test_libm_pow_on_arrays_matches_scalar_pow_on_bit_patterns(p, values):
+    with np.errstate(over="ignore", invalid="ignore"):  # as the sweep runs
+        got = dynamics._libm_pow(np.array(values), p)
+    assert _value_bits(got) == _value_bits([dynamics._pow(v, p) for v in values])
 
 
 # --- pinned references: numpy scalar evaluation --------------------------------
