@@ -855,7 +855,13 @@ def simulate_coupled(update: MapSpec, observer: MapSpec, x0: Sequence[float],
     The state advances under F_r = update + r * observer back-action; the
     observer coordinate refreshes only on scheduled steps and holds its
     last reading in between.  A non-finite state or observer reading
-    raises NonFiniteError.
+    raises NonFiniteError, naming its step.
+
+    Once F_r maps a state to itself bit for bit, every later state is that
+    state, so the maps are not called again: the rest of the trajectory
+    repeats it, and the observer reads it once more, at the next scheduled
+    step, if one is left.  == cannot see a zero's sign, so a state with a
+    zero coordinate never counts as fixed and is stepped like any other.
     """
     if schedule < 1:
         raise DomainError("schedule must be >= 1")
@@ -871,9 +877,18 @@ def simulate_coupled(update: MapSpec, observer: MapSpec, x0: Sequence[float],
     o = observe(x, 0)
     xs, os_ = [x], [o]
     for n in range(1, steps + 1):
-        x = fr(x)
-        if not all(map(math.isfinite, x)):
+        y = fr(x)
+        if not all(map(math.isfinite, y)):
             raise NonFiniteError(f"trajectory left the finite range at step {n}")
+        if all(a == b != 0.0 for a, b in zip(y, x)):
+            xs += [x] * (steps + 1 - n)
+            m = n + (-n) % schedule  # the next scheduled step
+            if m <= steps:
+                os_ += [o] * (m - n)
+                o = observe(x, m)
+            os_ += [o] * (steps + 1 - len(os_))
+            break
+        x = y
         if n % schedule == 0:
             o = observe(x, n)
         xs.append(x)

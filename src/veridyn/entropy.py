@@ -133,7 +133,9 @@ def ledger_work(cells: Sequence[tuple[int, ...]]) -> int:
 def prefix_entropies(cells: Sequence[tuple[int, ...]]) -> list[float]:
     """Entropy of the histogram of the cells seen so far, after each cell.
 
-    Only visited cells are stored; summed in sorted cell order they give
+    Only visited cells are stored.  Each step makes one pass over them in
+    sorted cell order, adding each probability into the normalization mass
+    it checks and its q log2 q into the entropy, so the entropy is
     `shannon_entropy` of the ProbState over all bins**dim cells bit for bit.
     """
     visited: list[tuple[int, ...]] = []  # sorted
@@ -146,10 +148,14 @@ def prefix_entropies(cells: Sequence[tuple[int, ...]]) -> list[float]:
         else:
             visited.insert(i, cell)
             counts.insert(i, 1)
-        probs = [c / n for c in counts]
-        if not abs(sum(probs) - 1.0) <= NORMALIZATION_TOL:
-            raise InvalidDistributionError(f"probabilities sum to {sum(probs)!r}, not 1")
-        out.append(_entropy_bits(probs))
+        mass = total = 0.0
+        for c in counts:
+            q = c / n
+            mass += q
+            total += q * math.log2(q)
+        if not abs(mass - 1.0) <= NORMALIZATION_TOL:
+            raise InvalidDistributionError(f"probabilities sum to {mass!r}, not 1")
+        out.append(-total + 0.0)
     return out
 
 

@@ -187,7 +187,7 @@ def parse_universe(doc: Mapping) -> Universe:
         uni.functor(target)
         if source != "Id":  # absent or "Id": the identity functor
             uni.functor(source)
-        comps = _name_table(td.get("components", {}), f"{what} components")
+        comps = _name_table(td.get("components"), f"{what} components")
         uni.transformations[name] = NatTransRep(
             name, source, target,
             {uni.object(a): uni.morphism(b) for a, b in comps.items()})

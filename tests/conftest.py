@@ -143,7 +143,8 @@ def work_cap_shape(name: str, zeros: int = 99) -> dict:
     F_r = phi + r * observer, with phi zero except for the pipeline. Each
     simulate orbit approaches a fixed point inside one ledger cell with a
     multiplier within 1e-4 of modulus 1, so no state repeats during an
-    at-cap run (a repeated state is written once, which would be faster).
+    at-cap run (a settled orbit stops calling the maps and writes its
+    repeated state once, which would be faster).
     """
     r = 1.5
     if name == "polynomial":

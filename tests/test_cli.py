@@ -946,6 +946,10 @@ BAD_UNIVERSE = {
     "duplicate functor name": _duplicate_first("functors"),
     "transformation components a list": _set_first("transformations", "components",
                                                    [["X", "embed"]]),
+    # a misspelt key is ignored, so this is a transformation without components,
+    # whose squares would all be skipped
+    "transformation components misspelt": lambda uni: uni["transformations"][0].update(
+        componentz=uni["transformations"][0].pop("components")),
     "transformation target not a name": _set_first("transformations", "target",
                                                    ["V"]),
     # an unknown functor would leave every square of the transformation skipped

@@ -1281,6 +1281,113 @@ def test_simulate_schedule_holds_observer():
     assert os_ == pytest.approx([1.0, 1.0, 0.25, 0.25, 0.0625])
 
 
+def _stepwise_rollout(update, observer, x0, steps, r=0.0, schedule=1):
+    """simulate_coupled without the early stop: F_r at every step and the
+    observer at every scheduled one, each step checked as the rollout does."""
+    fr = perturbed_map(update, observer, r) if r != 0.0 else update
+
+    def observe(x, n):
+        o = observer(x)
+        if not all(map(math.isfinite, o)):
+            raise NonFiniteError(f"observer reading left the finite range at step {n}")
+        return o
+
+    x = tuple(map(float, x0))
+    xs, os_ = [x], [observe(x, 0)]
+    for n in range(1, steps + 1):
+        x = fr(x)
+        if not all(map(math.isfinite, x)):
+            raise NonFiniteError(f"trajectory left the finite range at step {n}")
+        xs.append(x)
+        os_.append(observe(x, n) if n % schedule == 0 else os_[-1])
+    return Trajectory(tuple(xs), tuple(os_))
+
+
+def _counted(f, calls):
+    def call(x):
+        calls[0] += 1
+        return f(x)
+    return call
+
+
+# x -> 0.5 x + 1 from 2 - 2^-k reaches its fixed point 2.0 in floats, one
+# step sooner for each k; the identity observer reads every transient state
+HALVING = AffineMap(np.array([[0.5]]), np.array([1.0]))
+HALVING_STARTS = (1.0, 1.5, 1.75)
+
+
+@pytest.mark.parametrize("schedule", [1, 2, 3])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_settled_rollout_matches_the_stepwise_rollout(schedule, offset):
+    settles = []
+    for x0 in HALVING_STARTS:
+        long = _stepwise_rollout(HALVING, scale_map(1, 1.0), [x0], 80)
+        # the step whose F_r call returns its own argument, bit for bit
+        settle = next(n for n in range(1, 81) if _bits(long.xs[n]) == _bits(long.xs[n - 1]))
+        settles.append(settle)
+        steps = settle + offset
+        calls = [0]
+        got = simulate_coupled(_counted(HALVING, calls), scale_map(1, 1.0), [x0], steps,
+                               schedule=schedule)
+        want = _stepwise_rollout(HALVING, scale_map(1, 1.0), [x0], steps,
+                                 schedule=schedule)
+        assert [_bits(x) for x in got.xs] == [_bits(x) for x in want.xs]
+        assert [_bits(o) for o in got.os] == [_bits(o) for o in want.os]
+        assert calls[0] == min(steps, settle)
+    # the settle step falls before, on and after a scheduled step
+    assert {n % schedule for n in settles} == set(range(schedule))
+
+
+def test_fixed_point_with_a_zero_coordinate_takes_the_long_path():
+    # F fixes (0.0, 2.0), which has a zero coordinate, and F(-0.0, 2.0) ==
+    # (-0.0, 2.0) by == though F returns +0.0: the -0.0 stays at step 0 only,
+    # and every step calls F
+    phi = AffineMap(np.diag([0.5, 0.5]), np.array([0.0, 1.0]))
+    for x0 in ([-0.0, 2.0], [-0.0, 1.0]):
+        calls = [0]
+        got = simulate_coupled(_counted(phi, calls), scale_map(2, 1.0), x0, 80, schedule=3)
+        want = _stepwise_rollout(phi, scale_map(2, 1.0), x0, 80, schedule=3)
+        assert [_bits(x) for x in got.xs] == [_bits(x) for x in want.xs]
+        assert [_bits(o) for o in got.os] == [_bits(o) for o in want.os]
+        assert calls[0] == 80
+        assert _bits(got.xs[0][0]) == _bits(-0.0) and _bits(got.xs[1][0]) == _bits(0.0)
+        assert got.xs[-1] == (0.0, 2.0)
+
+
+@pytest.mark.parametrize("schedule", [1, 2, 3])
+@pytest.mark.parametrize("x0", HALVING_STARTS)
+def test_observer_non_finite_at_the_fixed_point_names_the_same_step(schedule, x0):
+    def observer(x):
+        return (math.inf if x[0] == 2.0 else x[0],)
+
+    with pytest.raises(NonFiniteError) as want:
+        _stepwise_rollout(HALVING, observer, [x0], 80, schedule=schedule)
+    with pytest.raises(NonFiniteError) as got:
+        simulate_coupled(HALVING, observer, [x0], 80, schedule=schedule)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("observer reading")
+
+
+@pytest.mark.parametrize("scenario, calls", [
+    # a float 2-cycle, never settled: F_r at each of 400 steps, the observer
+    # at step 0 and at each of the 200 scheduled steps
+    ("pipeline_ledger", (400, 201)),
+    # settled at step 51 of 200, where F_r returns state 50: F_r at each step
+    # up to there, the observer at each of steps 0 to 51
+    ("logistic_sweep", (51, 52)),
+])
+def test_simulate_makes_the_pinned_number_of_map_calls(monkeypatch, scenario, calls):
+    sim = parse_simulate_settings(json.loads((SCENARIOS / f"{scenario}.json").read_text()))
+    fr_calls, obs_calls = [0], [0]
+    # F_r is built from the observer itself; the rollout reads the counted one
+    monkeypatch.setattr(dynamics, "perturbed_map", lambda update, observer, r: _counted(
+        perturbed_map(update, sim.observer, r), fr_calls))
+    traj = simulate_coupled(sim.update, _counted(sim.observer, obs_calls), sim.x0,
+                            sim.steps, sim.r, sim.schedule)
+    assert len(traj.xs) == sim.steps + 1
+    assert (fr_calls[0], obs_calls[0]) == calls
+
+
 def test_trajectory_csv_keeps_signed_zeros():
     # -0.0 == 0.0, so a state with a zero coordinate is never looked up as another
     zeros = ((-0.0,), (0.0,), (-0.0,), (0.5,), (0.5,))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import pairs_of, point_mass, random_mor, random_obj
 from veridyn.category import FinMor, FinObj, FunctorRep, compose, identity_functor
+from veridyn import entropy
 from veridyn.coalgebra import iterate_to_theta
 from veridyn.entropy import (
     EntropyParams,
@@ -278,6 +279,14 @@ def test_prefix_entropies_known_values():
     huge = prefix_entropies(histogram_cells([[1.7e308], [1.9], [-1.7e308], [-1.9]],
                                            16, -2.0, 2.0))
     assert huge == [0.0, 0.0, third, 1.0]
+
+
+def test_prefix_entropies_check_normalization(monkeypatch):
+    # no mass passes a negative tolerance, so the ledger raises at its first
+    # step, however its sums are formed
+    monkeypatch.setattr(entropy, "NORMALIZATION_TOL", -1.0)
+    with pytest.raises(InvalidDistributionError, match=r"^probabilities sum to 1\.0, not 1$"):
+        prefix_entropies(histogram_cells([[0.1], [0.9]], 2, 0.0, 1.0))
 
 
 # --- memory filtration: the theta walk's inclusion_chain ----------------
